@@ -6,7 +6,7 @@ sensing — the smallest field-energy-per-relaxation-time, in units of
 it against published device performance.  Submodules:
 
 ``units``
-    Minimal dimension-checked quantities and the frozen physical constants.
+    The frozen physical constants and the unit-suffix parser for inputs.
 ``species``
     Alkali-atom data (nuclear spin, mass, spin-destruction cross section)
     and the kinetic helpers built on them.
@@ -38,7 +38,6 @@ from .bounds import (
 from .sensors import (
     AtomicErlReport,
     ComparisonRow,
-    DiamondSpec,
     PublishedRecord,
     SquidSpec,
     VaporCell,
@@ -69,14 +68,13 @@ from .spinsim import (
     simulate_transient,
     uncertainty_estimate,
 )
-from .units import DimensionError, Quantity, constants, convert, parse_quantity
+from .units import DimensionError, Quantity, constants, parse_quantity
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomicErlReport",
     "ComparisonRow",
-    "DiamondSpec",
     "DimensionError",
     "PublishedRecord",
     "Quantity",
@@ -92,7 +90,6 @@ __all__ = [
     "atomic_psd",
     "compare_published",
     "constants",
-    "convert",
     "default_catalog",
     "default_published_records",
     "diamond_erl",

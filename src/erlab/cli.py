@@ -20,13 +20,20 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .report import Report, ReportRow, render_csv, render_json, render_text
+from .report import (
+    Report,
+    ReportRow,
+    csv_text,
+    format_value,
+    render_csv,
+    render_json,
+    render_text,
+)
 from .sensors import (
     SquidSpec,
     VaporCell,
     atomic_floor,
     compare_published,
-    comparison_to_csv,
     default_published_records,
     diamond_erl,
     load_published_records,
@@ -41,6 +48,7 @@ from .units import (
     TEMPERATURE,
     TIME,
     VOLUME,
+    constants,
     parse_quantity,
 )
 
@@ -52,6 +60,32 @@ EXIT_IO = 3
 # reference cell shared by the table1 reproduction: n = 1e14 cm^-3, V = 10 cm^3
 _TABLE1_DENSITY = 1e20  # m^-3
 _TABLE1_VOLUME = 1e-5   # m^3
+
+# result-dataclass field -> (row label, unit, provenance), in report order
+_ATOMIC_FIELDS = {
+    "atom_count": ("atom_count", "", "derived"),
+    "relaxation_time": ("relaxation_time", "s", "derived"),
+    "delta_B_floor": ("delta_B_floor", "T", "predicted"),
+    "erl_hbar": ("erl", "hbar", "predicted"),
+    "kappa": ("kappa", "", "derived"),
+    "kappa_bare": ("kappa_bare", "", "derived"),
+    "spin_temperature": ("spin_temperature", "K", "derived"),
+    "correlation_atoms": ("correlation_atoms", "", "derived"),
+    "correlation_volume": ("correlation_volume", "m3", "derived"),
+    "collision_time": ("collision_time", "s", "derived"),
+    "sd_phase": ("sd_phase", "", "derived"),
+    "delta_B_uncertainty_check": ("delta_B_uncertainty_check", "T", "derived"),
+    "psd": ("psd", "T/rtHz", "predicted"),
+}
+# the keys are also the columns of the wide table2/compare CSV
+_COMPARISON_FIELDS = {
+    "p": ("p", "", "measured"),
+    "T_K": ("bath_temperature", "K", "measured"),
+    "tau_s": ("measurement_time", "s", "measured"),
+    "predicted_erl_hbar": ("predicted_erl", "hbar", "predicted"),
+    "measured_erl_hbar": ("measured_erl", "hbar", "measured"),
+    "ratio": ("ratio", "", "derived"),
+}
 
 
 class _UsageError(Exception):
@@ -207,7 +241,7 @@ def _cmd_species_list(args) -> str:
     for sp in _catalog(args):
         rows += [
             ReportRow(f"{sp.name}.nuclear_spin", str(sp.nuclear_spin), "", "measured"),
-            ReportRow(f"{sp.name}.mass", sp.mass_kg / 1.66053906660e-27, "amu", "measured"),
+            ReportRow(f"{sp.name}.mass", sp.mass_kg / constants().atomic_mass, "amu", "measured"),
             ReportRow(
                 f"{sp.name}.sd_cross_section",
                 float("nan") if sp.sd_cross_section_m2 is None else sp.sd_cross_section_m2 * 1e4,
@@ -228,21 +262,10 @@ def _cmd_species_list(args) -> str:
     return _render_report(report, args)
 
 
-def _atomic_rows(prefix: str, rep) -> list[ReportRow]:
+def _field_rows(result, fields: dict, prefix: str = "") -> list[ReportRow]:
     return [
-        ReportRow(f"{prefix}atom_count", rep.atom_count, "", "derived"),
-        ReportRow(f"{prefix}relaxation_time", rep.relaxation_time, "s", "derived"),
-        ReportRow(f"{prefix}delta_B_floor", rep.delta_B_floor, "T", "predicted"),
-        ReportRow(f"{prefix}erl", rep.erl_hbar, "hbar", "predicted"),
-        ReportRow(f"{prefix}kappa", rep.kappa, "", "derived"),
-        ReportRow(f"{prefix}kappa_bare", rep.kappa_bare, "", "derived"),
-        ReportRow(f"{prefix}spin_temperature", rep.spin_temperature, "K", "derived"),
-        ReportRow(f"{prefix}correlation_atoms", rep.correlation_atoms, "", "derived"),
-        ReportRow(f"{prefix}correlation_volume", rep.correlation_volume, "m3", "derived"),
-        ReportRow(f"{prefix}collision_time", rep.collision_time, "s", "derived"),
-        ReportRow(f"{prefix}sd_phase", rep.sd_phase, "", "derived"),
-        ReportRow(f"{prefix}delta_B_uncertainty_check", rep.delta_B_uncertainty_check, "T", "derived"),
-        ReportRow(f"{prefix}psd", rep.psd, "T/rtHz", "predicted"),
+        ReportRow(f"{prefix}{label}", getattr(result, name), unit, provenance)
+        for name, (label, unit, provenance) in fields.items()
     ]
 
 
@@ -262,7 +285,7 @@ def _cmd_atomic(args) -> str:
             volume_m3=volume,
             cell_temperature_K=cell.temperature,
         ),
-        tuple(_atomic_rows("", rep)),
+        tuple(_field_rows(rep, _ATOMIC_FIELDS)),
     )
     return _render_report(report, args)
 
@@ -338,17 +361,14 @@ def _cmd_table2(args) -> str:
         records = default_published_records()
     comparison = compare_published(records)
     if args.format == "csv":
-        return comparison_to_csv(comparison, args.digits)
+        table = []
+        for row in comparison:
+            values = (getattr(row, name) for name in _COMPARISON_FIELDS)
+            table.append([row.label, *(format_value(v, args.digits) for v in values)])
+        return csv_text(("label", *_COMPARISON_FIELDS), table)
     rows = []
     for row in comparison:
-        rows += [
-            ReportRow(f"{row.label}.p", row.p, "", "measured"),
-            ReportRow(f"{row.label}.bath_temperature", row.T_K, "K", "measured"),
-            ReportRow(f"{row.label}.measurement_time", row.tau_s, "s", "measured"),
-            ReportRow(f"{row.label}.predicted_erl", row.predicted_erl_hbar, "hbar", "predicted"),
-            ReportRow(f"{row.label}.measured_erl", row.measured_erl_hbar, "hbar", "measured"),
-            ReportRow(f"{row.label}.ratio", row.ratio, "", "derived"),
-        ]
+        rows += _field_rows(row, _COMPARISON_FIELDS, f"{row.label}.")
         if row.flagged:
             rows.append(
                 ReportRow(f"{row.label}.warning", "measured below prediction", "", "derived")
@@ -386,10 +406,9 @@ def _cmd_simulate(args) -> str:
     if args.format == "json":
         return result_to_json(result, config)
     if args.format == "csv":
-        return (
-            "variance,std_error,mean\n"
-            f"{result.variance_at_horizon!r},{result.standard_error!r},"
-            f"{result.mean_over_trajectories!r}\n"
+        return csv_text(
+            ("variance", "std_error", "mean"),
+            [(result.variance_at_horizon, result.standard_error, result.mean_over_trajectories)],
         )
     report = Report(
         "spin-noise transient Monte Carlo",

@@ -8,7 +8,8 @@ labeled ``hbar``.
 
 Three renderers: aligned text (floats at a configurable number of
 significant digits, default 6), JSON (full-precision, canonical key
-order), and CSV.
+order), and CSV.  ``csv_text`` is the one CSV writer; the CLI's wide
+tables go through it too.
 """
 
 from __future__ import annotations
@@ -86,10 +87,21 @@ def render_json(report: Report) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def render_csv(report: Report, digits: int = 6) -> str:
+def csv_text(columns, rows) -> str:
+    """CSV with a header line of ``columns`` and one line per row.
+
+    Floats in ``rows`` are written with ``repr``, so they round-trip.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "value", "unit", "provenance"])
-    for row in report.rows:
-        writer.writerow([row.label, format_value(row.value, digits), row.unit, row.provenance])
+    writer.writerow(columns)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def render_csv(report: Report, digits: int = 6) -> str:
+    return csv_text(
+        ("label", "value", "unit", "provenance"),
+        [(row.label, format_value(row.value, digits), row.unit, row.provenance)
+         for row in report.rows],
+    )

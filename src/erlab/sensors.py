@@ -25,8 +25,6 @@ kappa_bare = sqrt(N_c) phi identically.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -44,12 +42,10 @@ __all__ = [
     "atomic_psd",
     "SquidSpec",
     "squid_erl",
-    "DiamondSpec",
     "diamond_erl",
     "measured_erl_from_psd",
     "ComparisonRow",
     "compare_published",
-    "comparison_to_csv",
     "load_published_records",
     "default_published_records",
 ]
@@ -151,19 +147,13 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     algebraic routes to the field floor are evaluated and cross-checked.
     """
     sp = cell.species
-    if sp.sd_cross_section_m2 is None:
-        raise ValueError(
-            f"species {sp.name!r} has no spin-destruction cross section; "
-            "calibrate one with invert_sigma_v first"
-        )
+    sigma_v = sp.sigma_v(cell.temperature)  # rejects an uncalibrated species
     c = constants()
     n = cell.number_density
     N = cell.atom_count
     V = cell.volume
     mu = sp.magnetic_moment
     v_bar = sp.mean_relative_velocity(cell.temperature)
-    sigma = sp.sd_cross_section_m2
-    sigma_v = sigma * v_bar
 
     tau = 1.0 / (n * sigma_v)
     sqrt_N = math.sqrt(N)
@@ -184,7 +174,9 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
             "inputs are outside the regime where spin-destruction noise dominates"
         )
 
-    correlation_atoms = (c.hbar * v_bar / (c.mu_0 * mu * mu)) ** 2 * sigma * n ** (-2.0 / 3.0)
+    correlation_atoms = (
+        (c.hbar * v_bar / (c.mu_0 * mu * mu)) ** 2 * sp.sd_cross_section_m2 * n ** (-2.0 / 3.0)
+    )
     correlation_volume = correlation_atoms / n
     collision_time = n ** (-1.0 / 3.0) / v_bar
     sd_phase = math.sqrt(collision_time / tau)
@@ -228,6 +220,11 @@ class SquidSpec:
             raise ValueError(f"bath temperature must be positive, got {self.bath_temperature}")
         if self.measurement_time <= 0:
             raise ValueError(f"measurement time must be positive, got {self.measurement_time}")
+        measured = self.measured_erl_hbar
+        if measured is not None and not 0.0 < measured < math.inf:
+            raise ValueError(
+                f"measured energy resolution must be finite and positive, got {measured}"
+            )
 
 
 def squid_erl(spec: SquidSpec) -> float:
@@ -246,27 +243,6 @@ def squid_erl(spec: SquidSpec) -> float:
 # ---------------------------------------------------------------------------
 # diamond
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiamondSpec:
-    """NV-ensemble sensor: bath temperature [K], spin relaxation time [s],
-    measured white-noise density [T/sqrt(Hz)], sensing volume [m^3]."""
-
-    bath_temperature: float
-    relaxation_time: float
-    noise_density: float | None = None
-    sensing_volume: float | None = None
-
-    def __post_init__(self):
-        if self.bath_temperature <= 0:
-            raise ValueError(f"bath temperature must be positive, got {self.bath_temperature}")
-        if self.relaxation_time <= 0:
-            raise ValueError(f"relaxation time must be positive, got {self.relaxation_time}")
-        if self.noise_density is not None and self.noise_density <= 0:
-            raise ValueError(f"noise density must be positive, got {self.noise_density}")
-        if self.sensing_volume is not None and self.sensing_volume <= 0:
-            raise ValueError(f"sensing volume must be positive, got {self.sensing_volume}")
-
 
 def diamond_erl(temperature_K: float, tau_s: float) -> float:
     """Optimal projective-readout resolution k_B T ln2 tau / hbar  [hbar].
@@ -344,45 +320,6 @@ def compare_published(records: list[PublishedRecord]) -> list[ComparisonRow]:
             )
         )
     return rows
-
-
-_CSV_COLUMNS = (
-    "label",
-    "p",
-    "T_K",
-    "tau_s",
-    "predicted_erl_hbar",
-    "measured_erl_hbar",
-    "ratio",
-)
-
-
-def comparison_to_csv(rows: list[ComparisonRow], digits: int | None = None) -> str:
-    """Comparison table as CSV text (fixed column set, input order).
-
-    ``digits`` rounds to that many significant figures; ``None`` keeps full
-    float precision (shortest round-trip repr).
-    """
-
-    def fmt(x: float) -> str:
-        return repr(x) if digits is None else f"{x:.{digits}g}"
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.label,
-                fmt(row.p),
-                fmt(row.T_K),
-                fmt(row.tau_s),
-                fmt(row.predicted_erl_hbar),
-                fmt(row.measured_erl_hbar),
-                fmt(row.ratio),
-            ]
-        )
-    return buf.getvalue()
 
 
 def load_published_records(path: str | Path) -> list[PublishedRecord]:

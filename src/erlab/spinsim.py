@@ -65,7 +65,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.atom_count < 1:
+        if not self.atom_count >= 1:  # NaN fails this comparison
             raise ValueError(f"atom count must be >= 1, got {self.atom_count}")
         if self.relaxation_time <= 0:
             raise ValueError(f"relaxation time must be positive, got {self.relaxation_time}")
@@ -75,6 +75,8 @@ class SimConfig:
             raise ValueError(f"steps_per_tau must be an integer >= 10, got {self.steps_per_tau}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

@@ -1,36 +1,34 @@
-"""SI constants and a small dimension-checked quantity layer.
+"""SI constants and the unit-suffix parser for inputs.
 
 All model code in this package computes with plain SI floats.  This module
 owns two things:
 
 * the frozen table of physical constants (CODATA 2018), and
-* the boundary layer that turns unit-tagged inputs (``1e14/cm3``, ``10cm3``,
-  ``300pT/rtHz``, ...) into SI values while checking dimensions.
+* the boundary parser that turns unit-tagged inputs (``1e14/cm3``,
+  ``10cm3``, ``300pT/rtHz``, ...) into finite SI values while checking
+  their dimension.
 
 Dimensions are exponent vectors over the SI base (kg, m, s, A, K) with
 ``fractions.Fraction`` entries so that square roots of dimensioned
 quantities (e.g. field noise densities, T*sqrt(s)) stay exact.  Unit
-conversion factors are exact powers of ten; the only non-metric unit,
-the gauss, is an exact power of ten in tesla as well (1 G = 1e-4 T).
+scales are exact powers of ten; the only non-metric unit, the gauss, is an
+exact power of ten in tesla as well (1 G = 1e-4 T).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "DimensionError",
     "Dimension",
     "Quantity",
-    "Unit",
     "PhysicalConstants",
     "constants",
-    "constant_quantity",
     "parse_quantity",
-    "convert",
     "DIMENSIONLESS",
     "LENGTH",
     "TIME",
@@ -51,11 +49,7 @@ _BASE_SYMBOLS = ("kg", "m", "s", "A", "K")
 
 
 class DimensionError(ValueError):
-    """Raised when an operation mixes incompatible dimensions."""
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Raised when an input has an unknown unit or the wrong dimension."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ class Dimension:
 
     @staticmethod
     def of(kg=0, m=0, s=0, A=0, K=0) -> "Dimension":
-        return Dimension((_frac(kg), _frac(m), _frac(s), _frac(A), _frac(K)))
+        return Dimension((Fraction(kg), Fraction(m), Fraction(s), Fraction(A), Fraction(K)))
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         return Dimension(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
@@ -75,18 +69,14 @@ class Dimension:
         return Dimension(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
     def __pow__(self, power) -> "Dimension":
-        p = _frac(power)
+        p = Fraction(power)
         return Dimension(tuple(a * p for a in self.exponents))
 
     def root(self, n: int) -> "Dimension":
         return self ** Fraction(1, n)
 
-    @property
-    def is_dimensionless(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def __str__(self) -> str:
-        if self.is_dimensionless:
+        if not any(self.exponents):
             return "dimensionless"
         parts = []
         for sym, e in zip(_BASE_SYMBOLS, self.exponents):
@@ -109,172 +99,50 @@ NUMBER_DENSITY = Dimension.of(m=-3)
 VELOCITY = Dimension.of(m=1, s=-1)
 MAGNETIC_MOMENT = Dimension.of(m=2, A=1)                 # J/T
 PERMEABILITY = Dimension.of(kg=1, m=1, s=-2, A=-2)       # N/A^2
-MAGNETIC_FLUX = Dimension.of(kg=1, m=2, s=-2, A=-1)      # weber
 FIELD_NOISE_DENSITY = MAGNETIC_FIELD * (TIME ** Fraction(1, 2))  # T/sqrt(Hz)
 
 
-@dataclass(frozen=True)
-class Unit:
-    """A named scale for some dimension; ``scale`` converts to SI."""
-
-    name: str
-    dimension: Dimension
-    scale: float
-
-
-def _si_unit(dimension: Dimension) -> Unit:
-    return Unit(str(dimension), dimension, 1.0)
-
-
-Number = Union[int, float]
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A float tagged with a unit; arithmetic checks dimensions.
-
-    Arithmetic results are expressed in the canonical SI unit of their
-    dimension; ``convert`` / ``to`` rescale into any registered unit of
-    the same dimension.
-    """
-
-    value: float
-    unit: Unit
-
-    @property
-    def dimension(self) -> Dimension:
-        return self.unit.dimension
-
-    @property
-    def si(self) -> float:
-        """Magnitude in SI base units."""
-        return self.value * self.unit.scale
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_si(value: float, dimension: Dimension = DIMENSIONLESS) -> "Quantity":
-        return Quantity(float(value), _si_unit(dimension))
-
-    @staticmethod
-    def from_unit(value: float, unit_name: str) -> "Quantity":
-        return Quantity(float(value), lookup_unit(unit_name))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _require_same_dimension(self, other: "Quantity", op: str) -> None:
-        if self.dimension != other.dimension:
-            raise DimensionError(
-                f"cannot {op} quantities of dimension "
-                f"[{self.dimension}] and [{other.dimension}]"
-            )
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dimension(other, "add")
-        return Quantity.from_si(self.si + other.si, self.dimension)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dimension(other, "subtract")
-        return Quantity.from_si(self.si - other.si, self.dimension)
-
-    def __mul__(self, other: Union["Quantity", Number]) -> "Quantity":
-        if isinstance(other, Quantity):
-            return Quantity.from_si(self.si * other.si, self.dimension * other.dimension)
-        return Quantity.from_si(self.si * other, self.dimension)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Quantity", Number]) -> "Quantity":
-        if isinstance(other, Quantity):
-            return Quantity.from_si(self.si / other.si, self.dimension / other.dimension)
-        return Quantity.from_si(self.si / other, self.dimension)
-
-    def __rtruediv__(self, other: Number) -> "Quantity":
-        return Quantity.from_si(other / self.si, DIMENSIONLESS / self.dimension)
-
-    def __pow__(self, power) -> "Quantity":
-        return Quantity.from_si(self.si ** float(power), self.dimension ** _frac(power))
-
-    def sqrt(self) -> "Quantity":
-        return self ** Fraction(1, 2)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity.from_si(-self.si, self.dimension)
-
-    def __float__(self) -> float:
-        if not self.dimension.is_dimensionless:
-            raise DimensionError(
-                f"cannot interpret quantity of dimension [{self.dimension}] as a bare float"
-            )
-        return self.si
-
-    # -- conversion --------------------------------------------------------
-
-    def to(self, unit_name: str) -> float:
-        """Magnitude of this quantity expressed in ``unit_name``."""
-        unit = lookup_unit(unit_name)
-        if unit.dimension != self.dimension:
-            raise DimensionError(
-                f"cannot express dimension [{self.dimension}] in unit "
-                f"'{unit.name}' of dimension [{unit.dimension}]"
-            )
-        return self.si / unit.scale
-
-    def __str__(self) -> str:
-        return f"{self.value} {self.unit.name}"
-
-
-def convert(q: Quantity, target_unit: str) -> Quantity:
-    """Re-express ``q`` in ``target_unit`` (same dimension required)."""
-    return Quantity(q.to(target_unit), lookup_unit(target_unit))
-
-
 # ---------------------------------------------------------------------------
-# unit registry
+# unit table and parser
 # ---------------------------------------------------------------------------
-
-def _metric(
-    base_name: str,
-    dimension: Dimension,
-    base_scale: float,
-    prefixes: dict[str, float],
-) -> dict[str, Unit]:
-    units = {base_name: Unit(base_name, dimension, base_scale)}
-    for prefix, factor in prefixes.items():
-        name = prefix + base_name
-        units[name] = Unit(name, dimension, base_scale * factor)
-    return units
-
 
 _PREFIXES = {"m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12, "f": 1e-15}
 
-_UNITS: dict[str, Unit] = {}
-_UNITS.update(_metric("T", MAGNETIC_FIELD, 1.0, _PREFIXES))
-_UNITS.update(_metric("G", MAGNETIC_FIELD, 1e-4, _PREFIXES))  # 1 G = 1e-4 T exactly
-_UNITS.update(_metric("s", TIME, 1.0, _PREFIXES))
-_UNITS.update(_metric("T/rtHz", FIELD_NOISE_DENSITY, 1.0, _PREFIXES))
-_UNITS.update(_metric("G/rtHz", FIELD_NOISE_DENSITY, 1e-4, _PREFIXES))
-_UNITS.update(
-    {
-        "m": Unit("m", LENGTH, 1.0),
-        "cm": Unit("cm", LENGTH, 1e-2),
-        "mm": Unit("mm", LENGTH, 1e-3),
-        "um": Unit("um", LENGTH, 1e-6),
-        "K": Unit("K", TEMPERATURE, 1.0),
-        "J": Unit("J", ENERGY, 1.0),
-        "m3": Unit("m3", VOLUME, 1.0),
-        "cm3": Unit("cm3", VOLUME, 1e-6),
-        "mm3": Unit("mm3", VOLUME, 1e-9),
-        "m2": Unit("m2", AREA, 1.0),
-        "cm2": Unit("cm2", AREA, 1e-4),
-        "m^-3": Unit("m^-3", NUMBER_DENSITY, 1.0),
-        "cm^-3": Unit("cm^-3", NUMBER_DENSITY, 1e6),
-        "mm^-3": Unit("mm^-3", NUMBER_DENSITY, 1e9),
-        "m/s": Unit("m/s", VELOCITY, 1.0),
-        "J/T": Unit("J/T", MAGNETIC_MOMENT, 1.0),
-        "": Unit("", DIMENSIONLESS, 1.0),
-    }
-)
+
+def _prefixed(base: str, dimension: Dimension, base_scale: float) -> dict:
+    # each scale is base_scale * factor, never a folded literal: 1e-4 * 1e-12
+    # is not the float 1e-16, and parsed values must keep their bits
+    units = {base: (dimension, base_scale)}
+    for prefix, factor in _PREFIXES.items():
+        units[prefix + base] = (dimension, base_scale * factor)
+    return units
+
+
+# unit name -> (dimension, SI scale)
+_UNITS: dict[str, tuple[Dimension, float]] = {
+    **_prefixed("T", MAGNETIC_FIELD, 1.0),
+    **_prefixed("G", MAGNETIC_FIELD, 1e-4),  # 1 G = 1e-4 T exactly
+    **_prefixed("s", TIME, 1.0),
+    **_prefixed("T/rtHz", FIELD_NOISE_DENSITY, 1.0),
+    **_prefixed("G/rtHz", FIELD_NOISE_DENSITY, 1e-4),
+    "m": (LENGTH, 1.0),
+    "cm": (LENGTH, 1e-2),
+    "mm": (LENGTH, 1e-3),
+    "um": (LENGTH, 1e-6),
+    "K": (TEMPERATURE, 1.0),
+    "J": (ENERGY, 1.0),
+    "m3": (VOLUME, 1.0),
+    "cm3": (VOLUME, 1e-6),
+    "mm3": (VOLUME, 1e-9),
+    "m2": (AREA, 1.0),
+    "cm2": (AREA, 1e-4),
+    "m^-3": (NUMBER_DENSITY, 1.0),
+    "cm^-3": (NUMBER_DENSITY, 1e6),
+    "mm^-3": (NUMBER_DENSITY, 1e9),
+    "m/s": (VELOCITY, 1.0),
+    "J/T": (MAGNETIC_MOMENT, 1.0),
+    "": (DIMENSIONLESS, 1.0),
+}
 
 # accepted spellings for the same unit (CLI convenience); spellings that
 # start with a digit (like "1/cm3") are deliberately absent — after a
@@ -297,20 +165,17 @@ _ALIASES = {
     "pG/sqrtHz": "pG/rtHz",
 }
 
-
-def lookup_unit(name: str) -> Unit:
-    key = name.strip()
-    key = _ALIASES.get(key, key)
-    try:
-        return _UNITS[key]
-    except KeyError:
-        known = ", ".join(sorted(k for k in _UNITS if k))
-        raise DimensionError(f"unknown unit '{name}' (known units: {known})") from None
-
-
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(?P<unit>\S*)\s*$"
 )
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """A parsed input: its magnitude in SI base units and its dimension."""
+
+    si: float
+    dimension: Dimension
 
 
 def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
@@ -318,23 +183,33 @@ def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
 
     A bare number parses as dimensionless.  If ``expect`` is given, the
     parsed dimension must match it (so a bare number is rejected for any
-    dimensioned target).
+    dimensioned target).  A value whose SI magnitude overflows to infinity
+    (``1e400K``) is rejected.
     """
     m = _QUANTITY_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse quantity from '{text}'")
-    q = Quantity.from_unit(float(m.group("num")), m.group("unit"))
-    if expect is not None and q.dimension != expect:
-        if q.unit.name == "":
+    value = float(m.group("num"))
+    unit = m.group("unit")
+    try:
+        dimension, scale = _UNITS[_ALIASES.get(unit, unit)]
+    except KeyError:
+        known = ", ".join(sorted(k for k in _UNITS if k))
+        raise DimensionError(f"unknown unit '{unit}' (known units: {known})") from None
+    if expect is not None and dimension != expect:
+        if unit == "":
             raise DimensionError(
                 f"'{text}' has no unit; expected a value of dimension [{expect}] "
                 f"(e.g. unit suffixes like 'cm3', 'us', 'pT/rtHz')"
             )
         raise DimensionError(
-            f"'{text}' has dimension [{q.dimension}] but a value of dimension "
+            f"'{text}' has dimension [{dimension}] but a value of dimension "
             f"[{expect}] is required"
         )
-    return q
+    si = value * scale
+    if not math.isfinite(si):
+        raise ValueError(f"'{text}' is out of range: its SI value is not finite")
+    return Quantity(si, dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +231,6 @@ class PhysicalConstants:
 
 _CONSTANTS = PhysicalConstants()
 
-_CONSTANT_DIMENSIONS = {
-    "hbar": ACTION,
-    "k_B": ENERGY / TEMPERATURE,
-    "mu_0": PERMEABILITY,
-    "mu_B": MAGNETIC_MOMENT,
-    "Phi_0": MAGNETIC_FLUX,
-    "atomic_mass": Dimension.of(kg=1),
-}
-
 
 def constants() -> PhysicalConstants:
     return _CONSTANTS
-
-
-def constant_quantity(name: str) -> Quantity:
-    """The named constant as a dimension-tagged :class:`Quantity`."""
-    try:
-        dim = _CONSTANT_DIMENSIONS[name]
-    except KeyError:
-        raise KeyError(f"no such constant: {name!r}") from None
-    return Quantity.from_si(getattr(_CONSTANTS, name), dim)

@@ -293,11 +293,18 @@ def test_usage_errors_exit_1(args):
          "--dump-trajectories", "a,b"),
         ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0",
          "--dump-trajectories", "99"),
+        # values that overflow to infinity in SI, or are NaN or infinite
+        ("atomic", "--species", "Cs", "--density", "1e400/cm3", "--volume", "1cm3"),
+        ("squid", "--p", "1e-6", "--temp", "4.2K", "--tau", "1us", "--measured", "nan"),
+        ("diamond", "--temp", "1e400K", "--tau", "1us"),
+        ("simulate", "--atoms", "nan", "--trajectories", "5", "--seed", "0"),
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0", "--horizon", "inf"),
     ],
 )
 def test_validation_errors_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith("erlab: error: validation:")
     assert len(proc.stderr.strip().split("\n")) == 1
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from erlab.cli import main as cli_main
 from erlab.sensors import (
     PublishedRecord,
     SquidSpec,
@@ -18,7 +19,6 @@ from erlab.sensors import (
     atomic_floor,
     atomic_psd,
     compare_published,
-    comparison_to_csv,
     default_published_records,
     diamond_erl,
     invert_sigma_v,
@@ -287,6 +287,9 @@ def test_squid_spec_validation():
         SquidSpec(1e-6, 0.0, 5e-6)
     with pytest.raises(ValueError):
         SquidSpec(1e-6, 4.2, 0.0)
+    for measured in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="measured energy resolution"):
+            SquidSpec(1e-6, 4.2, 5e-6, measured)
 
 
 def test_flagged_rows_are_warnings_not_errors():
@@ -302,10 +305,14 @@ def test_compare_requires_measured_value():
         compare_published([rec])
 
 
-def test_comparison_csv_schema():
+def _table2_csv(capsys, digits):
+    assert cli_main(["table2", "--format", "csv", "--digits", str(digits)]) == 0
+    return capsys.readouterr().out
+
+
+def test_comparison_csv_schema(capsys):
     rows = compare_published(default_published_records())
-    text = comparison_to_csv(rows, digits=6)
-    lines = text.strip().split("\n")
+    lines = _table2_csv(capsys, 6).strip().split("\n")
     assert lines[0] == "label,p,T_K,tau_s,predicted_erl_hbar,measured_erl_hbar,ratio"
     assert len(lines) == 1 + len(rows)
     first = lines[1].split(",")
@@ -313,9 +320,9 @@ def test_comparison_csv_schema():
     assert float(first[4]) == pytest.approx(2.09292, rel=1e-5)
 
 
-def test_comparison_csv_full_precision_roundtrips():
+def test_comparison_csv_full_precision_roundtrips(capsys):
     rows = compare_published(default_published_records())
-    line = comparison_to_csv(rows).strip().split("\n")[1].split(",")
+    line = _table2_csv(capsys, 17).strip().split("\n")[1].split(",")
     assert float(line[4]) == rows[0].predicted_erl_hbar
 
 

@@ -245,6 +245,9 @@ def test_trajectory_csv_format(tmp_path):
         dict(horizon=-1.0),
         dict(seed=-1),
         dict(seed=2**64),
+        dict(atom_count=math.nan),
+        dict(horizon=math.inf),
+        dict(horizon=math.nan),
     ],
 )
 def test_config_validation(kwargs):

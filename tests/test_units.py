@@ -1,5 +1,5 @@
 """Units layer: constants against an independent reference, dimension algebra,
-parsing, and conversion exactness."""
+parsing, and the exactness of parsed SI values."""
 
 import math
 from fractions import Fraction
@@ -14,6 +14,7 @@ from erlab.units import (
     FIELD_NOISE_DENSITY,
     LENGTH,
     MAGNETIC_FIELD,
+    MAGNETIC_MOMENT,
     NUMBER_DENSITY,
     PERMEABILITY,
     TEMPERATURE,
@@ -22,10 +23,7 @@ from erlab.units import (
     VOLUME,
     Dimension,
     DimensionError,
-    Quantity,
-    constant_quantity,
     constants,
-    convert,
     parse_quantity,
 )
 
@@ -107,7 +105,7 @@ def test_dimension_power_roundtrip(a):
 
 
 # ---------------------------------------------------------------------------
-# parsing and conversion
+# parsing
 # ---------------------------------------------------------------------------
 
 def test_parse_density_is_exact():
@@ -124,6 +122,9 @@ def test_parse_common_suffixes():
     assert parse_quantity("1G", MAGNETIC_FIELD).si == 1e-4
     assert parse_quantity("400K", TEMPERATURE).si == 400.0
     assert parse_quantity("0.5e-5s", TIME).si == 0.5e-5
+    # prefixed scales keep the bits of base_scale * prefix_factor
+    assert parse_quantity("1pG", MAGNETIC_FIELD).si == 1e-4 * 1e-12
+    assert parse_quantity("1fG/rtHz", FIELD_NOISE_DENSITY).si == 1e-4 * 1e-15
 
 
 def test_parse_alias_spellings():
@@ -169,75 +170,85 @@ def test_parse_rejects_garbage():
 def test_parse_bare_number_dimensionless_ok():
     q = parse_quantity("42")
     assert q.dimension == DIMENSIONLESS
-    assert float(q) == 42.0
+    assert q.si == 42.0
+
+
+def test_parse_rejects_nonfinite_si_value():
+    with pytest.raises(ValueError, match="not finite"):
+        parse_quantity("1e400K", TEMPERATURE)
+    # finite as written, but the unit scale overflows it
+    with pytest.raises(ValueError, match="not finite"):
+        parse_quantity("1e305cm^-3", NUMBER_DENSITY)
 
 
 def test_gauss_conversion_power_of_ten():
-    q = Quantity.from_unit(5.0, "G")
-    assert q.si == 5e-4
-    assert q.to("T") == 5e-4
-    assert convert(Quantity.from_si(5e-4, MAGNETIC_FIELD), "G").value == 5.0
+    assert parse_quantity("5G", MAGNETIC_FIELD).si == 5e-4
+    assert parse_quantity("0.5mT", MAGNETIC_FIELD).si == 5e-4
+    assert parse_quantity("5G").si / parse_quantity("1G").si == 5.0
 
 
 def test_conversion_roundtrip():
-    q = Quantity.from_unit(13.4, "pG/rtHz")
-    back = convert(convert(q, "T/rtHz"), "pG/rtHz")
-    assert back.value == pytest.approx(13.4, rel=1e-15)
+    si = parse_quantity("13.4pG/rtHz", FIELD_NOISE_DENSITY).si
+    assert si == pytest.approx(parse_quantity("1.34e-15T/rtHz").si, rel=1e-15)
+    assert si / parse_quantity("1pG/rtHz").si == pytest.approx(13.4, rel=1e-15)
 
 
 def test_to_rejects_other_dimension():
-    with pytest.raises(DimensionError):
-        Quantity.from_unit(1.0, "cm3").to("s")
+    # a volume cannot be read where a time is expected
+    with pytest.raises(DimensionError, match=r"dimension \[m\^3\]"):
+        parse_quantity("1cm3", TIME)
 
 
 # ---------------------------------------------------------------------------
-# quantity arithmetic
+# dimensional analysis of the package's formulas, over exponent vectors
 # ---------------------------------------------------------------------------
 
 def test_add_mismatched_dimensions_raises():
-    with pytest.raises(DimensionError, match="cannot add"):
-        Quantity.from_unit(1.0, "T") + Quantity.from_unit(1.0, "s")
+    # only equal dimensions may be added: a field and a time never are
+    assert parse_quantity("1T").dimension != parse_quantity("1s").dimension
+    with pytest.raises(DimensionError, match="but a value of dimension"):
+        parse_quantity("1T", TIME)
 
 
 def test_float_of_dimensioned_quantity_raises():
+    # a dimensioned value is never accepted where a bare number is expected
     with pytest.raises(DimensionError):
-        float(Quantity.from_unit(1.0, "T"))
+        parse_quantity("1T", DIMENSIONLESS)
+    assert MAGNETIC_FIELD != DIMENSIONLESS
 
 
 def test_quantity_algebra_tracks_dimensions():
-    dB = Quantity.from_unit(2.0, "fT")
-    V = Quantity.from_unit(10.0, "cm3")
-    tau = Quantity.from_si(0.24, TIME)
-    mu0 = constant_quantity("mu_0")
-    erl = dB * dB * V * tau / (2.0 * mu0)
-    assert erl.dimension == ACTION
-    hbar = constant_quantity("hbar")
-    assert (erl / hbar).dimension == DIMENSIONLESS
-    assert float(erl / hbar) > 0
+    # erl = dB^2 V tau / (2 mu_0 hbar) is a pure number
+    dB, V = parse_quantity("2fT"), parse_quantity("10cm3")
+    assert dB.dimension**2 * V.dimension * TIME / PERMEABILITY / ACTION == DIMENSIONLESS
+    erl = dB.si * dB.si * V.si * 0.24 / (2.0 * C.mu_0) / C.hbar
+    assert erl > 0
 
 
 def test_quantity_sqrt_dimension():
-    q = Quantity.from_si(9e-20, MAGNETIC_FIELD**2 * TIME)
-    assert q.sqrt().dimension == FIELD_NOISE_DENSITY
-    assert q.sqrt().si == pytest.approx(3e-10)
+    assert (MAGNETIC_FIELD**2 * TIME) ** Fraction(1, 2) == FIELD_NOISE_DENSITY
+    assert math.sqrt(9e-20) == pytest.approx(
+        parse_quantity("300pT/rtHz", FIELD_NOISE_DENSITY).si
+    )
 
 
 def test_velocity_from_length_over_time():
-    v = Quantity.from_unit(100.0, "cm") / Quantity.from_si(2.0, TIME)
-    assert v.dimension == VELOCITY
-    assert v.si == pytest.approx(0.5)
+    assert LENGTH / TIME == VELOCITY
+    assert parse_quantity("100cm").si / 2.0 == pytest.approx(
+        parse_quantity("0.5m/s", VELOCITY).si
+    )
 
 
 def test_constant_quantity_dimensions():
-    assert constant_quantity("hbar").dimension == ACTION
-    assert constant_quantity("k_B").dimension == ENERGY / TEMPERATURE
-    assert constant_quantity("mu_0").dimension == PERMEABILITY
-    with pytest.raises(KeyError):
-        constant_quantity("c")
+    # hbar [J s], k_B [J/K], mu_0 [N/A^2], mu_B [J/T] make each bound dimensionless
+    k_B = ENERGY / TEMPERATURE
+    assert k_B * TEMPERATURE * TIME / ACTION == DIMENSIONLESS  # squid_erl, diamond_erl
+    kappa_bare = ACTION * (LENGTH**2 * VELOCITY) / (PERMEABILITY * MAGNETIC_MOMENT**2)
+    assert kappa_bare == DIMENSIONLESS  # hbar sigma v / (mu_0 mu^2)
+    assert FIELD_NOISE_DENSITY**2 * VOLUME / (PERMEABILITY * ACTION) == DIMENSIONLESS
 
 
 def test_length_cubing_gives_volume():
-    edge = Quantity.from_unit(1.0, "mm")
-    assert (edge**3).dimension == VOLUME
-    assert (edge**3).si == pytest.approx(1e-9)
-    assert (edge**3).to("mm3") == pytest.approx(1.0)
+    assert LENGTH**3 == VOLUME
+    assert parse_quantity("1mm").si ** 3 == pytest.approx(parse_quantity("1mm3", VOLUME).si)
+    assert parse_quantity("1mm", LENGTH).si ** 3 == pytest.approx(1e-9)
