@@ -202,7 +202,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--tau", default="1s", help="relaxation time with unit (default: 1s)")
     p.add_argument("--steps-per-tau", type=int, default=100, help="time resolution (default: 100)")
     p.add_argument("--horizon", type=float, default=1.0, help="endpoint in units of tau (default: 1)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (output-invariant)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel workers, capped at the usable CPU count (output-invariant)",
+    )
     p.add_argument(
         "--dump-trajectories",
         metavar="I,J,...",

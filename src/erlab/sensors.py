@@ -71,15 +71,19 @@ class VaporCell:
     cell_temperature: float | None = None
 
     def __post_init__(self):
-        if self.number_density <= 0:
+        if not self.number_density > 0:  # NaN fails these comparisons
             raise ValueError(f"number density must be positive, got {self.number_density}")
-        if self.volume <= 0:
+        if not self.volume > 0:
             raise ValueError(f"volume must be positive, got {self.volume}")
+        if not math.isfinite(self.atom_count):
+            raise ValueError(
+                f"atom count N = density * volume must be finite, got N = {self.atom_count}"
+            )
         if self.atom_count < 1:
             raise ValueError(
                 f"cell must contain at least one atom, got N = {self.atom_count}"
             )
-        if self.cell_temperature is not None and self.cell_temperature <= 0:
+        if self.cell_temperature is not None and not self.cell_temperature > 0:
             raise ValueError(f"cell temperature must be positive, got {self.cell_temperature}")
 
     @property

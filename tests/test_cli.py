@@ -299,6 +299,9 @@ def test_usage_errors_exit_1(args):
         ("diamond", "--temp", "1e400K", "--tau", "1us"),
         ("simulate", "--atoms", "nan", "--trajectories", "5", "--seed", "0"),
         ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0", "--horizon", "inf"),
+        ("simulate", "--atoms", "inf", "--trajectories", "5", "--seed", "0"),
+        # each value finite, but N = density * volume overflows
+        ("atomic", "--species", "Cs", "--density", "1e300/cm3", "--volume", "1e300cm3"),
     ],
 )
 def test_validation_errors_exit_2(args):

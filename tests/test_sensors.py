@@ -220,6 +220,14 @@ def test_vapor_cell_validation():
         VaporCell(sp, N_REF, V_REF, -10.0)
     with pytest.raises(ValueError):
         VaporCell(sp, 1.0, 1e-30)  # fewer than one atom
+    with pytest.raises(ValueError):
+        VaporCell(sp, 1e300, 1e300)  # N overflows to infinity
+    with pytest.raises(ValueError):
+        VaporCell(sp, math.nan, V_REF)
+    with pytest.raises(ValueError):
+        VaporCell(sp, N_REF, math.nan)
+    with pytest.raises(ValueError):
+        VaporCell(sp, N_REF, V_REF, math.nan)
 
 
 def test_vapor_cell_default_temperature():

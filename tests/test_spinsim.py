@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from erlab import spinsim
 from erlab.spinsim import (
     SimConfig,
     analytic_variance,
@@ -171,6 +174,71 @@ def test_trajectories_are_stable_under_ensemble_growth():
     np.testing.assert_array_equal(small.trajectory_sample[0].values, large.trajectory_sample[0].values)
 
 
+def _reference_path(config, index):
+    # the determinism contract written out independently of the simulator:
+    # trajectory i draws S standard normals from a fresh Philox generator
+    # keyed by the seed with its counter at i * 2^128, weighted by the
+    # midpoint envelope 1 - e^(-u) and scaled by sqrt(du / N)
+    S = config.step_count
+    du = config.horizon / S
+    coeff = -np.expm1(-(np.arange(S) + 0.5) * du)
+    scale = math.sqrt(du / config.atom_count)
+    bitgen = np.random.Philox(key=config.seed, counter=index << 128)
+    weighted = coeff * np.random.Generator(bitgen).standard_normal(S)
+    return np.concatenate([[0.0], scale * np.cumsum(weighted)]), scale * float(np.sum(weighted))
+
+
+def test_sampled_paths_follow_the_counter_contract():
+    cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=2**63 + 12345)
+    indices = (0, 4095, 4096, cfg.trajectory_count - 1)
+    res = simulate_transient(cfg, workers=2, sample_indices=indices)
+    for sample in res.trajectory_sample:
+        path, _ = _reference_path(cfg, sample.index)
+        assert sample.values.tobytes() == path.tobytes()
+    # a one-trajectory run's mean is that trajectory's horizon value
+    single = SimConfig(1e5, 1.0, 1, steps_per_tau=10, horizon=1.3, seed=cfg.seed)
+    _, endpoint = _reference_path(single, 0)
+    assert simulate_transient(single).mean_over_trajectories == endpoint
+
+
+@pytest.mark.parametrize("chunk, row_buffer", [(3, 7), (7, 3)])
+@pytest.mark.parametrize("steps_per_tau, horizon", [(10, 0.3), (10, 1.3)])
+def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, chunk, row_buffer, steps_per_tau, horizon):
+    cfg = SimConfig(1e4, 1.0, 500, steps_per_tau=steps_per_tau, horizon=horizon, seed=31)
+    indices = (0, 2, 3, 6, 7, 499)
+    before = simulate_transient(cfg, sample_indices=indices)
+    monkeypatch.setattr(spinsim, "_CHUNK", chunk)
+    monkeypatch.setattr(spinsim, "_ROW_BUFFER", row_buffer)
+    after = simulate_transient(cfg, workers=2, sample_indices=indices)
+    assert result_to_json(after, cfg) == result_to_json(before, cfg)
+    for a, b in zip(before.trajectory_sample, after.trajectory_sample, strict=True):
+        assert a.index == b.index
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_worker_pool_capped_at_usable_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(spinsim, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(spinsim, "_CHUNK", 100)
+    cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=4)  # three blocks
+    serial = result_to_json(simulate_transient(cfg), cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
+    assert pools == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
+    assert pools == [3]  # capped by the block count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
+    assert pools == [3, 2]
+
+
 def test_sampled_trajectory_endpoint_consistency():
     # a sampled path must end at the same value the variance sweep recorded:
     # one-trajectory ensembles expose it via the mean
@@ -248,6 +316,9 @@ def test_trajectory_csv_format(tmp_path):
         dict(atom_count=math.nan),
         dict(horizon=math.inf),
         dict(horizon=math.nan),
+        dict(atom_count=math.inf),
+        dict(relaxation_time=math.nan),
+        dict(relaxation_time=math.inf),
     ],
 )
 def test_config_validation(kwargs):
