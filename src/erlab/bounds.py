@@ -7,14 +7,14 @@ product (dB)^2 V tau / (2 mu_0) — field variance times sensed volume times
 measurement time, in units of action — from below by (pi/2) hbar.
 
 Everything here is plain SI floats; see ``erlab.units`` for the boundary
-layer that checks dimensions on the way in.
+layer that checks dimensions on the way in and the domain of every value.
 """
 
 from __future__ import annotations
 
 import math
 
-from .units import constants
+from .units import constants, require
 
 __all__ = [
     "THEORETICAL_FLOOR_HBAR",
@@ -39,17 +39,14 @@ def measurement_work_bound(temperature_K: float, info_nats: float) -> float:
     W >= k_B T * I with the information measured in nats.  Linear in both
     arguments; I = ln 2 is one bit.
     """
-    if temperature_K <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature_K}")
-    if info_nats < 0:
-        raise ValueError(f"information must be non-negative, got {info_nats}")
+    require(temperature_K, "temperature")
+    require(info_nats, "information", "non-negative")
     return constants().k_B * temperature_K * info_nats
 
 
 def ml_min_time(energy_J: float) -> float:
     """Margolus-Levitin minimum evolution time, tau >= pi hbar / (2 E)  [s]."""
-    if energy_J <= 0:
-        raise ValueError(f"energy must be positive, got {energy_J}")
+    require(energy_J, "energy")
     return math.pi * constants().hbar / (2.0 * energy_J)
 
 
@@ -59,27 +56,23 @@ def erl_quantum(delta_B_T: float, volume_m3: float, tau_s: float) -> float:
     This is the action-like figure of merit the pi/2 floor applies to.
     ``delta_B_T`` is the standard deviation of the field estimate.
     """
-    if delta_B_T < 0:
-        raise ValueError(f"field uncertainty must be non-negative, got {delta_B_T}")
-    if volume_m3 <= 0:
-        raise ValueError(f"volume must be positive, got {volume_m3}")
-    if tau_s <= 0:
-        raise ValueError(f"measurement time must be positive, got {tau_s}")
+    require(delta_B_T, "field uncertainty", "non-negative")
+    require(volume_m3, "volume")
+    require(tau_s, "measurement time")
     c = constants()
     return delta_B_T**2 * volume_m3 * tau_s / (2.0 * c.mu_0 * c.hbar)
 
 
 def magnetic_energy_density(field_T: float) -> float:
     """Field energy density B^2 / (2 mu_0)  [J/m^3]."""
+    require(field_T, "field", "finite")
     return field_T**2 / (2.0 * constants().mu_0)
 
 
 def field_fluctuation_from_work(work_J: float, volume_m3: float) -> float:
     """Field scale whose energy in ``volume_m3`` equals ``work_J``:  sqrt(2 mu_0 W / V)  [T]."""
-    if work_J < 0:
-        raise ValueError(f"work must be non-negative, got {work_J}")
-    if volume_m3 <= 0:
-        raise ValueError(f"volume must be positive, got {volume_m3}")
+    require(work_J, "work", "non-negative")
+    require(volume_m3, "volume")
     return math.sqrt(2.0 * constants().mu_0 * work_J / volume_m3)
 
 
@@ -89,12 +82,9 @@ def spin_temperature(atom_count: float, field_T: float, moment_J_per_T: float) -
     k_B T_s = mu sqrt(N) B: the thermal energy scale matching the Zeeman
     energy spread of sqrt(N) uncorrelated moments.
     """
-    if atom_count < 1:
-        raise ValueError(f"atom count must be >= 1, got {atom_count}")
-    if field_T <= 0:
-        raise ValueError(f"field must be positive, got {field_T}")
-    if moment_J_per_T <= 0:
-        raise ValueError(f"moment must be positive, got {moment_J_per_T}")
+    require(atom_count, "atom count", ">= 1")
+    require(field_T, "field")
+    require(moment_J_per_T, "moment")
     return moment_J_per_T * math.sqrt(atom_count) * field_T / constants().k_B
 
 
@@ -106,8 +96,9 @@ def spin_temp_polarization(T_s_K: float, field_T: float, moment_J_per_T: float) 
     argument collapses to 1/sqrt(N): a large ensemble at its own spin
     temperature is barely polarized.
     """
-    if T_s_K <= 0:
-        raise ValueError(f"spin temperature must be positive, got {T_s_K}")
+    require(T_s_K, "spin temperature")
+    require(field_T, "field", "finite")
+    require(moment_J_per_T, "moment", "finite")
     return math.tanh(moment_J_per_T * field_T / (2.0 * constants().k_B * T_s_K))
 
 
@@ -116,12 +107,9 @@ def energy_exchange_std(atom_count: float, field_T: float, moment_J_per_T: float
 
     Equals k_B T_s / 2 with T_s from :func:`spin_temperature`.
     """
-    if atom_count < 1:
-        raise ValueError(f"atom count must be >= 1, got {atom_count}")
-    if field_T < 0:
-        raise ValueError(f"field must be non-negative, got {field_T}")
-    if moment_J_per_T <= 0:
-        raise ValueError(f"moment must be positive, got {moment_J_per_T}")
+    require(atom_count, "atom count", ">= 1")
+    require(field_T, "field", "non-negative")
+    require(moment_J_per_T, "moment")
     return moment_J_per_T * field_T * math.sqrt(atom_count) / 2.0
 
 
@@ -132,8 +120,7 @@ def squeezed_erl(erl_hbar: float, squeezing_xi: float) -> float:
     squeezed readout may resolve below the pi/2 floor of the uncorrelated
     bound, down to O(hbar/N) for maximal squeezing.
     """
-    if erl_hbar < 0:
-        raise ValueError(f"energy resolution must be non-negative, got {erl_hbar}")
+    require(erl_hbar, "energy resolution", "non-negative")
     if not 0.0 < squeezing_xi <= 1.0:
         raise ValueError(f"squeezing parameter must be in (0, 1], got {squeezing_xi}")
     return squeezing_xi**2 * erl_hbar

@@ -36,6 +36,7 @@ from .sensors import (
     compare_published,
     default_published_records,
     diamond_erl,
+    erl_ratio,
     load_published_records,
     measured_erl_from_psd,
     squid_erl,
@@ -125,77 +126,43 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"erlab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
-    p = sub.add_parser(
-        "species-list",
-        parents=[_common_options()],
-        help="list the species catalog with derived quantities",
-    )
-    p.add_argument("--species-file", metavar="PATH", help="species catalog JSON (overrides bundled)")
-    p.set_defaults(handler=_cmd_species_list)
+    def command(name, handler, help_text, default_format="text"):
+        p = sub.add_parser(name, parents=[_common_options(default_format)], help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser(
-        "atomic",
-        parents=[_common_options()],
-        help="vapor-cell field floor and energy resolution",
-    )
+    p = command("species-list", _cmd_species_list, "list the species catalog with derived quantities")
+    p.add_argument("--species-file", metavar="PATH", help="species catalog JSON (overrides bundled)")
+
+    p = command("atomic", _cmd_atomic, "vapor-cell field floor and energy resolution")
     p.add_argument("--species", required=True, help="catalog species, e.g. Cs or 133Cs")
     p.add_argument("--density", required=True, help="number density, e.g. 1e14/cm3")
     p.add_argument("--volume", required=True, help="cell volume, e.g. 10cm3")
     p.add_argument("--temp", help="cell temperature, e.g. 400K (default: calibration temperature)")
     p.add_argument("--species-file", metavar="PATH", help="species catalog JSON (overrides bundled)")
-    p.set_defaults(handler=_cmd_atomic)
 
-    p = sub.add_parser(
-        "squid",
-        parents=[_common_options()],
-        help="SQUID readout energy resolution from flux noise",
-    )
+    p = command("squid", _cmd_squid, "SQUID readout energy resolution from flux noise")
     p.add_argument("--p", required=True, type=float, help="flux noise as a fraction of Phi_0 (bare number)")
     p.add_argument("--temp", required=True, help="bath temperature, e.g. 4.2K")
     p.add_argument("--tau", required=True, help="measurement time, e.g. 0.5e-5s")
     p.add_argument("--measured", type=float, help="measured energy resolution in hbar units, for comparison")
-    p.set_defaults(handler=_cmd_squid)
 
-    p = sub.add_parser(
-        "diamond",
-        parents=[_common_options()],
-        help="diamond (NV) sensor energy resolution",
-    )
+    p = command("diamond", _cmd_diamond, "diamond (NV) sensor energy resolution")
     p.add_argument("--temp", required=True, help="bath temperature, e.g. 300K")
     p.add_argument("--tau", required=True, help="spin relaxation time, e.g. 1us")
     p.add_argument("--psd", help="measured noise density, e.g. 300pT/rtHz (with --volume)")
     p.add_argument("--volume", help="sensing volume, e.g. 2.79e-12m3 (with --psd)")
-    p.set_defaults(handler=_cmd_diamond)
 
-    p = sub.add_parser(
-        "table1",
-        parents=[_common_options()],
-        help="vapor floor for the catalog species at the reference cell",
-    )
+    p = command("table1", _cmd_table1, "vapor floor for the catalog species at the reference cell")
     p.add_argument("--species-file", metavar="PATH", help="species catalog JSON (overrides bundled)")
-    p.set_defaults(handler=_cmd_table1)
 
-    p = sub.add_parser(
-        "table2",
-        parents=[_common_options()],
-        help="predicted vs measured SQUID energy resolutions",
-    )
+    p = command("table2", _cmd_table2, "predicted vs measured SQUID energy resolutions")
     p.add_argument("--records", metavar="PATH", help="records JSON (default: bundled)")
-    p.set_defaults(handler=_cmd_table2)
 
-    p = sub.add_parser(
-        "compare",
-        parents=[_common_options()],
-        help="compare a records file against the prediction",
-    )
+    p = command("compare", _cmd_table2, "compare a records file against the prediction")
     p.add_argument("--records", metavar="PATH", required=True, help="records JSON")
-    p.set_defaults(handler=_cmd_table2)
 
-    p = sub.add_parser(
-        "simulate",
-        parents=[_common_options(default_format="json")],
-        help="Monte Carlo spin-noise transient",
-    )
+    p = command("simulate", _cmd_simulate, "Monte Carlo spin-noise transient", default_format="json")
     p.add_argument("--atoms", required=True, type=float, help="ensemble size N (bare number)")
     p.add_argument("--trajectories", required=True, type=int, help="Monte Carlo sample size")
     p.add_argument("--seed", required=True, type=int, help="64-bit RNG seed")
@@ -214,7 +181,6 @@ def _build_parser() -> _Parser:
         help="comma-separated trajectory indices to dump as CSV",
     )
     p.add_argument("--dump-dir", metavar="DIR", default=".", help="directory for trajectory dumps")
-    p.set_defaults(handler=_cmd_simulate)
 
     return parser
 
@@ -249,7 +215,7 @@ def _cmd_species_list(args) -> str:
             ReportRow(f"{sp.name}.mass", sp.mass_kg / constants().atomic_mass, "amu", "measured"),
             ReportRow(
                 f"{sp.name}.sd_cross_section",
-                float("nan") if sp.sd_cross_section_m2 is None else sp.sd_cross_section_m2 * 1e4,
+                None if sp.sd_cross_section_m2 is None else sp.sd_cross_section_m2 * 1e4,
                 "cm2",
                 "derived",
             ),
@@ -304,12 +270,13 @@ def _cmd_squid(args) -> str:
         ReportRow("flux_noise_fraction", spec.flux_noise_fraction, "", "measured"),
         ReportRow("bath_temperature", temperature, "K", "measured"),
         ReportRow("measurement_time", tau, "s", "measured"),
-        ReportRow("info_gained", -spec.flux_noise_fraction * math.log(spec.flux_noise_fraction), "nat", "derived"),
+        ReportRow("info_gained", spec.info_nats, "nat", "derived"),
         ReportRow("predicted_erl", predicted, "hbar", "predicted"),
     ]
     if args.measured is not None:
         rows.append(ReportRow("measured_erl", args.measured, "hbar", "measured"))
-        rows.append(ReportRow("ratio_measured_to_predicted", args.measured / predicted, "", "derived"))
+        ratio = erl_ratio(args.measured, predicted)
+        rows.append(ReportRow("ratio_measured_to_predicted", ratio, "", "derived"))
     report = Report(
         "SQUID readout bound", _header(p=args.p, T_K=temperature, tau_s=tau), tuple(rows)
     )
@@ -336,7 +303,7 @@ def _cmd_diamond(args) -> str:
             ReportRow("noise_density", psd, "T/rtHz", "measured"),
             ReportRow("sensing_volume", volume, "m3", "measured"),
             ReportRow("measured_erl", measured, "hbar", "measured"),
-            ReportRow("ratio_measured_to_optimal", measured / optimal, "", "derived"),
+            ReportRow("ratio_measured_to_optimal", erl_ratio(measured, optimal), "", "derived"),
         ]
     report = Report("diamond sensor bound", header, tuple(rows))
     return _render_report(report, args)

@@ -4,12 +4,12 @@ A report is a header (tool version plus an echo of the parsed inputs) and
 a flat list of labeled, unit-tagged rows.  Each row carries a provenance
 tag: ``predicted`` (model output), ``measured`` (taken from published
 data), or ``derived`` (intermediate quantity).  Rows in hbar units are
-labeled ``hbar``.
+labeled ``hbar``.  A missing value is ``None``: ``null`` in JSON, ``nan`` elsewhere.
 
 Three renderers: aligned text (floats at a configurable number of
 significant digits, default 6), JSON (full-precision, canonical key
-order), and CSV.  ``csv_text`` is the one CSV writer; the CLI's wide
-tables go through it too.
+order, strict RFC 8259: no NaN or Infinity), and CSV.  ``csv_text`` is
+the one CSV writer; the CLI's wide tables go through it too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ PROVENANCE_TAGS = ("predicted", "measured", "derived")
 @dataclass(frozen=True)
 class ReportRow:
     label: str
-    value: float | int | str
+    value: float | int | str | None
     unit: str
     provenance: str
 
@@ -44,11 +44,11 @@ class Report:
 
 
 def format_value(value, digits: int = 6) -> str:
+    if value is None:
+        return "nan"
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, int):  # bool too
         return str(value)
     return f"{value:.{digits}g}"
 
@@ -84,7 +84,7 @@ def render_json(report: Report) -> str:
             for row in report.rows
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(columns, rows) -> str:

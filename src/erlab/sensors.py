@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .bounds import THEORETICAL_FLOOR_HBAR, spin_temperature
 from .species import Species
-from .units import constants
+from .units import constants, require
 
 __all__ = [
     "VaporCell",
@@ -44,6 +44,7 @@ __all__ = [
     "squid_erl",
     "diamond_erl",
     "measured_erl_from_psd",
+    "erl_ratio",
     "ComparisonRow",
     "compare_published",
     "load_published_records",
@@ -71,10 +72,8 @@ class VaporCell:
     cell_temperature: float | None = None
 
     def __post_init__(self):
-        if not self.number_density > 0:  # NaN fails these comparisons
-            raise ValueError(f"number density must be positive, got {self.number_density}")
-        if not self.volume > 0:
-            raise ValueError(f"volume must be positive, got {self.volume}")
+        require(self.number_density, "number density")
+        require(self.volume, "volume")
         if not math.isfinite(self.atom_count):
             raise ValueError(
                 f"atom count N = density * volume must be finite, got N = {self.atom_count}"
@@ -83,8 +82,8 @@ class VaporCell:
             raise ValueError(
                 f"cell must contain at least one atom, got N = {self.atom_count}"
             )
-        if self.cell_temperature is not None and not self.cell_temperature > 0:
-            raise ValueError(f"cell temperature must be positive, got {self.cell_temperature}")
+        if self.cell_temperature is not None:
+            require(self.cell_temperature, "cell temperature")
 
     @property
     def atom_count(self) -> float:
@@ -124,8 +123,10 @@ def invert_sigma_v(delta_B: float, mu: float, volume: float, atom_count: float) 
     calibration oracle that fixes the effective cross sections shipped in
     the species catalog from published sensitivity numbers.
     """
-    if delta_B <= 0 or mu <= 0 or volume <= 0 or atom_count <= 0:
-        raise ValueError("invert_sigma_v requires positive delta_B, mu, volume, atom_count")
+    require(delta_B, "delta_B")
+    require(mu, "mu")
+    require(volume, "volume")
+    require(atom_count, "atom_count")
     return (
         delta_B * mu * volume * 2.0 * _LN2 / (math.pi * constants().hbar * math.sqrt(atom_count))
     )
@@ -137,10 +138,8 @@ def atomic_psd(delta_B: float, tau: float) -> float:
     The floor dB is resolved over a bandwidth 1/tau, so the equivalent
     density is dB spread over sqrt(1/tau).
     """
-    if tau <= 0:
-        raise ValueError(f"relaxation time must be positive, got {tau}")
-    if delta_B < 0:
-        raise ValueError(f"field floor must be non-negative, got {delta_B}")
+    require(tau, "relaxation time")
+    require(delta_B, "field floor", "non-negative")
     return delta_B * math.sqrt(tau)
 
 
@@ -149,6 +148,7 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
 
     Uses the calibrated cross section of ``cell.species``; two independent
     algebraic routes to the field floor are evaluated and cross-checked.
+    Raises ValueError where finite inputs take a result out of the float range.
     """
     sp = cell.species
     sigma_v = sp.sigma_v(cell.temperature)  # rejects an uncalibrated species
@@ -159,16 +159,6 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     mu = sp.magnetic_moment
     v_bar = sp.mean_relative_velocity(cell.temperature)
 
-    tau = 1.0 / (n * sigma_v)
-    sqrt_N = math.sqrt(N)
-
-    delta_B = math.pi / (2.0 * _LN2) * c.hbar * sigma_v * sqrt_N / (mu * V)
-    delta_B_via_tau = math.pi * c.hbar / (2.0 * _LN2 * mu * sqrt_N * tau)
-    if not math.isfinite(delta_B) or abs(delta_B - delta_B_via_tau) > 1e-9 * delta_B:
-        raise RuntimeError(
-            f"internal inconsistency in field-floor routes: {delta_B} vs {delta_B_via_tau}"
-        )
-
     kappa_bare = c.hbar * sigma_v / (c.mu_0 * mu * mu)
     kappa = 3.0 * math.pi / (4.0 * _LN2) * kappa_bare
     erl_hbar = math.pi**2 / (8.0 * _LN2**2) * kappa_bare
@@ -178,28 +168,48 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
             "inputs are outside the regime where spin-destruction noise dominates"
         )
 
-    correlation_atoms = (
-        (c.hbar * v_bar / (c.mu_0 * mu * mu)) ** 2 * sp.sd_cross_section_m2 * n ** (-2.0 / 3.0)
-    )
-    correlation_volume = correlation_atoms / n
-    collision_time = n ** (-1.0 / 3.0) / v_bar
-    sd_phase = math.sqrt(collision_time / tau)
+    try:
+        tau = 1.0 / (n * sigma_v)
+        sqrt_N = math.sqrt(N)
 
-    return AtomicErlReport(
-        atom_count=N,
-        relaxation_time=tau,
-        delta_B_floor=delta_B,
-        erl_hbar=erl_hbar,
-        kappa=kappa,
-        kappa_bare=kappa_bare,
-        spin_temperature=spin_temperature(N, delta_B, mu),
-        correlation_atoms=correlation_atoms,
-        correlation_volume=correlation_volume,
-        collision_time=collision_time,
-        sd_phase=sd_phase,
-        delta_B_uncertainty_check=c.hbar / (mu * tau * sqrt_N),
-        psd=atomic_psd(delta_B, tau),
-    )
+        delta_B = math.pi / (2.0 * _LN2) * c.hbar * sigma_v * sqrt_N / (mu * V)
+        via_tau_denominator = 2.0 * _LN2 * mu * sqrt_N * tau
+        # the two routes agree in real arithmetic; in floats, only while these are normal
+        for value in (mu * V, via_tau_denominator, delta_B):
+            require(value, "an intermediate of the field floor", "a normal float")
+        delta_B_via_tau = math.pi * c.hbar / via_tau_denominator
+        if abs(delta_B - delta_B_via_tau) > 1e-9 * delta_B:
+            raise RuntimeError(
+                f"internal inconsistency in field-floor routes: {delta_B} vs {delta_B_via_tau}"
+            )
+
+        correlation_atoms = (
+            (c.hbar * v_bar / (c.mu_0 * mu * mu)) ** 2 * sp.sd_cross_section_m2 * n ** (-2.0 / 3.0)
+        )
+        correlation_volume = correlation_atoms / n
+        collision_time = n ** (-1.0 / 3.0) / v_bar
+        sd_phase = math.sqrt(collision_time / tau)
+
+        report = AtomicErlReport(
+            atom_count=N,
+            relaxation_time=tau,
+            delta_B_floor=delta_B,
+            erl_hbar=erl_hbar,
+            kappa=kappa,
+            kappa_bare=kappa_bare,
+            spin_temperature=spin_temperature(N, delta_B, mu),
+            correlation_atoms=correlation_atoms,
+            correlation_volume=correlation_volume,
+            collision_time=collision_time,
+            sd_phase=sd_phase,
+            delta_B_uncertainty_check=c.hbar / (mu * tau * sqrt_N),
+            psd=atomic_psd(delta_B, tau),
+        )
+    except (OverflowError, ZeroDivisionError):  # finite inputs, out-of-range arithmetic
+        raise ValueError("the vapor-floor arithmetic leaves the float range") from None
+    for name, value in vars(report).items():
+        require(value, name, "a normal float")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +230,15 @@ class SquidSpec:
         p = self.flux_noise_fraction
         if not 0.0 < p < 1.0:
             raise ValueError(f"flux noise fraction must lie in (0, 1), got {p}")
-        if self.bath_temperature <= 0:
-            raise ValueError(f"bath temperature must be positive, got {self.bath_temperature}")
-        if self.measurement_time <= 0:
-            raise ValueError(f"measurement time must be positive, got {self.measurement_time}")
-        measured = self.measured_erl_hbar
-        if measured is not None and not 0.0 < measured < math.inf:
-            raise ValueError(
-                f"measured energy resolution must be finite and positive, got {measured}"
-            )
+        require(self.bath_temperature, "bath temperature")
+        require(self.measurement_time, "measurement time")
+        if self.measured_erl_hbar is not None:
+            require(self.measured_erl_hbar, "measured energy resolution")
+
+    @property
+    def info_nats(self) -> float:
+        """Information one flux readout acquires, -p ln p  [nat]."""
+        return -self.flux_noise_fraction * math.log(self.flux_noise_fraction)
 
 
 def squid_erl(spec: SquidSpec) -> float:
@@ -238,10 +248,9 @@ def squid_erl(spec: SquidSpec) -> float:
     field; charging the thermodynamic cost of that information over the
     measurement time gives the bound.
     """
-    p = spec.flux_noise_fraction
-    info_nats = -p * math.log(p)
     c = constants()
-    return info_nats * c.k_B * spec.bath_temperature * spec.measurement_time / c.hbar
+    erl = spec.info_nats * c.k_B * spec.bath_temperature * spec.measurement_time / c.hbar
+    return require(erl, "predicted energy resolution", "a normal float")
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +263,11 @@ def diamond_erl(temperature_K: float, tau_s: float) -> float:
     A binary spin readout extracts at most one bit (ln 2 nats) per
     relaxation time.
     """
-    if temperature_K <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature_K}")
-    if tau_s < 0:
-        raise ValueError(f"relaxation time must be non-negative, got {tau_s}")
+    require(temperature_K, "temperature")
+    require(tau_s, "relaxation time", "non-negative")
     c = constants()
-    return c.k_B * temperature_K * _LN2 * tau_s / c.hbar
+    erl = c.k_B * temperature_K * _LN2 * tau_s / c.hbar
+    return require(erl, "optimal energy resolution", "a normal float" if tau_s else "finite")
 
 
 def measured_erl_from_psd(psd: float, volume: float) -> float:
@@ -268,12 +276,20 @@ def measured_erl_from_psd(psd: float, volume: float) -> float:
     For a white-noise-limited sensor psd^2 = (dB)^2 tau, so the tau of the
     resolution product is already inside the square.
     """
-    if psd < 0:
-        raise ValueError(f"noise density must be non-negative, got {psd}")
-    if volume <= 0:
-        raise ValueError(f"volume must be positive, got {volume}")
+    require(psd, "noise density", "non-negative")
+    require(volume, "volume")
     c = constants()
-    return psd**2 * volume / (2.0 * c.mu_0 * c.hbar)
+    try:
+        erl = psd**2 * volume / (2.0 * c.mu_0 * c.hbar)
+    except OverflowError:  # float ** raises where * would give inf
+        erl = math.inf
+    return require(erl, "measured energy resolution", "a normal float" if psd else "finite")
+
+
+def erl_ratio(measured: float, predicted: float) -> float:
+    """Measured over predicted energy resolution  [dimensionless]."""
+    ratio = measured / predicted if predicted else math.inf
+    return require(ratio, "measured-to-predicted ratio", "a normal float" if measured else "finite")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +326,7 @@ def compare_published(records: list[PublishedRecord]) -> list[ComparisonRow]:
             raise ValueError(f"record {rec.label!r} has no measured ERL to compare against")
         predicted = squid_erl(rec.spec)
         measured = rec.spec.measured_erl_hbar
-        ratio = measured / predicted
+        ratio = erl_ratio(measured, predicted)
         rows.append(
             ComparisonRow(
                 label=rec.label,
@@ -345,19 +361,14 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
         label = rec.get("label")
         if not isinstance(label, str) or not label:
             raise ValueError(f"{where}: missing or empty 'label'")
-        values = {}
+        values = []  # in SquidSpec's field order
         for key in ("p", "T_K", "tau_s", "measured_erl_hbar"):
             value = rec.get(key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{where}: field {key!r} must be a number, got {value!r}")
-            values[key] = float(value)
+            values.append(float(require(value, f"{where}: field {key!r}", "finite")))
         try:
-            spec = SquidSpec(
-                flux_noise_fraction=values["p"],
-                bath_temperature=values["T_K"],
-                measurement_time=values["tau_s"],
-                measured_erl_hbar=values["measured_erl_hbar"],
-            )
+            spec = SquidSpec(*values)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         records.append(PublishedRecord(label=label, spec=spec))

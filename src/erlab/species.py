@@ -16,12 +16,13 @@ Electron spin is S = 1/2 throughout (alkali ground state).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .units import constants
+from .units import constants, require
 
 __all__ = [
     "slowing_factor",
@@ -46,6 +47,7 @@ def slowing_factor(nuclear_spin) -> float:
     ``nuclear_spin`` must be a non-negative half-integer (int, float or
     Fraction).  For I = 3/2 this gives q = 6; for I = 7/2, q = 22.
     """
+    require(nuclear_spin, "nuclear spin", "finite")
     I = Fraction(nuclear_spin).limit_denominator(1_000_000)
     if Fraction(nuclear_spin) != I or (2 * I).denominator != 1:
         raise ValueError(f"nuclear spin must be a half-integer, got {nuclear_spin!r}")
@@ -61,8 +63,7 @@ def magnetic_moment(q: float) -> float:
     The hyperfine coupling dilutes the electron moment by the slowing
     factor q >= 1.
     """
-    if q < 1:
-        raise ValueError(f"slowing factor must be >= 1, got {q}")
+    require(q, "slowing factor", ">= 1")
     return constants().mu_B / q
 
 
@@ -72,24 +73,17 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     Kinetic theory for a thermal gas of identical collision partners: the
     reduced mass is half the atomic mass.  T = 0 is allowed and gives 0.
     """
-    if mass_kg <= 0:
-        raise ValueError(f"mass must be positive, got {mass_kg}")
-    if temperature_K < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature_K}")
-    import math
-
+    require(mass_kg, "mass")
+    require(temperature_K, "temperature", "non-negative")
     reduced_mass = mass_kg / 2.0
     return math.sqrt(8.0 * constants().k_B * temperature_K / (math.pi * reduced_mass))
 
 
 def sd_relaxation_time(number_density: float, sigma_sd: float, v_bar: float) -> float:
     """Spin-destruction relaxation time tau = 1 / (n sigma_sd v_bar)  [s]."""
-    if number_density <= 0:
-        raise ValueError(f"number density must be positive, got {number_density}")
-    if sigma_sd <= 0:
-        raise ValueError(f"cross section must be positive, got {sigma_sd}")
-    if v_bar <= 0:
-        raise ValueError(f"relative velocity must be positive, got {v_bar}")
+    require(number_density, "number density")
+    require(sigma_sd, "cross section")
+    require(v_bar, "relative velocity")
     return 1.0 / (number_density * sigma_sd * v_bar)
 
 
@@ -185,9 +179,9 @@ def _require_positive(record: dict, key: str, where: str) -> float:
         value = record[key]
     except KeyError:
         raise ValueError(f"{where}: missing field {key!r}") from None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{where}: field {key!r} must be a positive number, got {value!r}")
-    return float(value)
+    return float(require(value, f"{where}: field {key!r}", "a positive number"))
 
 
 def load_catalog(path: str | Path) -> SpeciesCatalog:

@@ -40,6 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .report import csv_text
+from .units import require
+
 __all__ = [
     "SimConfig",
     "SimResult",
@@ -50,11 +53,20 @@ __all__ = [
     "uncertainty_estimate",
     "result_to_json",
     "write_trajectory_csv",
+    "MAX_ARRAY_LENGTH",
 ]
 
 _MAX_SEED = 2**64
 _CHUNK = 4096  # trajectories per work unit; results do not depend on this
 _ROW_BUFFER = 2**14  # float64 draws buffered per fill (128 KiB); nor on this
+# memory budget, checked before allocating: float64 values (128 MiB) in any one
+# array, of trajectory count, step count or sample count x step count values
+MAX_ARRAY_LENGTH = 2**24
+
+
+def _within_budget(what: str, count) -> None:
+    if count > MAX_ARRAY_LENGTH:
+        raise ValueError(f"{what} must be at most {MAX_ARRAY_LENGTH} (memory budget), got {count}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,8 @@ class SimConfig:
 
     ``horizon`` is the integration endpoint in units of tau; ``steps_per_tau``
     sets the finest time step dt = tau / steps_per_tau (the actual step is
-    shrunk so the horizon is hit exactly).
+    shrunk so the horizon is hit exactly).  ``trajectory_count`` and
+    ``step_count`` are each at most MAX_ARRAY_LENGTH, the memory budget.
     """
 
     atom_count: float
@@ -74,22 +87,20 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.atom_count >= 1 and math.isfinite(self.atom_count)):
-            raise ValueError(f"atom count must be finite and >= 1, got {self.atom_count}")
-        if not (self.relaxation_time > 0 and math.isfinite(self.relaxation_time)):
-            raise ValueError(
-                f"relaxation time must be finite and positive, got {self.relaxation_time}"
-            )
+        require(self.atom_count, "atom count", ">= 1")
+        require(self.relaxation_time, "relaxation time")
         if not isinstance(self.trajectory_count, int) or self.trajectory_count < 1:
             raise ValueError(f"trajectory count must be an integer >= 1, got {self.trajectory_count}")
         if not isinstance(self.steps_per_tau, int) or self.steps_per_tau < 10:
             raise ValueError(f"steps_per_tau must be an integer >= 10, got {self.steps_per_tau}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite, got {self.horizon}")
+        require(self.horizon, "horizon", "non-negative")
         if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _within_budget("trajectory count", self.trajectory_count)
+        try:
+            _within_budget("step count", self.step_count)
+        except OverflowError:  # horizon * steps_per_tau is past the float range
+            _within_budget("step count", math.inf)
 
     @property
     def step_count(self) -> int:
@@ -130,10 +141,8 @@ def analytic_variance(atom_count: float, horizon_in_tau: float) -> float:
     Closed form (1/N)[h + 2 e^(-h) - e^(-2h)/2 - 3/2], evaluated in the
     cancellation-free arrangement h - a - a^2/2 with a = 1 - e^(-h).
     """
-    if atom_count < 1:
-        raise ValueError(f"atom count must be >= 1, got {atom_count}")
-    if horizon_in_tau < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon_in_tau}")
+    require(atom_count, "atom count", ">= 1")
+    require(horizon_in_tau, "horizon", "non-negative")
     a = -math.expm1(-horizon_in_tau)
     return (horizon_in_tau - a - a * a / 2.0) / atom_count
 
@@ -190,7 +199,8 @@ def simulate_transient(
     ``workers`` parallelizes trajectory batches without changing any
     output bit; it is capped at the usable CPU count and the number of
     batches.  ``sample_indices`` selects trajectories whose full time
-    series is attached to the result (for dumping/plotting).
+    series is attached to the result (for dumping/plotting), up to
+    MAX_ARRAY_LENGTH values in all.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -198,9 +208,10 @@ def simulate_transient(
     for idx in sample_indices:
         if not 0 <= idx < M:
             raise ValueError(f"sample index {idx} outside [0, {M})")
+    steps = config.step_count
+    _within_budget("sample count x step count", len(sample_indices) * steps)
 
     coeff, scale = _envelope(config)
-    steps = config.step_count
     horizon_values = np.zeros(M)
     samples: dict[int, TrajectorySample] = {}
     sample_set = frozenset(sample_indices)
@@ -283,7 +294,6 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
 
 def write_trajectory_csv(sample: TrajectorySample, path: str | Path) -> None:
     """One trajectory as CSV with columns t_over_tau,value."""
-    lines = ["t_over_tau,value"]
-    for t, x in zip(sample.t_over_tau, sample.values):
-        lines.append(f"{float(t)!r},{float(x)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Python floats, so csv writes their repr; lazily, as lists would raise peak memory
+    rows = zip(map(float, sample.t_over_tau), map(float, sample.values))
+    Path(path).write_text(csv_text(("t_over_tau", "value"), rows), encoding="utf-8")

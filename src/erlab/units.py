@@ -1,12 +1,13 @@
-"""SI constants and the unit-suffix parser for inputs.
+"""SI constants, the unit-suffix parser for inputs and the domain check.
 
 All model code in this package computes with plain SI floats.  This module
-owns two things:
+owns three things:
 
-* the frozen table of physical constants (CODATA 2018), and
+* the frozen table of physical constants (CODATA 2018),
 * the boundary parser that turns unit-tagged inputs (``1e14/cm3``,
   ``10cm3``, ``300pT/rtHz``, ...) into finite SI values while checking
-  their dimension.
+  their dimension, and
+* ``require``, the domain check of every float value.
 
 Dimensions are exponent vectors over the SI base (kg, m, s, A, K) with
 ``fractions.Fraction`` entries so that square roots of dimensioned
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ __all__ = [
     "PhysicalConstants",
     "constants",
     "parse_quantity",
+    "require",
     "DIMENSIONLESS",
     "LENGTH",
     "TIME",
@@ -210,6 +213,33 @@ def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
     if not math.isfinite(si):
         raise ValueError(f"'{text}' is out of range: its SI value is not finite")
     return Quantity(si, dimension)
+
+
+# domain -> test of a finite value; the key is also the error's wording.  "a normal
+# float" is for results, which finite inputs can underflow to 0 or to a subnormal.
+_DOMAINS = {
+    "finite": lambda x: True,
+    "positive": lambda x: x > 0,
+    "a positive number": lambda x: x > 0,
+    "non-negative": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "a normal float": lambda x: abs(x) >= sys.float_info.min,
+}
+
+
+def require(value: float, name: str, domain: str = "positive") -> float:
+    """``value`` if it is finite and in ``domain``, else ValueError:
+    "<name> must be finite, got nan" for NaN and +-inf, and
+    "<name> must be <domain>, got <value>" for a finite value."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not _DOMAINS[domain](value):
+        raise ValueError(f"{name} must be {domain}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Frozen reference numbers in this file were computed independently (by hand
 and with scipy) before the implementation existed, then pinned.
 """
 
+import functools
 import math
 
 import pytest
@@ -183,6 +184,16 @@ def test_squeezing_factor_range():
 # domain validation
 # ---------------------------------------------------------------------------
 
+def _nonfinite_calls(*cases):
+    """One call per (function, valid args, position, non-finite value)."""
+    return [
+        functools.partial(fn, *args[:i], bad, *args[i + 1:])
+        for fn, args in cases
+        for i in range(len(args))
+        for bad in (math.nan, math.inf, -math.inf)
+    ]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -201,6 +212,18 @@ def test_squeezing_factor_range():
         lambda: spin_temperature(1e10, 1e-12, 0.0),
         lambda: spin_temp_polarization(0.0, 1e-12, 1e-24),
         lambda: energy_exchange_std(0.0, 1e-12, 1e-24),
+        # NaN and +-inf in every float parameter, the others valid
+        *_nonfinite_calls(
+            (measurement_work_bound, (300.0, 1.0)),
+            (ml_min_time, (1e-21,)),
+            (erl_quantum, (1e-15, 1e-6, 1.0)),
+            (magnetic_energy_density, (1e-12,)),
+            (field_fluctuation_from_work, (1e-21, 1e-6)),
+            (spin_temperature, (1e10, 1e-12, 1e-24)),
+            (spin_temp_polarization, (1.0, 1e-12, 1e-24)),
+            (energy_exchange_std, (1e10, 1e-12, 1e-24)),
+            (squeezed_erl, (10.0, 0.5)),
+        ),
     ],
 )
 def test_rejects_out_of_domain(call):

@@ -1,16 +1,22 @@
-"""End-to-end CLI tests via subprocess (``python -m erlab``)."""
+"""End-to-end CLI tests via subprocess (``python -m erlab``), and one
+in-process property test over arbitrary numeric inputs."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from erlab.cli import main as cli_main
+from erlab.report import Report, ReportRow, render_json, render_text
 from erlab.sensors import VaporCell, atomic_floor
 from erlab.species import default_catalog
 
@@ -302,6 +308,19 @@ def test_usage_errors_exit_1(args):
         ("simulate", "--atoms", "inf", "--trajectories", "5", "--seed", "0"),
         # each value finite, but N = density * volume overflows
         ("atomic", "--species", "Cs", "--density", "1e300/cm3", "--volume", "1e300cm3"),
+        # finite inputs whose results overflow or underflow the float range
+        ("diamond", "--temp", "300K", "--tau", "1e300s"),
+        ("squid", "--p", "0.5", "--temp", "1e200K", "--tau", "1e200s"),
+        ("atomic", "--species", "Cs", "--density", "1e-280/m3", "--volume", "1e280m3"),
+        ("atomic", "--species", "Cs", "--density", "1e300/m3", "--volume", "1e-299m3"),
+        ("atomic", "--species", "Cs", "--density", "1e14/cm3", "--volume", "1cm3",
+         "--temp", "1e300K"),
+        # a measured-to-predicted ratio that overflows, or has no prediction
+        ("squid", "--p", "0.5", "--temp", "1e-10K", "--tau", "1e-10s", "--measured", "1e300"),
+        ("diamond", "--temp", "300K", "--tau", "0s", "--psd", "1pT/rtHz", "--volume", "1m3"),
+        # over the simulator's memory budget, rejected before allocating
+        ("simulate", "--atoms", "1e4", "--trajectories", "3", "--seed", "0",
+         "--steps-per-tau", "1000000000000"),
     ],
 )
 def test_validation_errors_exit_2(args):
@@ -328,7 +347,97 @@ def test_io_errors_exit_3(args):
 
 def test_bad_records_content_is_validation_error(tmp_path):
     path = tmp_path / "records.json"
-    path.write_text("{\"oops\": 1}")
-    proc = run_cli("table2", "--records", str(path))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("erlab: error: validation:")
+    for content in (
+        "{\"oops\": 1}",
+        '[{"label": "a", "p": 1e-6, "T_K": NaN, "tau_s": 1e-6, "measured_erl_hbar": 5}]',
+        # an integer past the float range
+        '[{"label": "a", "p": 1e-6, "T_K": 1%s, "tau_s": 1e-6, "measured_erl_hbar": 5}]'
+        % ("0" * 400),
+    ):
+        path.write_text(content)
+        proc = run_cli("table2", "--records", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("erlab: error: validation:")
+
+
+# ---------------------------------------------------------------------------
+# property: any numeric input ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+_EDGE_NUMBERS = ("nan", "inf", "-inf", "-0", "0", "1e400", "1e-400", "-1",
+                 "5e-324", "1e-300", "1e300", "1e308")
+_numbers = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+@st.composite
+def _argv(draw, dump_dir):
+    def num(unit=""):
+        return draw(_numbers) + unit
+
+    command = draw(st.sampled_from(("atomic", "squid", "diamond", "simulate")))
+    if command == "atomic":
+        argv = ["atomic", "--species", "Cs", "--density", num("/cm3"), "--volume", num("cm3")]
+        if draw(st.booleans()):
+            argv += ["--temp", num("K")]
+    elif command == "squid":
+        argv = ["squid", "--p", num(), "--temp", num("K"), "--tau", num("s")]
+        if draw(st.booleans()):
+            argv += ["--measured", num()]
+    elif command == "diamond":
+        argv = ["diamond", "--temp", num("K"), "--tau", num("s")]
+        if draw(st.booleans()):
+            argv += ["--psd", num("pT/rtHz"), "--volume", num("m3")]
+    else:
+        # at most 4 trajectories and 1e5 steps, or a step count past the budget
+        horizon = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats(-10, 100).map(repr))
+        argv = [
+            "simulate", "--atoms", num(), "--tau", num("s"),
+            "--trajectories", draw(st.sampled_from(("1", "4", "0", "-1", "nan", "1e400", "2.5"))),
+            "--seed", draw(st.one_of(_numbers, st.integers(-1, 2**64).map(str))),
+            "--steps-per-tau", draw(st.sampled_from(("10", "1000", "5", "-0", "nan", "1e3",
+                                                     "1000000000000"))),
+            "--horizon", draw(horizon),
+            "--workers", draw(st.sampled_from(("1", "2", "0", "-1", "inf"))),
+            "--dump-trajectories", draw(st.sampled_from(("0", "0,3", "-1", "4", "nan"))),
+            "--dump-dir", str(dump_dir),
+        ]
+    fmt = draw(st.sampled_from(("text", "json", "csv")))
+    digits = draw(st.sampled_from(("6", "17", "0", "-1", "nan", "1e400")))
+    return argv + ["--format", fmt, "--digits", digits]
+
+
+def test_json_is_strict_and_a_missing_value_is_null():
+    with pytest.raises(ValueError):
+        render_json(Report("t", {}, (ReportRow("x", math.inf, "", "derived"),)))
+    missing = Report("t", {}, (ReportRow("x", None, "", "derived"),))
+    assert json.loads(render_json(missing))["rows"][0]["value"] is None
+    assert render_text(missing).splitlines()[-1].split() == ["x", "nan", "derived"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_numeric_input_exits_with_a_documented_code(data, tmp_path):
+    argv = data.draw(_argv(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    assert err.getvalue() == ""
+    if argv[argv.index("--format") + 1] == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE)

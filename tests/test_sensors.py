@@ -21,6 +21,7 @@ from erlab.sensors import (
     compare_published,
     default_published_records,
     diamond_erl,
+    erl_ratio,
     invert_sigma_v,
     load_published_records,
     measured_erl_from_psd,
@@ -158,6 +159,11 @@ def test_atomic_psd_definition():
     assert atomic_psd(2e-17, 0.25) == pytest.approx(1e-17, rel=1e-15)
     with pytest.raises(ValueError):
         atomic_psd(2e-17, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            atomic_psd(bad, 0.25)
+        with pytest.raises(ValueError, match="must be finite"):
+            atomic_psd(2e-17, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +202,13 @@ def test_invert_sigma_v_round_trip_through_report():
 def test_invert_sigma_v_rejects_nonpositive():
     with pytest.raises(ValueError):
         invert_sigma_v(0.0, 1e-24, 1e-5, 1e15)
+    valid = (1e-15, 1e-24, 1e-5, 1e15)
+    for i in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = list(valid)
+            args[i] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                invert_sigma_v(*args)
 
 
 def test_uncalibrated_species_gets_actionable_error():
@@ -226,6 +239,10 @@ def test_vapor_cell_validation():
         VaporCell(sp, math.nan, V_REF)
     with pytest.raises(ValueError):
         VaporCell(sp, N_REF, math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, V_REF), (N_REF, bad), (N_REF, V_REF, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                VaporCell(sp, *args)
     with pytest.raises(ValueError):
         VaporCell(sp, N_REF, V_REF, math.nan)
 
@@ -298,6 +315,12 @@ def test_squid_spec_validation():
     for measured in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="measured energy resolution"):
             SquidSpec(1e-6, 4.2, 5e-6, measured)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 4.2, 5e-6), (1e-6, bad, 5e-6), (1e-6, 4.2, bad)):
+            with pytest.raises(ValueError):
+                SquidSpec(*args)
+        with pytest.raises(ValueError, match="must be finite"):
+            SquidSpec(1e-6, 4.2, 5e-6, bad)
 
 
 def test_flagged_rows_are_warnings_not_errors():
@@ -400,6 +423,32 @@ def test_diamond_validation():
         measured_erl_from_psd(3e-10, 0.0)
     with pytest.raises(ValueError):
         measured_erl_from_psd(-1e-10, 1e-12)
+    for bad in (math.nan, math.inf, -math.inf):
+        for call in (
+            lambda: diamond_erl(bad, 1e-6),
+            lambda: diamond_erl(300.0, bad),
+            lambda: measured_erl_from_psd(bad, 1e-12),
+            lambda: measured_erl_from_psd(3e-10, bad),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+    # finite inputs whose result leaves the float range; an exact 0 stays
+    for call in (
+        lambda: diamond_erl(300.0, 1e300),
+        lambda: diamond_erl(1e-300, 1e-300),
+        lambda: measured_erl_from_psd(1e200, 1.0),
+        lambda: measured_erl_from_psd(1e-200, 1e-12),
+        lambda: squid_erl(SquidSpec(0.5, 1e200, 1e200)),
+        lambda: squid_erl(SquidSpec(0.5, 1e-200, 1e-200)),
+        lambda: erl_ratio(1e300, 1e-300),
+        lambda: erl_ratio(1e-300, 1e300),
+        lambda: erl_ratio(1.0, 0.0),
+    ):
+        with pytest.raises(ValueError, match="must be (finite|a normal float)"):
+            call()
+    assert diamond_erl(300.0, 0.0) == 0.0
+    assert measured_erl_from_psd(0.0, 1e-12) == 0.0
+    assert erl_ratio(0.0, 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,18 @@ def test_sd_relaxation_time():
     assert sd_relaxation_time(1e20, 1e-22, 500.0) == pytest.approx(1.0 / (1e20 * 1e-22 * 500.0))
     with pytest.raises(ValueError):
         sd_relaxation_time(0.0, 1e-22, 500.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1e-22, 500.0), (1e20, bad, 500.0), (1e20, 1e-22, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                sd_relaxation_time(*args)
+        for call in (
+            lambda: mean_relative_velocity(bad, 373.0),
+            lambda: mean_relative_velocity(1e-25, bad),
+            lambda: magnetic_moment(bad),
+            lambda: slowing_factor(bad),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +201,10 @@ def test_load_catalog_rejects_duplicate_names(tmp_path):
         {"mass_amu": "heavy"},
         {"reference_temperature_K": 0.0},
         {"name": ""},
+        {"mass_amu": math.inf},
+        {"mass_amu": 10**400},  # an integer past the float range
+        {"sd_cross_section_cm2": math.inf},
+        {"reference_temperature_K": math.nan},
     ],
 )
 def test_load_catalog_rejects_bad_rows(tmp_path, patch):

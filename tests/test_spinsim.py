@@ -74,6 +74,11 @@ def test_analytic_variance_domain():
         analytic_variance(0.5, 1.0)
     with pytest.raises(ValueError):
         analytic_variance(1e6, -0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            analytic_variance(bad, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            analytic_variance(1e6, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +324,15 @@ def test_trajectory_csv_format(tmp_path):
         dict(atom_count=math.inf),
         dict(relaxation_time=math.nan),
         dict(relaxation_time=math.inf),
+        dict(atom_count=-math.inf),
+        dict(relaxation_time=-math.inf),
+        dict(horizon=-math.inf),
+        # over the memory budget, checked before anything is allocated
+        dict(trajectory_count=spinsim.MAX_ARRAY_LENGTH + 1),
+        dict(steps_per_tau=10**12),
+        dict(steps_per_tau=10**400),
+        dict(horizon=1e307),
+        dict(steps_per_tau=spinsim.MAX_ARRAY_LENGTH, horizon=1.5),
     ],
 )
 def test_config_validation(kwargs):
@@ -326,6 +340,24 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SimConfig(**base)
+
+
+def test_memory_budget_is_checked_before_allocating(monkeypatch):
+    budget = spinsim.MAX_ARRAY_LENGTH
+    # a configuration at the budget is accepted; constructing it allocates nothing
+    assert SimConfig(1e4, 1.0, budget, steps_per_tau=budget).step_count == budget
+    # the benchmark runs (1e5 x 100, 8192 x 1e4 with two sampled paths) and
+    # the acceptance runs (at most 1e5 trajectories) sit 100x inside it
+    for trajectories, steps, samples in ((100_000, 100, 0), (8192, 10_000, 2)):
+        assert 100 * max(trajectories, steps, samples * steps) <= budget
+    # sampled paths count against it too; a small budget keeps this cheap
+    monkeypatch.setattr(spinsim, "MAX_ARRAY_LENGTH", 100)
+    cfg = SimConfig(1e4, 1.0, 3, steps_per_tau=25, horizon=2.0)
+    assert len(simulate_transient(cfg, sample_indices=(0, 1)).trajectory_sample) == 2
+    with pytest.raises(ValueError, match="memory budget"):
+        simulate_transient(cfg, sample_indices=(0, 1, 2))
+    with pytest.raises(ValueError, match="memory budget"):
+        SimConfig(1e4, 1.0, 101)
 
 
 def test_sample_index_bounds():
