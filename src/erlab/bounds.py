@@ -8,6 +8,8 @@ measurement time, in units of action — from below by (pi/2) hbar.
 
 Everything here is plain SI floats; see ``erlab.units`` for the boundary
 layer that checks dimensions on the way in and the domain of every value.
+A result that finite inputs overflow or underflow raises ValueError; an
+exact 0 from a zero input is valid.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ def measurement_work_bound(temperature_K: float, info_nats: float) -> float:
     """
     require(temperature_K, "temperature")
     require(info_nats, "information", "non-negative")
-    return constants().k_B * temperature_K * info_nats
+    work = constants().k_B * temperature_K * info_nats
+    return require(work, "work bound", "a normal float" if info_nats else "finite")
 
 
 def ml_min_time(energy_J: float) -> float:
     """Margolus-Levitin minimum evolution time, tau >= pi hbar / (2 E)  [s]."""
     require(energy_J, "energy")
-    return math.pi * constants().hbar / (2.0 * energy_J)
+    return require(math.pi * constants().hbar / (2.0 * energy_J), "minimum time", "a normal float")
 
 
 def erl_quantum(delta_B_T: float, volume_m3: float, tau_s: float) -> float:
@@ -60,20 +63,29 @@ def erl_quantum(delta_B_T: float, volume_m3: float, tau_s: float) -> float:
     require(volume_m3, "volume")
     require(tau_s, "measurement time")
     c = constants()
-    return delta_B_T**2 * volume_m3 * tau_s / (2.0 * c.mu_0 * c.hbar)
+    try:
+        erl = delta_B_T**2 * volume_m3 * tau_s / (2.0 * c.mu_0 * c.hbar)
+    except OverflowError:  # float ** raises where * would give inf
+        erl = math.inf
+    return require(erl, "energy resolution", "a normal float" if delta_B_T else "finite")
 
 
 def magnetic_energy_density(field_T: float) -> float:
     """Field energy density B^2 / (2 mu_0)  [J/m^3]."""
     require(field_T, "field", "finite")
-    return field_T**2 / (2.0 * constants().mu_0)
+    try:
+        density = field_T**2 / (2.0 * constants().mu_0)
+    except OverflowError:  # float ** raises where * would give inf
+        density = math.inf
+    return require(density, "energy density", "a normal float" if field_T else "finite")
 
 
 def field_fluctuation_from_work(work_J: float, volume_m3: float) -> float:
     """Field scale whose energy in ``volume_m3`` equals ``work_J``:  sqrt(2 mu_0 W / V)  [T]."""
     require(work_J, "work", "non-negative")
     require(volume_m3, "volume")
-    return math.sqrt(2.0 * constants().mu_0 * work_J / volume_m3)
+    field = math.sqrt(2.0 * constants().mu_0 * work_J / volume_m3)
+    return require(field, "field fluctuation", "a normal float" if work_J else "finite")
 
 
 def spin_temperature(atom_count: float, field_T: float, moment_J_per_T: float) -> float:
@@ -85,7 +97,8 @@ def spin_temperature(atom_count: float, field_T: float, moment_J_per_T: float) -
     require(atom_count, "atom count", ">= 1")
     require(field_T, "field")
     require(moment_J_per_T, "moment")
-    return moment_J_per_T * math.sqrt(atom_count) * field_T / constants().k_B
+    T_s = moment_J_per_T * math.sqrt(atom_count) * field_T / constants().k_B
+    return require(T_s, "spin temperature", "a normal float")
 
 
 def spin_temp_polarization(T_s_K: float, field_T: float, moment_J_per_T: float) -> float:
@@ -99,7 +112,9 @@ def spin_temp_polarization(T_s_K: float, field_T: float, moment_J_per_T: float) 
     require(T_s_K, "spin temperature")
     require(field_T, "field", "finite")
     require(moment_J_per_T, "moment", "finite")
-    return math.tanh(moment_J_per_T * field_T / (2.0 * constants().k_B * T_s_K))
+    polarization = math.tanh(moment_J_per_T * field_T / (2.0 * constants().k_B * T_s_K))
+    domain = "a normal float" if field_T and moment_J_per_T else "finite"
+    return require(polarization, "polarization", domain)
 
 
 def energy_exchange_std(atom_count: float, field_T: float, moment_J_per_T: float) -> float:
@@ -110,7 +125,8 @@ def energy_exchange_std(atom_count: float, field_T: float, moment_J_per_T: float
     require(atom_count, "atom count", ">= 1")
     require(field_T, "field", "non-negative")
     require(moment_J_per_T, "moment")
-    return moment_J_per_T * field_T * math.sqrt(atom_count) / 2.0
+    std = moment_J_per_T * field_T * math.sqrt(atom_count) / 2.0
+    return require(std, "energy exchange", "a normal float" if field_T else "finite")
 
 
 def squeezed_erl(erl_hbar: float, squeezing_xi: float) -> float:
@@ -123,4 +139,5 @@ def squeezed_erl(erl_hbar: float, squeezing_xi: float) -> float:
     require(erl_hbar, "energy resolution", "non-negative")
     if not 0.0 < squeezing_xi <= 1.0:
         raise ValueError(f"squeezing parameter must be in (0, 1], got {squeezing_xi}")
-    return squeezing_xi**2 * erl_hbar
+    squeezed = squeezing_xi**2 * erl_hbar
+    return require(squeezed, "squeezed energy resolution", "a normal float" if erl_hbar else "finite")

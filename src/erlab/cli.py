@@ -42,7 +42,6 @@ from .sensors import (
     squid_erl,
 )
 from .species import default_catalog, load_catalog
-from .spinsim import SimConfig, result_to_json, simulate_transient, write_trajectory_csv
 from .units import (
     FIELD_NOISE_DENSITY,
     NUMBER_DENSITY,
@@ -57,6 +56,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+# --digits cap: no float has more than 767 significant decimal digits, so it changes no output
+_MAX_DIGITS = 1000
 
 # reference cell shared by the table1 reproduction: n = 1e14 cm^-3, V = 10 cm^3
 _TABLE1_DENSITY = 1e20  # m^-3
@@ -354,6 +356,9 @@ def _cmd_table2(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
+    # imported here, not at the top: the analytic commands need no numpy
+    from .spinsim import SimConfig, result_to_json, simulate_transient, write_trajectory_csv
+
     tau = parse_quantity(args.tau, TIME).si
     atoms = int(args.atoms) if float(args.atoms).is_integer() else args.atoms
     config = SimConfig(
@@ -414,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_USAGE, "usage", exc)
     if getattr(args, "handler", None) is None:
         return _fail(EXIT_USAGE, "usage", "a command is required (try --help)")
+    if not 0 <= args.digits <= _MAX_DIGITS:
+        message = f"--digits must be from 0 to {_MAX_DIGITS}, got {args.digits}"
+        return _fail(EXIT_VALIDATION, "validation", message)
     try:
         content = args.handler(args)
     except _UsageError as exc:

@@ -10,7 +10,9 @@ unknown split between the true cross section and the thermal velocity at
 the unstated calibration temperature.  They are effective parameters of
 the model, not literature collision data.
 
-Electron spin is S = 1/2 throughout (alkali ground state).
+Electron spin is S = 1/2 throughout (alkali ground state).  As in
+``erlab.bounds``, a result that finite inputs overflow or underflow raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .units import constants, require
@@ -53,8 +56,11 @@ def slowing_factor(nuclear_spin) -> float:
         raise ValueError(f"nuclear spin must be a half-integer, got {nuclear_spin!r}")
     if I < 0:
         raise ValueError(f"nuclear spin must be non-negative, got {nuclear_spin!r}")
-    q = (_ELECTRON_SPIN_TERM + I * (I + 1)) / _ELECTRON_SPIN_TERM
-    return float(q)
+    try:
+        q = float((_ELECTRON_SPIN_TERM + I * (I + 1)) / _ELECTRON_SPIN_TERM)
+    except OverflowError:  # a finite spin whose q is past the float range
+        q = math.inf
+    return require(q, "slowing factor", ">= 1")
 
 
 def magnetic_moment(q: float) -> float:
@@ -64,7 +70,7 @@ def magnetic_moment(q: float) -> float:
     factor q >= 1.
     """
     require(q, "slowing factor", ">= 1")
-    return constants().mu_B / q
+    return require(constants().mu_B / q, "magnetic moment", "a normal float")
 
 
 def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
@@ -76,7 +82,8 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     require(mass_kg, "mass")
     require(temperature_K, "temperature", "non-negative")
     reduced_mass = mass_kg / 2.0
-    return math.sqrt(8.0 * constants().k_B * temperature_K / (math.pi * reduced_mass))
+    v_bar = math.sqrt(8.0 * constants().k_B * temperature_K / (math.pi * reduced_mass))
+    return require(v_bar, "mean relative velocity", "a normal float" if temperature_K else "finite")
 
 
 def sd_relaxation_time(number_density: float, sigma_sd: float, v_bar: float) -> float:
@@ -84,7 +91,9 @@ def sd_relaxation_time(number_density: float, sigma_sd: float, v_bar: float) -> 
     require(number_density, "number density")
     require(sigma_sd, "cross section")
     require(v_bar, "relative velocity")
-    return 1.0 / (number_density * sigma_sd * v_bar)
+    rate = number_density * sigma_sd * v_bar
+    tau = 1.0 / rate if rate else math.inf  # the rate underflowed: tau overflows
+    return require(tau, "relaxation time", "a normal float")
 
 
 @dataclass(frozen=True)
@@ -102,11 +111,12 @@ class Species:
     sd_cross_section_m2: float | None
     reference_temperature_K: float
 
-    @property
+    # cached: both depend only on the nuclear spin (no __slots__, so the cache has a __dict__)
+    @cached_property
     def slowing_factor(self) -> float:
         return slowing_factor(self.nuclear_spin)
 
-    @property
+    @cached_property
     def magnetic_moment(self) -> float:
         """Effective moment mu_B/q  [J/T]."""
         return magnetic_moment(self.slowing_factor)

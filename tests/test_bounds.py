@@ -47,6 +47,7 @@ def test_work_bound_is_linear_in_information():
     assert measurement_work_bound(600.0, 1.0) == pytest.approx(
         2.0 * measurement_work_bound(300.0, 1.0), rel=1e-15
     )
+    assert measurement_work_bound(300.0, 0.0) == 0.0  # an exact 0 is a valid result
 
 
 def test_min_evolution_time_value():
@@ -88,6 +89,7 @@ def test_field_fluctuation_inverts_energy_density():
     V = 2e-6
     W = magnetic_energy_density(B) * V
     assert field_fluctuation_from_work(W, V) == pytest.approx(B, rel=1e-15)
+    assert magnetic_energy_density(0.0) == field_fluctuation_from_work(0.0, V) == 0.0
 
 
 @given(st.floats(1e-18, 1e-6))
@@ -101,6 +103,7 @@ def test_erl_scales_quadratically_in_field():
     assert erl_quantum(2e-15, 1e-6, 0.1) == pytest.approx(
         4.0 * erl_quantum(1e-15, 1e-6, 0.1), rel=1e-15
     )
+    assert erl_quantum(0.0, 1e-6, 0.1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,7 @@ def test_energy_exchange_is_half_kT_spin():
     sigma_E = energy_exchange_std(N, B, mu)
     T_s = spin_temperature(N, B, mu)
     assert sigma_E == pytest.approx(C.k_B * T_s / 2.0, rel=1e-12)
+    assert energy_exchange_std(N, 0.0, mu) == 0.0
 
 
 def test_polarization_value():
@@ -136,6 +140,7 @@ def test_polarization_value():
         math.tanh(0.01), rel=1e-14
     )
     assert math.tanh(0.01) == pytest.approx(0.009999666679999287, rel=1e-12)
+    assert spin_temp_polarization(T_s, 0.0, mu) == spin_temp_polarization(T_s, B, 0.0) == 0.0
 
 
 @given(st.floats(1e-12, 1e-3))
@@ -169,6 +174,7 @@ def test_polarization_small_argument_cubic_error():
 def test_squeezing_rescales_quadratically():
     assert squeezed_erl(10.0, 1.0) == 10.0
     assert squeezed_erl(10.0, 0.5) == pytest.approx(2.5)
+    assert squeezed_erl(0.0, 0.5) == 0.0
 
 
 def test_squeezing_factor_range():
@@ -224,6 +230,23 @@ def _nonfinite_calls(*cases):
             (energy_exchange_std, (1e10, 1e-12, 1e-24)),
             (squeezed_erl, (10.0, 0.5)),
         ),
+        # finite inputs whose result overflows the float range
+        lambda: erl_quantum(1e200, 1.0, 1.0),
+        lambda: magnetic_energy_density(1e200),
+        lambda: measurement_work_bound(1e300, 1e300),
+        lambda: field_fluctuation_from_work(1e308, 1e-308),
+        lambda: spin_temperature(1e300, 1e300, 1.0),
+        lambda: energy_exchange_std(1e300, 1e300, 1e300),
+        # ... or underflows it to 0 or a subnormal
+        lambda: ml_min_time(1e300),
+        lambda: erl_quantum(1e-200, 1.0, 1.0),
+        lambda: magnetic_energy_density(1e-200),
+        lambda: measurement_work_bound(1e-300, 1e-300),
+        lambda: field_fluctuation_from_work(1e-300, 1e300),
+        lambda: spin_temperature(1.0, 1e-300, 1e-300),
+        lambda: energy_exchange_std(1.0, 1e-300, 1e-300),
+        lambda: spin_temp_polarization(1e300, 1e-300, 1e-300),
+        lambda: squeezed_erl(1.0, 1e-200),
     ],
 )
 def test_rejects_out_of_domain(call):

@@ -170,6 +170,38 @@ def test_digits_flag_controls_text_precision():
     long = run_cli("table1", "--digits", "12")
     assert "3.69" in short.stdout and "3.68951" not in short.stdout
     assert "3.6895061499" in long.stdout
+    # no float has more than 767 significant digits, so the cap of 1000 prints the same
+    assert run_cli("table1", "--digits", "1000").stdout == run_cli("table1", "--digits", "767").stdout
+    over = run_cli("table1", "--digits", "1001")
+    assert over.returncode == 2
+    assert over.stderr == "erlab: error: validation: --digits must be from 0 to 1000, got 1001\n"
+
+
+# ---------------------------------------------------------------------------
+# layering: only simulate needs numpy
+# ---------------------------------------------------------------------------
+
+def _imports(*args):
+    """The modules a fresh ``python -X importtime ARGS`` imports, and the process."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return modules, proc
+
+
+def test_only_simulate_imports_numpy():
+    for args in (("-c", "import erlab.cli"), ("-m", "erlab", "table1")):
+        modules, proc = _imports(*args)
+        assert proc.returncode == 0
+        assert "erlab.cli" in modules and "numpy" not in modules
+    modules, proc = _imports("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "100",
+                             "--seed", "1")
+    assert proc.returncode == 0
+    assert "numpy" in modules
+    assert json.loads(proc.stdout)["config_echo"]["trajectory_count"] == 100
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +353,9 @@ def test_usage_errors_exit_1(args):
         # over the simulator's memory budget, rejected before allocating
         ("simulate", "--atoms", "1e4", "--trajectories", "3", "--seed", "0",
          "--steps-per-tau", "1000000000000"),
+        # --digits outside 0..1000, in every format
+        *(("squid", "--p", "0.1", "--temp", "4K", "--tau", "1s", "--format", fmt, "--digits", d)
+          for fmt in ("text", "json", "csv") for d in ("-1", "100000000000")),
     ],
 )
 def test_validation_errors_exit_2(args):

@@ -99,6 +99,17 @@ def test_sd_relaxation_time():
         ):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
+    # finite inputs whose result overflows or underflows the float range
+    for call in (
+        lambda: sd_relaxation_time(1e-200, 1e-200, 1.0),  # the rate underflows to 0
+        lambda: sd_relaxation_time(1e200, 1e200, 1.0),
+        lambda: mean_relative_velocity(1e-320, 1e300),
+        lambda: mean_relative_velocity(1e300, 1e-300),
+        lambda: magnetic_moment(1e300),
+        lambda: slowing_factor(1e200),
+    ):
+        with pytest.raises(ValueError, match="must be (finite|a normal float)"):
+            call()
 
 
 # ---------------------------------------------------------------------------
