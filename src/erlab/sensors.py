@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import THEORETICAL_FLOOR_HBAR, spin_temperature
+from .bounds import THEORETICAL_FLOOR_HBAR, erl_quantum, spin_temperature
 from .species import Species
 from .units import constants, require
 
@@ -277,13 +277,7 @@ def measured_erl_from_psd(psd: float, volume: float) -> float:
     resolution product is already inside the square.
     """
     require(psd, "noise density", "non-negative")
-    require(volume, "volume")
-    c = constants()
-    try:
-        erl = psd**2 * volume / (2.0 * c.mu_0 * c.hbar)
-    except OverflowError:  # float ** raises where * would give inf
-        erl = math.inf
-    return require(erl, "measured energy resolution", "a normal float" if psd else "finite")
+    return erl_quantum(psd, volume, 1.0)
 
 
 def erl_ratio(measured: float, predicted: float) -> float:

@@ -22,7 +22,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 from .units import constants, require
@@ -111,12 +110,11 @@ class Species:
     sd_cross_section_m2: float | None
     reference_temperature_K: float
 
-    # cached: both depend only on the nuclear spin (no __slots__, so the cache has a __dict__)
-    @cached_property
+    @property
     def slowing_factor(self) -> float:
         return slowing_factor(self.nuclear_spin)
 
-    @cached_property
+    @property
     def magnetic_moment(self) -> float:
         """Effective moment mu_B/q  [J/T]."""
         return magnetic_moment(self.slowing_factor)

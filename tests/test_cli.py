@@ -183,7 +183,9 @@ def test_digits_flag_controls_text_precision():
 
 def _imports(*args):
     """The modules a fresh ``python -X importtime ARGS`` imports, and the process."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    env = os.environ.copy()
+    env.pop("ERLAB_SPECIES_FILE", None)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env)
     modules = {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
