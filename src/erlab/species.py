@@ -179,6 +179,13 @@ def _parse_spin(text, where: str) -> Fraction:
         raise ValueError(f"{where}: nuclear_spin {text!r} is not a fraction") from None
     if (2 * spin).denominator != 1 or spin < 0:
         raise ValueError(f"{where}: nuclear_spin {text!r} is not a non-negative half-integer")
+    # a huge spin's slowing factor or moment mu_B/q leaves the float range;
+    # below 2^64 neither can (q < 1e39), so only larger spins pay for the check
+    if spin > 2**64:
+        try:
+            magnetic_moment(slowing_factor(spin))
+        except ValueError as exc:
+            raise ValueError(f"{where}: nuclear_spin {text!r}: {exc}") from None
     return spin
 
 

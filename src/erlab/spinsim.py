@@ -23,10 +23,15 @@ counts, block and buffer sizes, and trajectory-count extensions (a longer
 run reproduces a shorter run's trajectories exactly).
 
 Each block of trajectories builds one Philox generator keyed by the seed
-and reaches trajectory i's substream by resetting its counter, which costs
-about a tenth of constructing a generator.  Draws fill the rows of a
-buffer of at most _ROW_BUFFER float64 values, which is weighted and reduced
-row by row in one call; the thread pool is capped at the usable CPU count.
+and reaches trajectory i's substream by resetting its state.  The state is
+a dict of plain ints, because numpy's setter reads those about twice as
+fast as the ndarrays that ``bitgen.state`` returns: a reset took 0.75 us
+instead of 1.5-1.8 us (Intel Xeon, Python 3.11, numpy 2.4).  Draws fill
+the rows of a buffer of at most _ROW_BUFFER float64 values, which is
+weighted and reduced row by row in one call.  Threads run blocks only for
+trajectories of at least _THREAD_MIN_STEPS steps, since each reset holds
+the GIL and shorter trajectories ran slower on two threads than on one;
+the pool is capped at the usable CPU count.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ __all__ = [
 _MAX_SEED = 2**64
 _CHUNK = 4096  # trajectories per work unit; results do not depend on this
 _ROW_BUFFER = 2**14  # float64 draws buffered per fill (128 KiB); nor on this
+# below this step count blocks run serially whatever ``workers`` is: each
+# trajectory's state reset holds the GIL, and on 2 cores two threads ran
+# slower than one up to about 550 steps and 1.2-1.3x faster at 600
+_THREAD_MIN_STEPS = 600
 # memory budget, checked before allocating: float64 values (128 MiB) in any one
 # array, of trajectory count, step count or sample count x step count values
 MAX_ARRAY_LENGTH = 2**24
@@ -198,7 +207,8 @@ def simulate_transient(
 
     ``workers`` parallelizes trajectory batches without changing any
     output bit; it is capped at the usable CPU count and the number of
-    batches.  ``sample_indices`` selects trajectories whose full time
+    batches, and trajectories of fewer than _THREAD_MIN_STEPS steps run on
+    one thread.  ``sample_indices`` selects trajectories whose full time
     series is attached to the result (for dumping/plotting), up to
     MAX_ARRAY_LENGTH values in all.
     """
@@ -224,18 +234,29 @@ def simulate_transient(
         # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
         # under the master seed as key.  Resetting one generator's state to
         # that counter with an empty output buffer yields exactly the stream
-        # of a fresh Philox(key=seed, counter=i << 128), at a tenth the cost.
+        # of a fresh Philox(key=seed, counter=i << 128).  The state is
+        # bitgen.state with each array as a list of plain ints, which the
+        # setter reads faster (see the module docstring); the key is
+        # [seed, 0] as seed < 2^64.
         bitgen = np.random.Philox(key=config.seed)
         gen = np.random.Generator(bitgen)
-        state = bitgen.state  # a copy: counter 0, output buffer empty
-        counter = state["state"]["counter"]
+        counter = [0, 0, 0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": [config.seed, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # output buffer empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         fill = max(1, _ROW_BUFFER // steps)
         buf = np.empty((min(fill, stop - start), steps))
         for lo in range(start, stop, fill):
             hi = min(lo + fill, stop)
             rows = buf[: hi - lo]
             for j, i in enumerate(range(lo, hi)):
-                counter[2], counter[3] = i & (2**64 - 1), i >> 64
+                # i < MAX_ARRAY_LENGTH = 2^24, so i fits counter word 2 and word 3 stays 0
+                counter[2] = i
                 bitgen.state = state
                 gen.standard_normal(out=rows[j])
             np.multiply(rows, coeff, out=rows)
@@ -251,7 +272,7 @@ def simulate_transient(
     blocks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
     # the reset holds the GIL, so threads beyond the usable cores only contend
     workers = min(workers, _usable_cpus(), len(blocks))
-    if workers == 1:
+    if workers == 1 or steps < _THREAD_MIN_STEPS:
         for lo, hi in blocks:
             run_block(lo, hi)
     else:

@@ -216,6 +216,8 @@ def test_load_catalog_rejects_duplicate_names(tmp_path):
         {"mass_amu": 10**400},  # an integer past the float range
         {"sd_cross_section_cm2": math.inf},
         {"reference_temperature_K": math.nan},
+        {"nuclear_spin": "1e200"},  # slowing factor past the float range
+        {"nuclear_spin": "1e150"},  # moment mu_B/q below the normal floats
     ],
 )
 def test_load_catalog_rejects_bad_rows(tmp_path, patch):
@@ -224,6 +226,12 @@ def test_load_catalog_rejects_bad_rows(tmp_path, patch):
     path = _write(tmp_path, {"species": [row]})
     with pytest.raises(ValueError, match=r"species\[0\]"):
         load_catalog(path)
+
+
+def test_load_catalog_accepts_a_large_spin_with_a_normal_moment(tmp_path):
+    # spins past 2^64 get the float-range check; 1e100 passes it
+    path = _write(tmp_path, {"species": [dict(_GOOD_ROW, nuclear_spin="1e100")]})
+    assert load_catalog(path).get("K").magnetic_moment > 0
 
 
 def test_load_catalog_rejects_non_object_document(tmp_path):

@@ -164,7 +164,8 @@ def test_different_seed_different_result():
     assert a.variance_at_horizon != b.variance_at_horizon
 
 
-def test_workers_do_not_change_output():
+def test_workers_do_not_change_output(monkeypatch):
+    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)  # drive the pool at 100 steps
     cfg = SimConfig(1e4, 1.0, 10_000, seed=77)
     serial = result_to_json(simulate_transient(cfg, workers=1), cfg)
     threaded = result_to_json(simulate_transient(cfg, workers=4), cfg)
@@ -193,7 +194,8 @@ def _reference_path(config, index):
     return np.concatenate([[0.0], scale * np.cumsum(weighted)]), scale * float(np.sum(weighted))
 
 
-def test_sampled_paths_follow_the_counter_contract():
+def test_sampled_paths_follow_the_counter_contract(monkeypatch):
+    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)  # drive the pool at 13 steps
     cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=2**63 + 12345)
     indices = (0, 4095, 4096, cfg.trajectory_count - 1)
     res = simulate_transient(cfg, workers=2, sample_indices=indices)
@@ -206,12 +208,26 @@ def test_sampled_paths_follow_the_counter_contract():
     assert simulate_transient(single).mean_over_trajectories == endpoint
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_counter_contract_at_the_seed_extremes(seed):
+    # the simulator writes the Philox key words itself; a fresh
+    # Philox(key=seed, counter=i << 128) is the reference at both ends
+    cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=seed)
+    indices = (0, 4095, 4096, cfg.trajectory_count - 1)
+    res = simulate_transient(cfg, sample_indices=indices)
+    assert [sample.index for sample in res.trajectory_sample] == list(indices)
+    for sample in res.trajectory_sample:
+        path, _ = _reference_path(cfg, sample.index)
+        assert sample.values.tobytes() == path.tobytes()
+
+
 @pytest.mark.parametrize("chunk, row_buffer", [(3, 7), (7, 3)])
 @pytest.mark.parametrize("steps_per_tau, horizon", [(10, 0.3), (10, 1.3)])
 def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, chunk, row_buffer, steps_per_tau, horizon):
     cfg = SimConfig(1e4, 1.0, 500, steps_per_tau=steps_per_tau, horizon=horizon, seed=31)
     indices = (0, 2, 3, 6, 7, 499)
     before = simulate_transient(cfg, sample_indices=indices)
+    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)
     monkeypatch.setattr(spinsim, "_CHUNK", chunk)
     monkeypatch.setattr(spinsim, "_ROW_BUFFER", row_buffer)
     after = simulate_transient(cfg, workers=2, sample_indices=indices)
@@ -221,7 +237,8 @@ def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, chunk, row_buf
         assert a.values.tobytes() == b.values.tobytes()
 
 
-def test_worker_pool_capped_at_usable_cpus(monkeypatch):
+def _record_pools(monkeypatch) -> list[int]:
+    """Make the simulator's thread pools record their sizes in the returned list."""
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -230,6 +247,12 @@ def test_worker_pool_capped_at_usable_cpus(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(spinsim, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_worker_pool_capped_at_usable_cpus(monkeypatch):
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)  # drive the pool at 100 steps
     monkeypatch.setattr(spinsim, "_CHUNK", 100)
     cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=4)  # three blocks
     serial = result_to_json(simulate_transient(cfg), cfg)
@@ -242,6 +265,20 @@ def test_worker_pool_capped_at_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
     assert pools == [3, 2]
+
+
+def test_no_pool_below_the_thread_step_threshold(monkeypatch):
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(spinsim, "_CHUNK", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    threshold = spinsim._THREAD_MIN_STEPS
+    short = SimConfig(1e4, 1.0, 300, steps_per_tau=threshold - 1, seed=4)  # three blocks
+    serial = result_to_json(simulate_transient(short), short)
+    assert result_to_json(simulate_transient(short, workers=4), short) == serial
+    assert pools == []
+    at_threshold = SimConfig(1e4, 1.0, 300, steps_per_tau=threshold, seed=4)
+    simulate_transient(at_threshold, workers=4)
+    assert pools == [3]
 
 
 def test_sampled_trajectory_endpoint_consistency():
