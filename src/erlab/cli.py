@@ -174,8 +174,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="parallel workers, capped at the usable CPU count (output-invariant)",
+        help="worker processes (default: the usable CPU count; output-invariant)",
     )
     p.add_argument(
         "--dump-trajectories",
@@ -357,7 +356,13 @@ def _cmd_table2(args) -> str:
 
 def _cmd_simulate(args) -> str:
     # imported here, not at the top: the analytic commands need no numpy
-    from .spinsim import SimConfig, result_to_json, simulate_transient, write_trajectory_csv
+    from .spinsim import (
+        SimConfig,
+        result_to_json,
+        simulate_transient,
+        usable_cpus,
+        write_trajectory_csv,
+    )
 
     tau = parse_quantity(args.tau, TIME).si
     atoms = int(args.atoms) if float(args.atoms).is_integer() else args.atoms
@@ -377,7 +382,8 @@ def _cmd_simulate(args) -> str:
             raise ValueError(
                 f"--dump-trajectories must be comma-separated integers, got {args.dump_trajectories!r}"
             ) from None
-    result = simulate_transient(config, workers=args.workers, sample_indices=indices)
+    workers = usable_cpus() if args.workers is None else args.workers
+    result = simulate_transient(config, workers=workers, sample_indices=indices)
     for sample in result.trajectory_sample:
         write_trajectory_csv(sample, Path(args.dump_dir) / f"trajectory_{sample.index}.csv")
     if args.format == "json":

@@ -40,8 +40,6 @@ __all__ = [
 
 SPECIES_FILE_ENV_VAR = "ERLAB_SPECIES_FILE"
 
-_ELECTRON_SPIN_TERM = Fraction(3, 4)  # S(S+1) for S = 1/2
-
 
 def slowing_factor(nuclear_spin) -> float:
     """Hyperfine slowing-down factor q = [S(S+1) + I(I+1)] / [S(S+1)].
@@ -50,13 +48,15 @@ def slowing_factor(nuclear_spin) -> float:
     Fraction).  For I = 3/2 this gives q = 6; for I = 7/2, q = 22.
     """
     require(nuclear_spin, "nuclear spin", "finite")
-    I = Fraction(nuclear_spin).limit_denominator(1_000_000)
-    if Fraction(nuclear_spin) != I or (2 * I).denominator != 1:
+    n, d = Fraction(nuclear_spin).as_integer_ratio()  # in lowest terms, d > 0
+    if d > 2:
         raise ValueError(f"nuclear spin must be a half-integer, got {nuclear_spin!r}")
-    if I < 0:
+    if n < 0:
         raise ValueError(f"nuclear spin must be non-negative, got {nuclear_spin!r}")
+    k = 2 * n // d  # 2I
     try:
-        q = float((_ELECTRON_SPIN_TERM + I * (I + 1)) / _ELECTRON_SPIN_TERM)
+        # S(S+1) = 3/4 and I(I+1) = k(k+2)/4; one correctly rounded division
+        q = (3 + k * (k + 2)) / 3
     except OverflowError:  # a finite spin whose q is past the float range
         q = math.inf
     return require(q, "slowing factor", ">= 1")

@@ -28,10 +28,10 @@ a dict of plain ints, because numpy's setter reads those about twice as
 fast as the ndarrays that ``bitgen.state`` returns: a reset took 0.75 us
 instead of 1.5-1.8 us (Intel Xeon, Python 3.11, numpy 2.4).  Draws fill
 the rows of a buffer of at most _ROW_BUFFER float64 values, which is
-weighted and reduced row by row in one call.  Threads run blocks only for
-trajectories of at least _THREAD_MIN_STEPS steps, since each reset holds
-the GIL and shorter trajectories ran slower on two threads than on one;
-the pool is capped at the usable CPU count.
+weighted and reduced row by row in one call.  With ``workers`` > 1 the
+blocks are shared out among forked worker processes, which pipe their
+horizon values back; processes, not threads, because each reset holds
+the GIL.  Sampled paths are redrawn afterwards from their own counters.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,16 +58,13 @@ __all__ = [
     "uncertainty_estimate",
     "result_to_json",
     "write_trajectory_csv",
+    "usable_cpus",
     "MAX_ARRAY_LENGTH",
 ]
 
 _MAX_SEED = 2**64
 _CHUNK = 4096  # trajectories per work unit; results do not depend on this
 _ROW_BUFFER = 2**14  # float64 draws buffered per fill (128 KiB); nor on this
-# below this step count blocks run serially whatever ``workers`` is: each
-# trajectory's state reset holds the GIL, and on 2 cores two threads ran
-# slower than one up to about 550 steps and 1.2-1.3x faster at 600
-_THREAD_MIN_STEPS = 600
 # memory budget, checked before allocating: float64 values (128 MiB) in any one
 # array, of trajectory count, step count or sample count x step count values
 MAX_ARRAY_LENGTH = 2**24
@@ -191,7 +188,8 @@ def scheme_variance(config: SimConfig) -> float:
     return float(np.sum(coeff * coeff)) * scale * scale
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # sched_getaffinity is not on every platform
@@ -205,32 +203,29 @@ def simulate_transient(
 ) -> SimResult:
     """Run the ensemble and return variance/mean statistics at the horizon.
 
-    ``workers`` parallelizes trajectory batches without changing any
-    output bit; it is capped at the usable CPU count and the number of
-    batches, and trajectories of fewer than _THREAD_MIN_STEPS steps run on
-    one thread.  ``sample_indices`` selects trajectories whose full time
-    series is attached to the result (for dumping/plotting), up to
-    MAX_ARRAY_LENGTH values in all.
+    ``workers`` runs trajectory blocks on that many processes, this one and
+    ``workers`` - 1 forked from it, without changing any output bit; it is
+    capped at the usable CPU count and the number of blocks, and blocks run
+    serially where ``os.fork`` is missing.  A worker that fails raises
+    ChildProcessError, and no worker outlives the call.  The default of 1
+    forks nothing, as a fork copies only the calling thread; ask for more
+    where no other thread of this process holds a lock.  ``sample_indices``
+    selects trajectories whose full time series is attached to the result
+    (for dumping/plotting), up to MAX_ARRAY_LENGTH values in all.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     M = config.trajectory_count
     for idx in sample_indices:
-        if not 0 <= idx < M:
-            raise ValueError(f"sample index {idx} outside [0, {M})")
+        if not isinstance(idx, int) or not 0 <= idx < M:
+            raise ValueError(f"sample index {idx!r} is not an integer in [0, {M})")
     steps = config.step_count
     _within_budget("sample count x step count", len(sample_indices) * steps)
 
     coeff, scale = _envelope(config)
     horizon_values = np.zeros(M)
-    samples: dict[int, TrajectorySample] = {}
-    sample_set = frozenset(sample_indices)
 
     def run_block(start: int, stop: int) -> None:
-        if steps == 0:
-            for i in sample_set.intersection(range(start, stop)):
-                samples[i] = TrajectorySample(i, np.zeros(1), np.zeros(1))
-            return
         # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
         # under the master seed as key.  Resetting one generator's state to
         # that counter with an empty output buffer yields exactly the stream
@@ -263,21 +258,17 @@ def simulate_transient(
             # a row-wise sum is the same pairwise summation as np.sum of each
             # row alone, so the bits do not depend on how rows are grouped
             horizon_values[lo:hi] = scale * np.sum(rows, axis=1)
-            for i in sample_set.intersection(range(lo, hi)):
-                du = config.horizon / steps
-                t = np.concatenate([[0.0], (np.arange(steps) + 1.0) * du])
-                path = np.concatenate([[0.0], scale * np.cumsum(rows[i - lo])])
-                samples[i] = TrajectorySample(i, t, path)
 
-    blocks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
-    # the reset holds the GIL, so threads beyond the usable cores only contend
-    workers = min(workers, _usable_cpus(), len(blocks))
-    if workers == 1 or steps < _THREAD_MIN_STEPS:
-        for lo, hi in blocks:
-            run_block(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_block(*b), blocks))
+    if steps:  # with no steps every horizon value is 0
+        blocks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+        # each reset holds the GIL, so workers are processes, and beyond the
+        # usable cores they only contend
+        workers = min(workers, usable_cpus(), len(blocks))
+        if workers > 1 and hasattr(os, "fork"):
+            _run_forked(blocks, workers, run_block, horizon_values)
+        else:
+            for block in blocks:
+                run_block(*block)
 
     mean = float(horizon_values.mean())
     if M > 1:
@@ -289,13 +280,82 @@ def simulate_transient(
         std_error = 0.0
         variance_std_error = 0.0
 
+    # each sampled path is redrawn here from its own counter block, the
+    # draws weighted and summed in the same order as in run_block
+    t = np.arange(steps + 1) * (config.horizon / steps) if steps else np.zeros(1)
+    samples = []
+    for i in sorted(set(sample_indices)):
+        draws = np.random.Generator(np.random.Philox(key=config.seed, counter=i << 128))
+        path = scale * np.cumsum(draws.standard_normal(steps) * coeff)
+        samples.append(TrajectorySample(i, t, np.concatenate([[0.0], path])))
+
     return SimResult(
         variance_at_horizon=variance,
         mean_over_trajectories=mean,
         standard_error=std_error,
         variance_standard_error=variance_std_error,
-        trajectory_sample=tuple(samples[i] for i in sorted(sample_set)),
+        trajectory_sample=tuple(samples),
     )
+
+
+def _run_forked(blocks, workers: int, run_block, out: np.ndarray) -> None:
+    """Run block k on worker k mod ``workers``: this process is worker 0 and
+    forks the others, which send their blocks' slices of ``out`` back
+    through a pipe each.  Every forked worker is reaped before this returns
+    or raises."""
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _serve(blocks[w::workers], run_block, out, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        for block in blocks[::workers]:
+            run_block(*block)
+        for w, (pid, read_fd) in enumerate(children, 1):
+            # a buffered readinto fills its whole slice unless the pipe ends
+            with open(read_fd, "rb", closefd=False) as pipe:
+                for lo, hi in blocks[w::workers]:
+                    if pipe.readinto(out[lo:hi]) != (hi - lo) * out.itemsize:
+                        raise ChildProcessError(f"worker process {pid} ended before sending its results")
+        done = True
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if not done:  # stop the other workers rather than wait for them
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0) for pid, _ in children]
+    for pid, status in statuses:
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"worker process {pid} ended with exit status {code}")
+
+
+def _serve(blocks, run_block, out: np.ndarray, write_fd: int) -> None:
+    """Body of a forked worker: run ``blocks``, write their slices of ``out``
+    to ``write_fd`` and leave by ``os._exit``, never returning to the caller
+    (nor flushing the parent's buffers a second time)."""
+    code = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            # every block before any write: a pipe holds 64 KiB, and the
+            # parent reads it only once its own share is done
+            for block in blocks:
+                run_block(*block)
+            for lo, hi in blocks:
+                pipe.write(out[lo:hi])
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def result_to_json(result: SimResult, config: SimConfig) -> str:

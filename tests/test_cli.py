@@ -230,6 +230,37 @@ def test_simulate_byte_identical_across_runs_and_workers():
     assert "workers" not in doc["config_echo"]
 
 
+def _main_in_process(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+WIDE_SIM_ARGS = ("simulate", "--atoms", "1e6", "--trajectories", "8193", "--seed", "43")  # 3 blocks
+
+
+def test_simulate_defaults_to_the_usable_cpus(fake_cpus, record_forks):
+    fake_cpus(2)
+    forks = record_forks()
+    serial = _main_in_process(*WIDE_SIM_ARGS, "--workers", "1")
+    assert forks == []
+    assert _main_in_process(*WIDE_SIM_ARGS) == serial
+    assert len(forks) == 1  # two usable CPUs: this process and one fork
+    assert serial[0] == 0 and serial[2] == ""
+
+
+def test_simulate_failed_worker_exits_3(fake_cpus, record_forks):
+    fake_cpus(2)
+    forks = record_forks(child=lambda: os._exit(1))
+    code, out, err = _main_in_process(*WIDE_SIM_ARGS)
+    assert len(forks) == 1
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"erlab: error: io: worker process \d+ ended before sending its results\n", err)
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_simulate_text_and_csv_formats():
     text = run_cli(*SIM_ARGS, "--format", "text")
     assert "variance_at_horizon" in text.stdout

@@ -3,7 +3,6 @@
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -164,12 +163,12 @@ def test_different_seed_different_result():
     assert a.variance_at_horizon != b.variance_at_horizon
 
 
-def test_workers_do_not_change_output(monkeypatch):
-    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)  # drive the pool at 100 steps
+def test_workers_do_not_change_output(fake_cpus):
+    fake_cpus(4)  # three workers for three blocks on any host
     cfg = SimConfig(1e4, 1.0, 10_000, seed=77)
     serial = result_to_json(simulate_transient(cfg, workers=1), cfg)
-    threaded = result_to_json(simulate_transient(cfg, workers=4), cfg)
-    assert serial == threaded
+    forked = result_to_json(simulate_transient(cfg, workers=4), cfg)
+    assert serial == forked
 
 
 def test_trajectories_are_stable_under_ensemble_growth():
@@ -194,8 +193,8 @@ def _reference_path(config, index):
     return np.concatenate([[0.0], scale * np.cumsum(weighted)]), scale * float(np.sum(weighted))
 
 
-def test_sampled_paths_follow_the_counter_contract(monkeypatch):
-    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)  # drive the pool at 13 steps
+def test_sampled_paths_follow_the_counter_contract(fake_cpus):
+    fake_cpus(2)
     cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=2**63 + 12345)
     indices = (0, 4095, 4096, cfg.trajectory_count - 1)
     res = simulate_transient(cfg, workers=2, sample_indices=indices)
@@ -223,11 +222,11 @@ def test_counter_contract_at_the_seed_extremes(seed):
 
 @pytest.mark.parametrize("chunk, row_buffer", [(3, 7), (7, 3)])
 @pytest.mark.parametrize("steps_per_tau, horizon", [(10, 0.3), (10, 1.3)])
-def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, chunk, row_buffer, steps_per_tau, horizon):
+def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, fake_cpus, chunk, row_buffer, steps_per_tau, horizon):
     cfg = SimConfig(1e4, 1.0, 500, steps_per_tau=steps_per_tau, horizon=horizon, seed=31)
     indices = (0, 2, 3, 6, 7, 499)
     before = simulate_transient(cfg, sample_indices=indices)
-    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)
+    fake_cpus(2)
     monkeypatch.setattr(spinsim, "_CHUNK", chunk)
     monkeypatch.setattr(spinsim, "_ROW_BUFFER", row_buffer)
     after = simulate_transient(cfg, workers=2, sample_indices=indices)
@@ -237,48 +236,58 @@ def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, chunk, row_buf
         assert a.values.tobytes() == b.values.tobytes()
 
 
-def _record_pools(monkeypatch) -> list[int]:
-    """Make the simulator's thread pools record their sizes in the returned list."""
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(spinsim, "ThreadPoolExecutor", RecordingPool)
-    return pools
-
-
-def test_worker_pool_capped_at_usable_cpus(monkeypatch):
-    pools = _record_pools(monkeypatch)
-    monkeypatch.setattr(spinsim, "_THREAD_MIN_STEPS", 0)  # drive the pool at 100 steps
+def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, fake_cpus, record_forks):
+    forks = record_forks()
     monkeypatch.setattr(spinsim, "_CHUNK", 100)
     cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=4)  # three blocks
     serial = result_to_json(simulate_transient(cfg), cfg)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert forks == []
+    fake_cpus(1)
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
-    assert pools == []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert forks == []
+    fake_cpus(8)
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
-    assert pools == [3]  # capped by the block count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert len(forks) == 2  # three workers, capped by the block count
+    fake_cpus(2)
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
-    assert pools == [3, 2]
+    assert len(forks) == 3  # two workers, capped by the CPU count
 
 
-def test_no_pool_below_the_thread_step_threshold(monkeypatch):
-    pools = _record_pools(monkeypatch)
-    monkeypatch.setattr(spinsim, "_CHUNK", 100)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    threshold = spinsim._THREAD_MIN_STEPS
-    short = SimConfig(1e4, 1.0, 300, steps_per_tau=threshold - 1, seed=4)  # three blocks
-    serial = result_to_json(simulate_transient(short), short)
-    assert result_to_json(simulate_transient(short, workers=4), short) == serial
-    assert pools == []
-    at_threshold = SimConfig(1e4, 1.0, 300, steps_per_tau=threshold, seed=4)
-    simulate_transient(at_threshold, workers=4)
-    assert pools == [3]
+def test_a_large_affinity_set_starts_at_most_one_process_per_block(fake_cpus, record_forks):
+    forks = record_forks()
+    fake_cpus(1024)
+    cfg = SimConfig(1e4, 1.0, 2 * spinsim._CHUNK, steps_per_tau=10, seed=5)  # two blocks
+    serial = result_to_json(simulate_transient(cfg), cfg)
+    assert result_to_json(simulate_transient(cfg, workers=1024), cfg) == serial
+    assert len(forks) == 1  # two processes in all
+
+
+@pytest.mark.parametrize("sends_results", [False, True])
+def test_a_failed_worker_raises_and_leaves_no_child(fake_cpus, record_forks, sends_results):
+    # a child that ends at once sends nothing; one whose exit status is
+    # forced to 3 sends every result and is caught by its status alone
+    real_exit = os._exit
+    if sends_results:
+        fail = lambda: setattr(os, "_exit", lambda code: real_exit(3))  # noqa: E731
+    else:
+        fail = lambda: real_exit(1)  # noqa: E731
+    forks = record_forks(child=fail)
+    fake_cpus(4)
+    cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=6)  # three blocks
+    message = "exit status 3" if sends_results else "ended before sending its results"
+    with pytest.raises(ChildProcessError, match=message):
+        simulate_transient(cfg, workers=4)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_without_fork_blocks_run_serially(monkeypatch, fake_cpus):
+    fake_cpus(4)
+    cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=7)  # three blocks
+    forked = result_to_json(simulate_transient(cfg, workers=4), cfg)
+    monkeypatch.delattr(os, "fork")
+    assert result_to_json(simulate_transient(cfg, workers=4), cfg).encode() == forked.encode()
 
 
 def test_sampled_trajectory_endpoint_consistency():
@@ -399,12 +408,12 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
 
 def test_sample_index_bounds():
     cfg = SimConfig(1e4, 1.0, 10, seed=0)
-    with pytest.raises(ValueError):
-        simulate_transient(cfg, sample_indices=(10,))
-    with pytest.raises(ValueError):
-        simulate_transient(cfg, sample_indices=(-1,))
+    for index in (10, -1, 1.5, "1", None, 1.0):
+        with pytest.raises(ValueError, match=r"^sample index .* is not an integer in \[0, 10\)$"):
+            simulate_transient(cfg, sample_indices=(index,))
 
 
 def test_worker_count_validated():
-    with pytest.raises(ValueError):
-        simulate_transient(SimConfig(1e4, 1.0, 10), workers=0)
+    for workers in (0, -1, 2.5, "2", None, 2.0):
+        with pytest.raises(ValueError, match=r"^workers must be an integer >= 1, got [^\n]*$"):
+            simulate_transient(SimConfig(1e4, 1.0, 10), workers=workers)
