@@ -174,7 +174,10 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        help="worker processes (default: the usable CPU count; output-invariant)",
+        help=(
+            "worker processes (default: the usable CPU count, from the CPU affinity "
+            "set, which a container's CPU quota does not shrink; output-invariant)"
+        ),
     )
     p.add_argument(
         "--dump-trajectories",

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import signal
 from dataclasses import dataclass
@@ -196,6 +197,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _as_int(value, valid, message: str) -> int:
+    """``value`` as a plain int (numpy integers too) if ``valid`` holds for
+    it; otherwise ValueError(message)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
+    if not valid(n):
+        raise ValueError(message)
+    return n
+
+
 def simulate_transient(
     config: SimConfig,
     workers: int = 1,
@@ -213,12 +226,13 @@ def simulate_transient(
     selects trajectories whose full time series is attached to the result
     (for dumping/plotting), up to MAX_ARRAY_LENGTH values in all.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     M = config.trajectory_count
-    for idx in sample_indices:
-        if not isinstance(idx, int) or not 0 <= idx < M:
-            raise ValueError(f"sample index {idx!r} is not an integer in [0, {M})")
+    workers = _as_int(workers, lambda n: n >= 1, f"workers must be an integer >= 1, got {workers!r}")
+    # plain ints, as the counter i << 128 below needs one
+    sample_indices = [
+        _as_int(idx, lambda i: 0 <= i < M, f"sample index {idx!r} is not an integer in [0, {M})")
+        for idx in sample_indices
+    ]
     steps = config.step_count
     _within_budget("sample count x step count", len(sample_indices) * steps)
 

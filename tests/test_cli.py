@@ -496,16 +496,14 @@ def _reject_constant(name):
 @given(data=st.data())
 def test_any_numeric_input_exits_with_a_documented_code(data, tmp_path):
     argv = data.draw(_argv(tmp_path))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+    code, out, err = _main_in_process(*argv)
     assert code in (0, 1, 2, 3)
     if code:
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
         return
-    assert err.getvalue() == ""
+    assert err == ""
     if argv[argv.index("--format") + 1] == "json":
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        json.loads(out, parse_constant=_reject_constant)
     else:
-        assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE)
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)

@@ -173,10 +173,15 @@ def test_workers_do_not_change_output(fake_cpus):
 
 def test_trajectories_are_stable_under_ensemble_growth():
     # per-trajectory counter streams: trajectory 7 is the same whether the
-    # run asks for 10 or 10000 trajectories
+    # run asks for 10 or 10000 trajectories, and the horizon values of both
+    # runs are the first 10 and 10000 of one reference sequence
+    large_cfg = SimConfig(1e4, 1.0, 10_000, seed=9)
     small = simulate_transient(SimConfig(1e4, 1.0, 10, seed=9), sample_indices=(7,))
-    large = simulate_transient(SimConfig(1e4, 1.0, 10_000, seed=9), sample_indices=(7,))
+    large = simulate_transient(large_cfg, sample_indices=(7,))
     np.testing.assert_array_equal(small.trajectory_sample[0].values, large.trajectory_sample[0].values)
+    endpoints = _reference_endpoints(large_cfg)
+    _assert_statistics_are_those_of(small, endpoints[:10])
+    _assert_statistics_are_those_of(large, endpoints)
 
 
 def _reference_path(config, index):
@@ -193,6 +198,23 @@ def _reference_path(config, index):
     return np.concatenate([[0.0], scale * np.cumsum(weighted)]), scale * float(np.sum(weighted))
 
 
+def _reference_endpoints(config):
+    return np.array([_reference_path(config, i)[1] for i in range(config.trajectory_count)])
+
+
+def _assert_statistics_are_those_of(result, endpoints):
+    # the horizon values come from the simulator's own state resets, the
+    # endpoints from the reference: the statistics must agree bit for bit
+    assert result.mean_over_trajectories == float(np.mean(endpoints))
+    assert result.variance_at_horizon == float(np.var(endpoints, ddof=1))
+
+
+def _assert_statistics_follow_the_counter_contract(config):
+    endpoints = _reference_endpoints(config)
+    for workers in (1, 2):
+        _assert_statistics_are_those_of(simulate_transient(config, workers=workers), endpoints)
+
+
 def test_sampled_paths_follow_the_counter_contract(fake_cpus):
     fake_cpus(2)
     cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=2**63 + 12345)
@@ -201,6 +223,7 @@ def test_sampled_paths_follow_the_counter_contract(fake_cpus):
     for sample in res.trajectory_sample:
         path, _ = _reference_path(cfg, sample.index)
         assert sample.values.tobytes() == path.tobytes()
+    _assert_statistics_follow_the_counter_contract(cfg)
     # a one-trajectory run's mean is that trajectory's horizon value
     single = SimConfig(1e5, 1.0, 1, steps_per_tau=10, horizon=1.3, seed=cfg.seed)
     _, endpoint = _reference_path(single, 0)
@@ -208,9 +231,10 @@ def test_sampled_paths_follow_the_counter_contract(fake_cpus):
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_counter_contract_at_the_seed_extremes(seed):
+def test_counter_contract_at_the_seed_extremes(fake_cpus, seed):
     # the simulator writes the Philox key words itself; a fresh
     # Philox(key=seed, counter=i << 128) is the reference at both ends
+    fake_cpus(2)
     cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=seed)
     indices = (0, 4095, 4096, cfg.trajectory_count - 1)
     res = simulate_transient(cfg, sample_indices=indices)
@@ -218,6 +242,7 @@ def test_counter_contract_at_the_seed_extremes(seed):
     for sample in res.trajectory_sample:
         path, _ = _reference_path(cfg, sample.index)
         assert sample.values.tobytes() == path.tobytes()
+    _assert_statistics_follow_the_counter_contract(cfg)
 
 
 @pytest.mark.parametrize("chunk, row_buffer", [(3, 7), (7, 3)])
@@ -411,9 +436,14 @@ def test_sample_index_bounds():
     for index in (10, -1, 1.5, "1", None, 1.0):
         with pytest.raises(ValueError, match=r"^sample index .* is not an integer in \[0, 10\)$"):
             simulate_transient(cfg, sample_indices=(index,))
+    # numpy integers are integers
+    (sample,) = simulate_transient(cfg, sample_indices=(np.int64(1),)).trajectory_sample
+    assert type(sample.index) is int and sample.index == 1
 
 
 def test_worker_count_validated():
     for workers in (0, -1, 2.5, "2", None, 2.0):
         with pytest.raises(ValueError, match=r"^workers must be an integer >= 1, got [^\n]*$"):
             simulate_transient(SimConfig(1e4, 1.0, 10), workers=workers)
+    cfg = SimConfig(1e4, 1.0, 10)
+    assert simulate_transient(cfg, workers=np.int64(2)) == simulate_transient(cfg)
