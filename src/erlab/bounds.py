@@ -23,12 +23,9 @@ __all__ = [
     "measurement_work_bound",
     "ml_min_time",
     "erl_quantum",
-    "magnetic_energy_density",
     "field_fluctuation_from_work",
     "spin_temperature",
     "spin_temp_polarization",
-    "energy_exchange_std",
-    "squeezed_erl",
 ]
 
 # universal floor of the energy resolution limit, in units of hbar
@@ -70,16 +67,6 @@ def erl_quantum(delta_B_T: float, volume_m3: float, tau_s: float) -> float:
     return require(erl, "energy resolution", "a normal float" if delta_B_T else "finite")
 
 
-def magnetic_energy_density(field_T: float) -> float:
-    """Field energy density B^2 / (2 mu_0)  [J/m^3]."""
-    require(field_T, "field", "finite")
-    try:
-        density = field_T**2 / (2.0 * constants().mu_0)
-    except OverflowError:  # float ** raises where * would give inf
-        density = math.inf
-    return require(density, "energy density", "a normal float" if field_T else "finite")
-
-
 def field_fluctuation_from_work(work_J: float, volume_m3: float) -> float:
     """Field scale whose energy in ``volume_m3`` equals ``work_J``:  sqrt(2 mu_0 W / V)  [T]."""
     require(work_J, "work", "non-negative")
@@ -115,29 +102,3 @@ def spin_temp_polarization(T_s_K: float, field_T: float, moment_J_per_T: float) 
     polarization = math.tanh(moment_J_per_T * field_T / (2.0 * constants().k_B * T_s_K))
     domain = "a normal float" if field_T and moment_J_per_T else "finite"
     return require(polarization, "polarization", domain)
-
-
-def energy_exchange_std(atom_count: float, field_T: float, moment_J_per_T: float) -> float:
-    """Std dev of the Zeeman energy exchanged with the field, mu B sqrt(N) / 2  [J].
-
-    Equals k_B T_s / 2 with T_s from :func:`spin_temperature`.
-    """
-    require(atom_count, "atom count", ">= 1")
-    require(field_T, "field", "non-negative")
-    require(moment_J_per_T, "moment")
-    std = moment_J_per_T * field_T * math.sqrt(atom_count) / 2.0
-    return require(std, "energy exchange", "a normal float" if field_T else "finite")
-
-
-def squeezed_erl(erl_hbar: float, squeezing_xi: float) -> float:
-    """Energy resolution rescaled by spin squeezing: ERL -> xi^2 ERL  [hbar].
-
-    ``squeezing_xi`` in (0, 1]; xi = 1 is the unsqueezed ensemble.  A
-    squeezed readout may resolve below the pi/2 floor of the uncorrelated
-    bound, down to O(hbar/N) for maximal squeezing.
-    """
-    require(erl_hbar, "energy resolution", "non-negative")
-    if not 0.0 < squeezing_xi <= 1.0:
-        raise ValueError(f"squeezing parameter must be in (0, 1], got {squeezing_xi}")
-    squeezed = squeezing_xi**2 * erl_hbar
-    return require(squeezed, "squeezed energy resolution", "a normal float" if erl_hbar else "finite")

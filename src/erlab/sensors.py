@@ -343,7 +343,7 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bytes not UTF-8, an integer past the digit limit
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a JSON array of records")

@@ -21,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,6 @@ __all__ = [
     "slowing_factor",
     "magnetic_moment",
     "mean_relative_velocity",
-    "sd_relaxation_time",
     "Species",
     "SpeciesCatalog",
     "load_catalog",
@@ -83,16 +83,6 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     reduced_mass = mass_kg / 2.0
     v_bar = math.sqrt(8.0 * constants().k_B * temperature_K / (math.pi * reduced_mass))
     return require(v_bar, "mean relative velocity", "a normal float" if temperature_K else "finite")
-
-
-def sd_relaxation_time(number_density: float, sigma_sd: float, v_bar: float) -> float:
-    """Spin-destruction relaxation time tau = 1 / (n sigma_sd v_bar)  [s]."""
-    require(number_density, "number density")
-    require(sigma_sd, "cross section")
-    require(v_bar, "relative velocity")
-    rate = number_density * sigma_sd * v_bar
-    tau = 1.0 / rate if rate else math.inf  # the rate underflowed: tau overflows
-    return require(tau, "relaxation time", "a normal float")
 
 
 @dataclass(frozen=True)
@@ -173,19 +163,23 @@ class SpeciesCatalog:
 
 
 def _parse_spin(text, where: str) -> Fraction:
+    text = str(text)
     try:
-        spin = Fraction(str(text))
+        exponent = Decimal(text).adjusted()
+    except InvalidOperation:  # a ratio such as "3/2", or not a number
+        exponent = 0
+    # Fraction would build 10**exponent exactly; past 1e400 no spin has a
+    # finite slowing factor, and below 1e-400 no nonzero number is a half-integer
+    if abs(exponent) > 400:
+        raise ValueError(f"{where}: nuclear_spin {text!r}: exponent {exponent} is outside -400..400")
+    try:
+        spin = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{where}: nuclear_spin {text!r} is not a fraction") from None
-    if (2 * spin).denominator != 1 or spin < 0:
-        raise ValueError(f"{where}: nuclear_spin {text!r} is not a non-negative half-integer")
-    # a huge spin's slowing factor or moment mu_B/q leaves the float range;
-    # below 2^64 neither can (q < 1e39), so only larger spins pay for the check
-    if spin > 2**64:
-        try:
-            magnetic_moment(slowing_factor(spin))
-        except ValueError as exc:
-            raise ValueError(f"{where}: nuclear_spin {text!r}: {exc}") from None
+    try:
+        magnetic_moment(slowing_factor(spin))
+    except ValueError as exc:
+        raise ValueError(f"{where}: nuclear_spin {text!r}: {exc}") from None
     return spin
 
 
@@ -211,7 +205,7 @@ def load_catalog(path: str | Path) -> SpeciesCatalog:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bytes not UTF-8, an integer past the digit limit
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("species"), list):
         raise ValueError(f"{path}: expected an object with a 'species' list")

@@ -13,15 +13,12 @@ from hypothesis import given, strategies as st
 
 from erlab.bounds import (
     THEORETICAL_FLOOR_HBAR,
-    energy_exchange_std,
     erl_quantum,
     field_fluctuation_from_work,
-    magnetic_energy_density,
     measurement_work_bound,
     ml_min_time,
     spin_temp_polarization,
     spin_temperature,
-    squeezed_erl,
 )
 from erlab.units import constants
 
@@ -87,16 +84,9 @@ def test_chain_saturation_equals_half_pi(T, info, V):
 def test_field_fluctuation_inverts_energy_density():
     B = 3.7e-12
     V = 2e-6
-    W = magnetic_energy_density(B) * V
+    W = B * B * V / (2.0 * C.mu_0)  # field energy B^2/(2 mu_0) in the volume
     assert field_fluctuation_from_work(W, V) == pytest.approx(B, rel=1e-15)
-    assert magnetic_energy_density(0.0) == field_fluctuation_from_work(0.0, V) == 0.0
-
-
-@given(st.floats(1e-18, 1e-6))
-def test_magnetic_energy_density_quadratic(B):
-    assert magnetic_energy_density(2.0 * B) == pytest.approx(
-        4.0 * magnetic_energy_density(B), rel=1e-12
-    )
+    assert field_fluctuation_from_work(0.0, V) == 0.0
 
 
 def test_erl_scales_quadratically_in_field():
@@ -121,15 +111,6 @@ def test_spin_temperature_linear_in_field():
     assert spin_temperature(1e10, 2e-12, mu) == pytest.approx(
         2.0 * spin_temperature(1e10, 1e-12, mu), rel=1e-15
     )
-
-
-def test_energy_exchange_is_half_kT_spin():
-    # sigma_E = mu sqrt(N) B / 2 equals k_B T_s / 2 by construction
-    N, B, mu = 3.3e12, 8e-15, C.mu_B / 22.0
-    sigma_E = energy_exchange_std(N, B, mu)
-    T_s = spin_temperature(N, B, mu)
-    assert sigma_E == pytest.approx(C.k_B * T_s / 2.0, rel=1e-12)
-    assert energy_exchange_std(N, 0.0, mu) == 0.0
 
 
 def test_polarization_value():
@@ -168,25 +149,6 @@ def test_polarization_small_argument_cubic_error():
 
 
 # ---------------------------------------------------------------------------
-# squeezing
-# ---------------------------------------------------------------------------
-
-def test_squeezing_rescales_quadratically():
-    assert squeezed_erl(10.0, 1.0) == 10.0
-    assert squeezed_erl(10.0, 0.5) == pytest.approx(2.5)
-    assert squeezed_erl(0.0, 0.5) == 0.0
-
-
-def test_squeezing_factor_range():
-    with pytest.raises(ValueError):
-        squeezed_erl(10.0, 0.0)
-    with pytest.raises(ValueError):
-        squeezed_erl(10.0, 1.5)
-    with pytest.raises(ValueError):
-        squeezed_erl(-1.0, 0.5)
-
-
-# ---------------------------------------------------------------------------
 # domain validation
 # ---------------------------------------------------------------------------
 
@@ -217,36 +179,27 @@ def _nonfinite_calls(*cases):
         lambda: spin_temperature(1e10, 0.0, 1e-24),
         lambda: spin_temperature(1e10, 1e-12, 0.0),
         lambda: spin_temp_polarization(0.0, 1e-12, 1e-24),
-        lambda: energy_exchange_std(0.0, 1e-12, 1e-24),
         # NaN and +-inf in every float parameter, the others valid
         *_nonfinite_calls(
             (measurement_work_bound, (300.0, 1.0)),
             (ml_min_time, (1e-21,)),
             (erl_quantum, (1e-15, 1e-6, 1.0)),
-            (magnetic_energy_density, (1e-12,)),
             (field_fluctuation_from_work, (1e-21, 1e-6)),
             (spin_temperature, (1e10, 1e-12, 1e-24)),
             (spin_temp_polarization, (1.0, 1e-12, 1e-24)),
-            (energy_exchange_std, (1e10, 1e-12, 1e-24)),
-            (squeezed_erl, (10.0, 0.5)),
         ),
         # finite inputs whose result overflows the float range
         lambda: erl_quantum(1e200, 1.0, 1.0),
-        lambda: magnetic_energy_density(1e200),
         lambda: measurement_work_bound(1e300, 1e300),
         lambda: field_fluctuation_from_work(1e308, 1e-308),
         lambda: spin_temperature(1e300, 1e300, 1.0),
-        lambda: energy_exchange_std(1e300, 1e300, 1e300),
         # ... or underflows it to 0 or a subnormal
         lambda: ml_min_time(1e300),
         lambda: erl_quantum(1e-200, 1.0, 1.0),
-        lambda: magnetic_energy_density(1e-200),
         lambda: measurement_work_bound(1e-300, 1e-300),
         lambda: field_fluctuation_from_work(1e-300, 1e300),
         lambda: spin_temperature(1.0, 1e-300, 1e-300),
-        lambda: energy_exchange_std(1.0, 1e-300, 1e-300),
         lambda: spin_temp_polarization(1e300, 1e-300, 1e-300),
-        lambda: squeezed_erl(1.0, 1e-200),
     ],
 )
 def test_rejects_out_of_domain(call):

@@ -421,12 +421,15 @@ def test_bad_records_content_is_validation_error(tmp_path):
         # an integer past the float range
         '[{"label": "a", "p": 1e-6, "T_K": 1%s, "tau_s": 1e-6, "measured_erl_hbar": 5}]'
         % ("0" * 400),
+        # an integer past Python's digit limit, which json.load rejects
+        '[{"label": "a", "p": 1e-6, "T_K": 1%s, "tau_s": 1e-6, "measured_erl_hbar": 5}]'
+        % ("0" * 5000),
     ):
         path.write_text(content)
         proc = run_cli("table2", "--records", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.startswith("erlab: error: validation:")
+        assert proc.stderr.startswith(f"erlab: error: validation: {path}: ")
 
 
 # ---------------------------------------------------------------------------

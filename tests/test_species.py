@@ -14,7 +14,6 @@ from erlab.species import (
     load_catalog,
     magnetic_moment,
     mean_relative_velocity,
-    sd_relaxation_time,
     slowing_factor,
 )
 from erlab.units import constants
@@ -83,14 +82,8 @@ def test_mean_relative_velocity_zero_temperature():
     assert mean_relative_velocity(1e-25, 0.0) == 0.0
 
 
-def test_sd_relaxation_time():
-    assert sd_relaxation_time(1e20, 1e-22, 500.0) == pytest.approx(1.0 / (1e20 * 1e-22 * 500.0))
-    with pytest.raises(ValueError):
-        sd_relaxation_time(0.0, 1e-22, 500.0)
+def test_helpers_reject_non_finite_and_out_of_range():
     for bad in (math.nan, math.inf, -math.inf):
-        for args in ((bad, 1e-22, 500.0), (1e20, bad, 500.0), (1e20, 1e-22, bad)):
-            with pytest.raises(ValueError, match="must be finite"):
-                sd_relaxation_time(*args)
         for call in (
             lambda: mean_relative_velocity(bad, 373.0),
             lambda: mean_relative_velocity(1e-25, bad),
@@ -101,8 +94,6 @@ def test_sd_relaxation_time():
                 call()
     # finite inputs whose result overflows or underflows the float range
     for call in (
-        lambda: sd_relaxation_time(1e-200, 1e-200, 1.0),  # the rate underflows to 0
-        lambda: sd_relaxation_time(1e200, 1e200, 1.0),
         lambda: mean_relative_velocity(1e-320, 1e300),
         lambda: mean_relative_velocity(1e300, 1e-300),
         lambda: magnetic_moment(1e300),
@@ -218,18 +209,38 @@ def test_load_catalog_rejects_duplicate_names(tmp_path):
         {"reference_temperature_K": math.nan},
         {"nuclear_spin": "1e200"},  # slowing factor past the float range
         {"nuclear_spin": "1e150"},  # moment mu_B/q below the normal floats
+        # exponents refused before Fraction builds 10**exponent exactly
+        {"nuclear_spin": "1e5000"},
+        {"nuclear_spin": "1e10000000"},
+        {"nuclear_spin": "1e-10000000"},
     ],
 )
 def test_load_catalog_rejects_bad_rows(tmp_path, patch):
     row = dict(_GOOD_ROW)
     row.update(patch)
     path = _write(tmp_path, {"species": [row]})
-    with pytest.raises(ValueError, match=r"species\[0\]"):
+    with pytest.raises(ValueError, match=r"species\[0\]") as info:
         load_catalog(path)
+    message = str(info.value)
+    assert next(iter(patch)) in message  # names the bad field
+    assert "\n" not in message and "set_int_max_str_digits" not in message
+
+
+def test_load_catalog_names_the_file_for_unparseable_json(tmp_path):
+    path = tmp_path / "species.json"
+    for content in (
+        b"{",
+        b'{"species": [{"mass_amu": 1%s}]}' % (b"0" * 5000),  # past Python's digit limit
+        b"\xff\xfe",  # not UTF-8
+    ):
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load_catalog(path)
+        assert str(info.value).startswith(f"{path}: not valid JSON: ")
 
 
 def test_load_catalog_accepts_a_large_spin_with_a_normal_moment(tmp_path):
-    # spins past 2^64 get the float-range check; 1e100 passes it
+    # the moment mu_B/q of spin 1e100 is still a normal float
     path = _write(tmp_path, {"species": [dict(_GOOD_ROW, nuclear_spin="1e100")]})
     assert load_catalog(path).get("K").magnetic_moment > 0
 
