@@ -162,6 +162,11 @@ def _nonfinite_calls(*cases):
     ]
 
 
+def _negated_calls(fn, args, *positions):
+    """One call per position, with that argument of the valid ``args`` negated."""
+    return [functools.partial(fn, *args[:i], -args[i], *args[i + 1:]) for i in positions]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -188,8 +193,15 @@ def _nonfinite_calls(*cases):
             (spin_temperature, (1e10, 1e-12, 1e-24)),
             (spin_temp_polarization, (1.0, 1e-12, 1e-24)),
         ),
+        # a negative value in each positive parameter that the first block
+        # tries only at 0 (or, for the atom count, at 0.5)
+        *_negated_calls(erl_quantum, (1e-15, 1e-6, 1.0), 1, 2),
+        *_negated_calls(field_fluctuation_from_work, (1e-21, 1e-6), 1),
+        *_negated_calls(spin_temperature, (1e10, 1e-12, 1e-24), 0, 1, 2),
+        *_negated_calls(spin_temp_polarization, (1.0, 1e-12, 1e-24), 0),
         # finite inputs whose result overflows the float range
         lambda: erl_quantum(1e200, 1.0, 1.0),
+        lambda: erl_quantum(1.0, 1e300, 1e300),  # in the product, not the square
         lambda: measurement_work_bound(1e300, 1e300),
         lambda: field_fluctuation_from_work(1e308, 1e-308),
         lambda: spin_temperature(1e300, 1e300, 1.0),
@@ -200,6 +212,10 @@ def _nonfinite_calls(*cases):
         lambda: field_fluctuation_from_work(1e-300, 1e300),
         lambda: spin_temperature(1.0, 1e-300, 1e-300),
         lambda: spin_temp_polarization(1e300, 1e-300, 1e-300),
+        lambda: spin_temp_polarization(1e300, -1e-300, 1e-300),  # to -0.0
+        lambda: erl_quantum(1e-15, 1e-300, 1e-300),  # in the product, not the square
+        lambda: measurement_work_bound(1e-280, 1e-10),  # subnormal, not 0
+        lambda: spin_temp_polarization(1e20, 1e-290, 1e-24),  # subnormal, not 0
     ],
 )
 def test_rejects_out_of_domain(call):
