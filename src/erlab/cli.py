@@ -22,7 +22,6 @@ from pathlib import Path
 from . import __version__
 from .report import (
     Report,
-    ReportRow,
     csv_text,
     format_value,
     render_csv,
@@ -190,151 +189,109 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# handlers (each returns the fully rendered output string)
+# handlers: each returns (title, inputs, rows) for _render, or a finished string
 # ---------------------------------------------------------------------------
 
-def _header(**inputs) -> dict:
-    return {"tool": f"erlab {__version__}", **inputs}
-
-
-def _render_report(report: Report, args) -> str:
-    if args.format == "json":
-        return render_json(report)
-    if args.format == "csv":
-        return render_csv(report, args.digits)
-    return render_text(report, args.digits)
-
-
 def _catalog(args):
-    if getattr(args, "species_file", None):
-        return load_catalog(args.species_file)
-    return default_catalog()
+    return load_catalog(args.species_file) if args.species_file else default_catalog()
 
 
-def _cmd_species_list(args) -> str:
+def _cmd_species_list(args):
     rows = []
     for sp in _catalog(args):
+        sigma = sp.sd_cross_section_m2
         rows += [
-            ReportRow(f"{sp.name}.nuclear_spin", str(sp.nuclear_spin), "", "measured"),
-            ReportRow(f"{sp.name}.mass", sp.mass_kg / constants().atomic_mass, "amu", "measured"),
-            ReportRow(
-                f"{sp.name}.sd_cross_section",
-                None if sp.sd_cross_section_m2 is None else sp.sd_cross_section_m2 * 1e4,
-                "cm2",
-                "derived",
-            ),
-            ReportRow(f"{sp.name}.reference_temperature", sp.reference_temperature_K, "K", "derived"),
-            ReportRow(f"{sp.name}.slowing_factor", sp.slowing_factor, "", "derived"),
-            ReportRow(f"{sp.name}.magnetic_moment", sp.magnetic_moment, "J/T", "derived"),
-            ReportRow(
-                f"{sp.name}.mean_relative_velocity",
-                sp.mean_relative_velocity(),
-                "m/s",
-                "derived",
-            ),
+            (f"{sp.name}.nuclear_spin", str(sp.nuclear_spin), "", "measured"),
+            (f"{sp.name}.mass", sp.mass_kg / constants().atomic_mass, "amu", "measured"),
+            (f"{sp.name}.sd_cross_section", None if sigma is None else sigma * 1e4, "cm2", "derived"),
+            (f"{sp.name}.reference_temperature", sp.reference_temperature_K, "K", "derived"),
+            (f"{sp.name}.slowing_factor", sp.slowing_factor, "", "derived"),
+            (f"{sp.name}.magnetic_moment", sp.magnetic_moment, "J/T", "derived"),
+            (f"{sp.name}.mean_relative_velocity", sp.mean_relative_velocity(), "m/s", "derived"),
         ]
-    report = Report("species catalog", _header(), tuple(rows))
-    return _render_report(report, args)
+    return "species catalog", {}, rows
 
 
-def _field_rows(result, fields: dict, prefix: str = "") -> list[ReportRow]:
+def _field_rows(result, fields: dict, prefix: str = "") -> list[tuple]:
     return [
-        ReportRow(f"{prefix}{label}", getattr(result, name), unit, provenance)
+        (f"{prefix}{label}", getattr(result, name), unit, provenance)
         for name, (label, unit, provenance) in fields.items()
     ]
 
 
-def _cmd_atomic(args) -> str:
-    catalog = _catalog(args)
-    species = catalog.get(args.species)
+def _cmd_atomic(args):
+    species = _catalog(args).get(args.species)
     density = parse_quantity(args.density, NUMBER_DENSITY).si
     volume = parse_quantity(args.volume, VOLUME).si
     temperature = parse_quantity(args.temp, TEMPERATURE).si if args.temp else None
     cell = VaporCell(species, density, volume, temperature)
-    rep = atomic_floor(cell)
-    report = Report(
-        "vapor-cell spin-destruction floor",
-        _header(
-            species=species.name,
-            number_density_per_m3=density,
-            volume_m3=volume,
-            cell_temperature_K=cell.temperature,
-        ),
-        tuple(_field_rows(rep, _ATOMIC_FIELDS)),
-    )
-    return _render_report(report, args)
+    inputs = {
+        "species": species.name,
+        "number_density_per_m3": density,
+        "volume_m3": volume,
+        "cell_temperature_K": cell.temperature,
+    }
+    return "vapor-cell spin-destruction floor", inputs, _field_rows(atomic_floor(cell), _ATOMIC_FIELDS)
 
 
-def _cmd_squid(args) -> str:
+def _cmd_squid(args):
     temperature = parse_quantity(args.temp, TEMPERATURE).si
     tau = parse_quantity(args.tau, TIME).si
     spec = SquidSpec(args.p, temperature, tau, args.measured)
     predicted = squid_erl(spec)
     rows = [
-        ReportRow("flux_noise_fraction", spec.flux_noise_fraction, "", "measured"),
-        ReportRow("bath_temperature", temperature, "K", "measured"),
-        ReportRow("measurement_time", tau, "s", "measured"),
-        ReportRow("info_gained", spec.info_nats, "nat", "derived"),
-        ReportRow("predicted_erl", predicted, "hbar", "predicted"),
+        ("flux_noise_fraction", spec.flux_noise_fraction, "", "measured"),
+        ("bath_temperature", temperature, "K", "measured"),
+        ("measurement_time", tau, "s", "measured"),
+        ("info_gained", spec.info_nats, "nat", "derived"),
+        ("predicted_erl", predicted, "hbar", "predicted"),
     ]
     if args.measured is not None:
-        rows.append(ReportRow("measured_erl", args.measured, "hbar", "measured"))
-        ratio = erl_ratio(args.measured, predicted)
-        rows.append(ReportRow("ratio_measured_to_predicted", ratio, "", "derived"))
-    report = Report(
-        "SQUID readout bound", _header(p=args.p, T_K=temperature, tau_s=tau), tuple(rows)
-    )
-    return _render_report(report, args)
+        rows += [
+            ("measured_erl", args.measured, "hbar", "measured"),
+            ("ratio_measured_to_predicted", erl_ratio(args.measured, predicted), "", "derived"),
+        ]
+    return "SQUID readout bound", {"p": args.p, "T_K": temperature, "tau_s": tau}, rows
 
 
-def _cmd_diamond(args) -> str:
+def _cmd_diamond(args):
     temperature = parse_quantity(args.temp, TEMPERATURE).si
     tau = parse_quantity(args.tau, TIME).si
     if (args.psd is None) != (args.volume is None):
         raise ValueError("--psd and --volume must be given together for the measured route")
     optimal = diamond_erl(temperature, tau)
     rows = [
-        ReportRow("bath_temperature", temperature, "K", "measured"),
-        ReportRow("relaxation_time", tau, "s", "measured"),
-        ReportRow("optimal_erl", optimal, "hbar", "predicted"),
+        ("bath_temperature", temperature, "K", "measured"),
+        ("relaxation_time", tau, "s", "measured"),
+        ("optimal_erl", optimal, "hbar", "predicted"),
     ]
-    header = _header(T_K=temperature, tau_s=tau)
     if args.psd is not None:
         psd = parse_quantity(args.psd, FIELD_NOISE_DENSITY).si
         volume = parse_quantity(args.volume, VOLUME).si
         measured = measured_erl_from_psd(psd, volume)
         rows += [
-            ReportRow("noise_density", psd, "T/rtHz", "measured"),
-            ReportRow("sensing_volume", volume, "m3", "measured"),
-            ReportRow("measured_erl", measured, "hbar", "measured"),
-            ReportRow("ratio_measured_to_optimal", erl_ratio(measured, optimal), "", "derived"),
+            ("noise_density", psd, "T/rtHz", "measured"),
+            ("sensing_volume", volume, "m3", "measured"),
+            ("measured_erl", measured, "hbar", "measured"),
+            ("ratio_measured_to_optimal", erl_ratio(measured, optimal), "", "derived"),
         ]
-    report = Report("diamond sensor bound", header, tuple(rows))
-    return _render_report(report, args)
+    return "diamond sensor bound", {"T_K": temperature, "tau_s": tau}, rows
 
 
-def _cmd_table1(args) -> str:
-    catalog = _catalog(args)
+def _cmd_table1(args):
     rows = []
-    for sp in catalog:
+    for sp in _catalog(args):
         rep = atomic_floor(VaporCell(sp, _TABLE1_DENSITY, _TABLE1_VOLUME))
         rows += [
-            ReportRow(f"{sp.name}.delta_B_floor", rep.delta_B_floor / 1e-17, "1e-17 T", "predicted"),
-            ReportRow(f"{sp.name}.erl", rep.erl_hbar, "hbar", "predicted"),
+            (f"{sp.name}.delta_B_floor", rep.delta_B_floor / 1e-17, "1e-17 T", "predicted"),
+            (f"{sp.name}.erl", rep.erl_hbar, "hbar", "predicted"),
         ]
-    report = Report(
-        "vapor floor at the reference cell",
-        _header(number_density_per_cm3=1e14, volume_cm3=10.0),
-        tuple(rows),
-    )
-    return _render_report(report, args)
+    inputs = {"number_density_per_cm3": 1e14, "volume_cm3": 10.0}
+    return "vapor floor at the reference cell", inputs, rows
 
 
-def _cmd_table2(args) -> str:
-    if getattr(args, "records", None):
-        records = load_published_records(args.records)
-    else:
-        records = default_published_records()
+def _cmd_table2(args):
+    records = load_published_records(args.records) if args.records else default_published_records()
     comparison = compare_published(records)
     if args.format == "csv":
         table = []
@@ -346,18 +303,12 @@ def _cmd_table2(args) -> str:
     for row in comparison:
         rows += _field_rows(row, _COMPARISON_FIELDS, f"{row.label}.")
         if row.flagged:
-            rows.append(
-                ReportRow(f"{row.label}.warning", "measured below prediction", "", "derived")
-            )
-    report = Report(
-        "SQUID energy resolution: prediction vs measurement",
-        _header(records=len(comparison)),
-        tuple(rows),
-    )
-    return _render_report(report, args)
+            rows.append((f"{row.label}.warning", "measured below prediction", "", "derived"))
+    title = "SQUID energy resolution: prediction vs measurement"
+    return title, {"records": len(comparison)}, rows
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args):
     # imported here, not at the top: the analytic commands need no numpy
     from .spinsim import (
         SimConfig,
@@ -396,18 +347,27 @@ def _cmd_simulate(args) -> str:
             ("variance", "std_error", "mean"),
             [(result.variance_at_horizon, result.standard_error, result.mean_over_trajectories)],
         )
-    report = Report(
-        "spin-noise transient Monte Carlo",
-        _header(**config.config_echo()),
-        (
-            ReportRow("variance_at_horizon", result.variance_at_horizon, "", "predicted"),
-            ReportRow("uncertainty", math.sqrt(result.variance_at_horizon), "", "predicted"),
-            ReportRow("mean_over_trajectories", result.mean_over_trajectories, "", "derived"),
-            ReportRow("standard_error_of_mean", result.standard_error, "", "derived"),
-            ReportRow("variance_standard_error", result.variance_standard_error, "", "derived"),
-        ),
-    )
-    return _render_report(report, args)
+    return "spin-noise transient Monte Carlo", config.config_echo(), [
+        ("variance_at_horizon", result.variance_at_horizon, "", "predicted"),
+        ("uncertainty", math.sqrt(result.variance_at_horizon), "", "predicted"),
+        ("mean_over_trajectories", result.mean_over_trajectories, "", "derived"),
+        ("standard_error_of_mean", result.standard_error, "", "derived"),
+        ("variance_standard_error", result.variance_standard_error, "", "derived"),
+    ]
+
+
+def _render(content, args) -> str:
+    """A handler's finished string as it is; its ``(title, inputs, rows)`` as
+    one report in ``--format``, its header the tool and then the inputs."""
+    if isinstance(content, str):
+        return content
+    title, inputs, rows = content
+    report = Report(title, {"tool": f"erlab {__version__}", **inputs}, tuple(rows))
+    if args.format == "json":
+        return render_json(report)
+    if args.format == "csv":
+        return render_csv(report, args.digits)
+    return render_text(report, args.digits)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
         message = f"--digits must be from 0 to {_MAX_DIGITS}, got {args.digits}"
         return _fail(EXIT_VALIDATION, "validation", message)
     try:
-        content = args.handler(args)
+        content = _render(args.handler(args), args)
     except _UsageError as exc:
         return _fail(EXIT_USAGE, "usage", exc)
     except KeyError as exc:

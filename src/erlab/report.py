@@ -1,8 +1,8 @@
 """Uniform report model for CLI output.
 
 A report is a header (tool version plus an echo of the parsed inputs) and
-a flat list of labeled, unit-tagged rows.  Each row carries a provenance
-tag: ``predicted`` (model output), ``measured`` (taken from published
+a flat list of ``(label, value, unit, provenance)`` rows.  The provenance
+tag is``predicted`` (model output), ``measured`` (taken from published
 data), or ``derived`` (intermediate quantity).  Rows in hbar units are
 labeled ``hbar``.  A missing value is ``None``: ``null`` in JSON, ``nan`` elsewhere.
 
@@ -20,27 +20,22 @@ import json
 from dataclasses import dataclass
 
 PROVENANCE_TAGS = ("predicted", "measured", "derived")
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    value: float | int | str | None
-    unit: str
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(
-                f"provenance must be one of {PROVENANCE_TAGS}, got {self.provenance!r}"
-            )
+# the fields of a row, which are also the columns of its CSV and the keys of its JSON
+_COLUMNS = ("label", "value", "unit", "provenance")
 
 
 @dataclass(frozen=True)
 class Report:
     title: str
     header: dict
-    rows: tuple[ReportRow, ...]
+    rows: tuple[tuple[str, float | int | str | None, str, str], ...]
+
+    def __post_init__(self):
+        for label, _, _, provenance in self.rows:
+            if provenance not in PROVENANCE_TAGS:
+                raise ValueError(
+                    f"row {label!r}: provenance must be one of {PROVENANCE_TAGS}, got {provenance!r}"
+                )
 
 
 def format_value(value, digits: int = 6) -> str:
@@ -53,15 +48,19 @@ def format_value(value, digits: int = 6) -> str:
     return f"{value:.{digits}g}"
 
 
+def _formatted(report: Report, digits: int) -> list[tuple[str, str, str, str]]:
+    return [
+        (label, format_value(value, digits), unit, provenance)
+        for label, value, unit, provenance in report.rows
+    ]
+
+
 def render_text(report: Report, digits: int = 6) -> str:
     lines = [f"# {report.title}"]
     for key, value in report.header.items():
         lines.append(f"# {key}: {format_value(value, digits)}")
     if report.rows:
-        table = [
-            (row.label, format_value(row.value, digits), row.unit, row.provenance)
-            for row in report.rows
-        ]
+        table = _formatted(report, digits)
         widths = [max(len(entry[i]) for entry in table) for i in range(3)]
         for label, value, unit, provenance in table:
             lines.append(
@@ -74,15 +73,7 @@ def render_json(report: Report) -> str:
     doc = {
         "title": report.title,
         "header": report.header,
-        "rows": [
-            {
-                "label": row.label,
-                "value": row.value,
-                "unit": row.unit,
-                "provenance": row.provenance,
-            }
-            for row in report.rows
-        ],
+        "rows": [dict(zip(_COLUMNS, row)) for row in report.rows],
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -100,8 +91,4 @@ def csv_text(columns, rows) -> str:
 
 
 def render_csv(report: Report, digits: int = 6) -> str:
-    return csv_text(
-        ("label", "value", "unit", "provenance"),
-        [(row.label, format_value(row.value, digits), row.unit, row.provenance)
-         for row in report.rows],
-    )
+    return csv_text(_COLUMNS, _formatted(report, digits))

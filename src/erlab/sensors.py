@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .bounds import THEORETICAL_FLOOR_HBAR, erl_quantum, spin_temperature
 from .species import Species
-from .units import constants, require
+from .units import brief, constants, require
 
 __all__ = [
     "VaporCell",
@@ -359,7 +359,7 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
         for key in ("p", "T_K", "tau_s", "measured_erl_hbar"):
             value = rec.get(key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{where}: field {key!r} must be a number, got {value!r}")
+                raise ValueError(f"{where}: field {key!r} must be a number, got {brief(repr(value))}")
             values.append(float(require(value, f"{where}: field {key!r}", "finite")))
         try:
             spec = SquidSpec(*values)

@@ -25,7 +25,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
-from .units import constants, require
+from .units import brief, constants, require
 
 __all__ = [
     "slowing_factor",
@@ -50,9 +50,9 @@ def slowing_factor(nuclear_spin) -> float:
     require(nuclear_spin, "nuclear spin", "finite")
     n, d = Fraction(nuclear_spin).as_integer_ratio()  # in lowest terms, d > 0
     if d > 2:
-        raise ValueError(f"nuclear spin must be a half-integer, got {nuclear_spin!r}")
+        raise ValueError(f"nuclear spin must be a half-integer, got {brief(repr(nuclear_spin))}")
     if n < 0:
-        raise ValueError(f"nuclear spin must be non-negative, got {nuclear_spin!r}")
+        raise ValueError(f"nuclear spin must be non-negative, got {brief(repr(nuclear_spin))}")
     k = 2 * n // d  # 2I
     try:
         # S(S+1) = 3/4 and I(I+1) = k(k+2)/4; one correctly rounded division
@@ -164,6 +164,7 @@ class SpeciesCatalog:
 
 def _parse_spin(text, where: str) -> Fraction:
     text = str(text)
+    prefix = f"{where}: nuclear_spin {brief(repr(text))}"
     try:
         exponent = Decimal(text).adjusted()
     except InvalidOperation:  # a ratio such as "3/2", or not a number
@@ -171,15 +172,15 @@ def _parse_spin(text, where: str) -> Fraction:
     # Fraction would build 10**exponent exactly; past 1e400 no spin has a
     # finite slowing factor, and below 1e-400 no nonzero number is a half-integer
     if abs(exponent) > 400:
-        raise ValueError(f"{where}: nuclear_spin {text!r}: exponent {exponent} is outside -400..400")
+        raise ValueError(f"{prefix}: exponent {exponent} is outside -400..400")
     try:
         spin = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{where}: nuclear_spin {text!r} is not a fraction") from None
+        raise ValueError(f"{prefix} is not a fraction") from None
     try:
         magnetic_moment(slowing_factor(spin))
     except ValueError as exc:
-        raise ValueError(f"{where}: nuclear_spin {text!r}: {exc}") from None
+        raise ValueError(f"{prefix}: {exc}") from None
     return spin
 
 
@@ -189,7 +190,7 @@ def _require_positive(record: dict, key: str, where: str) -> float:
     except KeyError:
         raise ValueError(f"{where}: missing field {key!r}") from None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{where}: field {key!r} must be a positive number, got {value!r}")
+        raise ValueError(f"{where}: field {key!r} must be a positive number, got {brief(repr(value))}")
     return float(require(value, f"{where}: field {key!r}", "a positive number"))
 
 

@@ -277,12 +277,8 @@ def simulate_transient(
         blocks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
         # each reset holds the GIL, so workers are processes, and beyond the
         # usable cores they only contend
-        workers = min(workers, usable_cpus(), len(blocks))
-        if workers > 1 and hasattr(os, "fork"):
-            _run_forked(blocks, workers, run_block, horizon_values)
-        else:
-            for block in blocks:
-                run_block(*block)
+        workers = min(workers, usable_cpus(), len(blocks)) if hasattr(os, "fork") else 1
+        _run_blocks(blocks, workers, run_block, horizon_values)
 
     mean = float(horizon_values.mean())
     if M > 1:
@@ -312,11 +308,11 @@ def simulate_transient(
     )
 
 
-def _run_forked(blocks, workers: int, run_block, out: np.ndarray) -> None:
+def _run_blocks(blocks, workers: int, run_block, out: np.ndarray) -> None:
     """Run block k on worker k mod ``workers``: this process is worker 0 and
     forks the others, which send their blocks' slices of ``out`` back
-    through a pipe each.  Every forked worker is reaped before this returns
-    or raises."""
+    through a pipe each; one worker forks nothing.  Every forked worker is
+    reaped before this returns or raises."""
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     done = False
     try:

@@ -7,7 +7,8 @@ owns three things:
 * the boundary parser that turns unit-tagged inputs (``1e14/cm3``,
   ``10cm3``, ``300pT/rtHz``, ...) into finite SI values while checking
   their dimension, and
-* ``require``, the domain check of every float value.
+* ``require``, the domain check of every float value, and ``brief``, which
+  keeps the value quoted in an error message short.
 
 Dimensions are exponent vectors over the SI base (kg, m, s, A, K) with
 ``fractions.Fraction`` entries so that square roots of dimensioned
@@ -32,6 +33,7 @@ __all__ = [
     "constants",
     "parse_quantity",
     "require",
+    "brief",
     "DIMENSIONLESS",
     "LENGTH",
     "TIME",
@@ -227,18 +229,32 @@ _DOMAINS = {
 }
 
 
+# longest value text an error message quotes whole; a float's repr is at most 24
+_BRIEF_CHARS = 40
+
+
+def brief(text: str) -> str:
+    """``text``, or if it is longer than ``_BRIEF_CHARS`` its head and its
+    length, so that a message quoting a value (a 4000-digit integer, say)
+    stays one short line."""
+    if len(text) <= _BRIEF_CHARS:
+        return text
+    return f"{text[:_BRIEF_CHARS]}... ({len(text)} characters)"
+
+
 def require(value: float, name: str, domain: str = "positive") -> float:
     """``value`` if it is finite and in ``domain``, else ValueError:
     "<name> must be finite, got nan" for NaN and +-inf, and
-    "<name> must be <domain>, got <value>" for a finite value."""
+    "<name> must be <domain>, got <value>" for a finite value, with the
+    value shortened by ``brief``."""
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past the float range
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {brief(str(value))}")
     if not _DOMAINS[domain](value):
-        raise ValueError(f"{name} must be {domain}, got {value}")
+        raise ValueError(f"{name} must be {domain}, got {brief(str(value))}")
     return value
 
 

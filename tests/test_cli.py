@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from erlab.cli import main as cli_main
-from erlab.report import Report, ReportRow, render_json, render_text
+from erlab.report import Report, render_json, render_text
 from erlab.sensors import VaporCell, atomic_floor
 from erlab.species import default_catalog
 
@@ -413,7 +413,7 @@ def test_io_errors_exit_3(args):
     assert proc.stderr.startswith("erlab: error: io:")
 
 
-def test_bad_records_content_is_validation_error(tmp_path):
+def test_bad_records_content_is_validation_error(tmp_path, monkeypatch):
     path = tmp_path / "records.json"
     for content in (
         "{\"oops\": 1}",
@@ -430,6 +430,16 @@ def test_bad_records_content_is_validation_error(tmp_path):
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"erlab: error: validation: {path}: ")
+    # a 4001-digit integer, or a 4000-character string, is quoted by its head only
+    monkeypatch.chdir(tmp_path)
+    for value in ("1" + "0" * 4000, '"%s"' % ("9" * 4000)):
+        path.write_text(
+            '[{"label": "a", "p": 1e-6, "T_K": %s, "tau_s": 1e-6, "measured_erl_hbar": 5}]' % value
+        )
+        code, out, err = _main_in_process("compare", "--records", path.name)
+        assert (code, out) == (2, "")
+        assert err.startswith("erlab: error: validation: records.json: record 0: field 'T_K' must be ")
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +494,15 @@ def _argv(draw, dump_dir):
 
 def test_json_is_strict_and_a_missing_value_is_null():
     with pytest.raises(ValueError):
-        render_json(Report("t", {}, (ReportRow("x", math.inf, "", "derived"),)))
-    missing = Report("t", {}, (ReportRow("x", None, "", "derived"),))
+        render_json(Report("t", {}, (("x", math.inf, "", "derived"),)))
+    missing = Report("t", {}, (("x", None, "", "derived"),))
     assert json.loads(render_json(missing))["rows"][0]["value"] is None
     assert render_text(missing).splitlines()[-1].split() == ["x", "nan", "derived"]
+
+
+def test_report_refuses_an_unknown_provenance_and_names_the_row():
+    with pytest.raises(ValueError, match=r"row 'y': provenance must be one of .*, got 'guessed'"):
+        Report("t", {}, (("x", 1.0, "", "derived"), ("y", 2.0, "", "guessed")))
 
 
 def _reject_constant(name):

@@ -213,6 +213,11 @@ def test_load_catalog_rejects_duplicate_names(tmp_path):
         {"nuclear_spin": "1e5000"},
         {"nuclear_spin": "1e10000000"},
         {"nuclear_spin": "1e-10000000"},
+        # values whose text is thousands of characters long, quoted by their head only
+        {"mass_amu": 10**4000},
+        {"nuclear_spin": "1e-400"},  # Fraction(1, 10**400)
+        {"nuclear_spin": "0.5" + "0" * 4000 + "1"},
+        {"mass_amu": "9" * 4000},
     ],
 )
 def test_load_catalog_rejects_bad_rows(tmp_path, patch):
@@ -224,6 +229,7 @@ def test_load_catalog_rejects_bad_rows(tmp_path, patch):
     message = str(info.value)
     assert next(iter(patch)) in message  # names the bad field
     assert "\n" not in message and "set_int_max_str_digits" not in message
+    assert len(message.encode()) < 200 + len(str(path).encode())  # a long value is cut
 
 
 def test_load_catalog_names_the_file_for_unparseable_json(tmp_path):
