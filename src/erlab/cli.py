@@ -10,6 +10,11 @@ Every dimensioned value on the command line must carry a unit suffix
 (``1e14/cm3``, ``10cm3``, ``0.5e-5s``, ``300pT/rtHz``); bare numbers are
 accepted only for dimensionless parameters.  Exit codes: 0 success,
 1 usage error, 2 validation error, 3 I/O error.
+
+Each command imports only what it runs: every ``_cmd_*`` handler, and
+``_catalog`` and ``_render``, imports its own ``sensors``, ``species``,
+``report`` and ``spinsim`` names, so ``--version`` loads none of them and
+only ``simulate`` loads numpy.  Only ``units`` is imported at the top.
 """
 
 from __future__ import annotations
@@ -20,27 +25,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .report import (
-    Report,
-    csv_text,
-    format_value,
-    render_csv,
-    render_json,
-    render_text,
-)
-from .sensors import (
-    SquidSpec,
-    VaporCell,
-    atomic_floor,
-    compare_published,
-    default_published_records,
-    diamond_erl,
-    erl_ratio,
-    load_published_records,
-    measured_erl_from_psd,
-    squid_erl,
-)
-from .species import default_catalog, load_catalog
 from .units import (
     FIELD_NOISE_DENSITY,
     NUMBER_DENSITY,
@@ -174,8 +158,8 @@ def _build_parser() -> _Parser:
         "--workers",
         type=int,
         help=(
-            "worker processes (default: the usable CPU count, from the CPU affinity "
-            "set, which a container's CPU quota does not shrink; output-invariant)"
+            "worker processes (default: the usable CPU count, the CPU affinity set "
+            "capped at a cgroup CPU quota; output-invariant)"
         ),
     )
     p.add_argument(
@@ -193,6 +177,8 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _catalog(args):
+    from .species import default_catalog, load_catalog
+
     return load_catalog(args.species_file) if args.species_file else default_catalog()
 
 
@@ -220,6 +206,8 @@ def _field_rows(result, fields: dict, prefix: str = "") -> list[tuple]:
 
 
 def _cmd_atomic(args):
+    from .sensors import VaporCell, atomic_floor
+
     species = _catalog(args).get(args.species)
     density = parse_quantity(args.density, NUMBER_DENSITY).si
     volume = parse_quantity(args.volume, VOLUME).si
@@ -235,6 +223,8 @@ def _cmd_atomic(args):
 
 
 def _cmd_squid(args):
+    from .sensors import SquidSpec, erl_ratio, squid_erl
+
     temperature = parse_quantity(args.temp, TEMPERATURE).si
     tau = parse_quantity(args.tau, TIME).si
     spec = SquidSpec(args.p, temperature, tau, args.measured)
@@ -255,6 +245,8 @@ def _cmd_squid(args):
 
 
 def _cmd_diamond(args):
+    from .sensors import diamond_erl, erl_ratio, measured_erl_from_psd
+
     temperature = parse_quantity(args.temp, TEMPERATURE).si
     tau = parse_quantity(args.tau, TIME).si
     if (args.psd is None) != (args.volume is None):
@@ -279,6 +271,8 @@ def _cmd_diamond(args):
 
 
 def _cmd_table1(args):
+    from .sensors import VaporCell, atomic_floor
+
     rows = []
     for sp in _catalog(args):
         rep = atomic_floor(VaporCell(sp, _TABLE1_DENSITY, _TABLE1_VOLUME))
@@ -291,6 +285,9 @@ def _cmd_table1(args):
 
 
 def _cmd_table2(args):
+    from .report import csv_text, format_value
+    from .sensors import compare_published, default_published_records, load_published_records
+
     records = load_published_records(args.records) if args.records else default_published_records()
     comparison = compare_published(records)
     if args.format == "csv":
@@ -309,7 +306,7 @@ def _cmd_table2(args):
 
 
 def _cmd_simulate(args):
-    # imported here, not at the top: the analytic commands need no numpy
+    from .report import csv_text
     from .spinsim import (
         SimConfig,
         result_to_json,
@@ -361,6 +358,8 @@ def _render(content, args) -> str:
     one report in ``--format``, its header the tool and then the inputs."""
     if isinstance(content, str):
         return content
+    from .report import Report, render_csv, render_json, render_text
+
     title, inputs, rows = content
     report = Report(title, {"tool": f"erlab {__version__}", **inputs}, tuple(rows))
     if args.format == "json":

@@ -8,8 +8,9 @@ labeled ``hbar``.  A missing value is ``None``: ``null`` in JSON, ``nan`` elsewh
 
 Three renderers: aligned text (floats at a configurable number of
 significant digits, default 6), JSON (full-precision, canonical key
-order, strict RFC 8259: no NaN or Infinity), and CSV.  ``csv_text`` is
-the one CSV writer; the CLI's wide tables go through it too.
+order, strict RFC 8259: no NaN or Infinity), and CSV.  ``write_csv`` is
+the one CSV writer: ``csv_text`` wraps it for the CLI's tables, and the
+simulator streams its trajectory dumps through it.
 """
 
 from __future__ import annotations
@@ -78,15 +79,20 @@ def render_json(report: Report) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def csv_text(columns, rows) -> str:
-    """CSV with a header line of ``columns`` and one line per row.
-
-    Floats in ``rows`` are written with ``repr``, so they round-trip.
+def write_csv(stream, columns, rows) -> None:
+    """Write CSV to the text ``stream``: a header line of ``columns`` and one
+    line per row, taking ``rows`` one at a time, so an iterator is never held
+    whole.  Floats in ``rows`` are written with ``repr``, so they round-trip.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
+
+
+def csv_text(columns, rows) -> str:
+    """``write_csv`` of ``columns`` and ``rows`` as a string."""
+    buf = io.StringIO()
+    write_csv(buf, columns, rows)
     return buf.getvalue()
 
 

@@ -29,10 +29,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bounds import THEORETICAL_FLOOR_HBAR, erl_quantum, spin_temperature
-from .species import Species
 from .units import brief, constants, require
+
+if TYPE_CHECKING:  # an annotation only; the CLI's squid and diamond need no species
+    from .species import Species
 
 __all__ = [
     "VaporCell",
@@ -359,7 +362,7 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
         for key in ("p", "T_K", "tau_s", "measured_erl_hbar"):
             value = rec.get(key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{where}: field {key!r} must be a number, got {brief(repr(value))}")
+                raise ValueError(f"{where}: field {key!r} must be a number, got {brief(value, repr)}")
             values.append(float(require(value, f"{where}: field {key!r}", "finite")))
         try:
             spec = SquidSpec(*values)

@@ -50,9 +50,9 @@ def slowing_factor(nuclear_spin) -> float:
     require(nuclear_spin, "nuclear spin", "finite")
     n, d = Fraction(nuclear_spin).as_integer_ratio()  # in lowest terms, d > 0
     if d > 2:
-        raise ValueError(f"nuclear spin must be a half-integer, got {brief(repr(nuclear_spin))}")
+        raise ValueError(f"nuclear spin must be a half-integer, got {brief(nuclear_spin, repr)}")
     if n < 0:
-        raise ValueError(f"nuclear spin must be non-negative, got {brief(repr(nuclear_spin))}")
+        raise ValueError(f"nuclear spin must be non-negative, got {brief(nuclear_spin, repr)}")
     k = 2 * n // d  # 2I
     try:
         # S(S+1) = 3/4 and I(I+1) = k(k+2)/4; one correctly rounded division
@@ -164,7 +164,7 @@ class SpeciesCatalog:
 
 def _parse_spin(text, where: str) -> Fraction:
     text = str(text)
-    prefix = f"{where}: nuclear_spin {brief(repr(text))}"
+    prefix = f"{where}: nuclear_spin {brief(text, repr)}"
     try:
         exponent = Decimal(text).adjusted()
     except InvalidOperation:  # a ratio such as "3/2", or not a number
@@ -190,7 +190,7 @@ def _require_positive(record: dict, key: str, where: str) -> float:
     except KeyError:
         raise ValueError(f"{where}: missing field {key!r}") from None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{where}: field {key!r} must be a positive number, got {brief(repr(value))}")
+        raise ValueError(f"{where}: field {key!r} must be a positive number, got {brief(value, repr)}")
     return float(require(value, f"{where}: field {key!r}", "a positive number"))
 
 

@@ -32,6 +32,8 @@ weighted and reduced row by row in one call.  With ``workers`` > 1 the
 blocks are shared out among forked worker processes, which pipe their
 horizon values back; processes, not threads, because each reset holds
 the GIL.  Sampled paths are redrawn afterwards from their own counters.
+A dump streams its rows straight to its file, so writing one needs a
+constant amount of memory beyond the sampled path itself.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import csv_text
+from .report import write_csv
 from .units import require
 
 __all__ = [
@@ -69,6 +71,12 @@ _ROW_BUFFER = 2**14  # float64 draws buffered per fill (128 KiB); nor on this
 # memory budget, checked before allocating: float64 values (128 MiB) in any one
 # array, of trajectory count, step count or sample count x step count values
 MAX_ARRAY_LENGTH = 2**24
+# a cgroup CPU quota caps usable_cpus: each entry is the files whose text, joined,
+# reads "<quota> <period>"; cgroup v2 has one file, v1 two
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
 
 
 def _within_budget(what: str, count) -> None:
@@ -189,12 +197,29 @@ def scheme_variance(config: SimConfig) -> float:
     return float(np.sum(coeff * coeff)) * scale * scale
 
 
+def _cpu_quota() -> int | None:
+    """This process's cgroup CPU quota in whole CPUs, ceil(quota / period),
+    or None where none is set ("max", -1), or no file is there or parses."""
+    for files in _CPU_QUOTA_FILES:
+        try:
+            text = " ".join(Path(f).read_text() for f in files)
+            quota, period = (int(field) for field in text.split())
+        except (OSError, ValueError):  # no such file, "max", or not two integers
+            continue
+        if quota > 0 and period > 0:
+            return -(-quota // period)
+    return None
+
+
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
+    """CPUs this process may run on: its affinity set where the platform has
+    one, capped at its cgroup CPU quota where one is set."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # sched_getaffinity is not on every platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _as_int(value, valid, message: str) -> int:
@@ -384,7 +409,10 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
 
 
 def write_trajectory_csv(sample: TrajectorySample, path: str | Path) -> None:
-    """One trajectory as CSV with columns t_over_tau,value."""
-    # Python floats, so csv writes their repr; lazily, as lists would raise peak memory
+    """One trajectory as CSV with columns t_over_tau,value, streamed to
+    ``path`` row by row, so the extra memory does not grow with the step count."""
+    # Python floats, so csv writes their repr; lazily, as lists would raise peak
+    # memory.  Text mode with the default newline handling, as for every output.
     rows = zip(map(float, sample.t_over_tau), map(float, sample.values))
-    Path(path).write_text(csv_text(("t_over_tau", "value"), rows), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as stream:
+        write_csv(stream, ("t_over_tau", "value"), rows)

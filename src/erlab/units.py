@@ -233,13 +233,32 @@ _DOMAINS = {
 _BRIEF_CHARS = 40
 
 
-def brief(text: str) -> str:
-    """``text``, or if it is longer than ``_BRIEF_CHARS`` its head and its
-    length, so that a message quoting a value (a 4000-digit integer, say)
-    stays one short line."""
-    if len(text) <= _BRIEF_CHARS:
-        return text
-    return f"{text[:_BRIEF_CHARS]}... ({len(text)} characters)"
+def brief(value, text=str) -> str:
+    """``text(value)``, or if it is longer than ``_BRIEF_CHARS`` its head and
+    its length, so that a message quoting a value (a 4000-digit integer, say)
+    stays one short line.  An integer too long for Python to convert to text
+    (``sys.get_int_max_str_digits()``), alone or as a term of a Fraction, is
+    quoted by its size instead: ``<integer of 5001 digits>``, or
+    ``<negative fraction of 1/5001 digits>`` for numerator and denominator."""
+    try:
+        quoted = text(value)
+    except ValueError:
+        if not isinstance(value, (int, Fraction)):
+            raise
+        sign = "negative " if value < 0 else ""
+        if isinstance(value, int):
+            return f"<{sign}integer of {_digits(value)} digits>"
+        return f"<{sign}fraction of {_digits(value.numerator)}/{_digits(value.denominator)} digits>"
+    if len(quoted) <= _BRIEF_CHARS:
+        return quoted
+    return f"{quoted[:_BRIEF_CHARS]}... ({len(quoted)} characters)"
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of ``n``, without converting it to text."""
+    n = abs(n)
+    d = int(n.bit_length() * 0.30102999566398120)  # log10(2): d or d + 1 digits
+    return max(1, d + (n >= 10**d))
 
 
 def require(value: float, name: str, domain: str = "positive") -> float:
@@ -252,9 +271,9 @@ def require(value: float, name: str, domain: str = "positive") -> float:
     except OverflowError:  # an int past the float range
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be finite, got {brief(str(value))}")
+        raise ValueError(f"{name} must be finite, got {brief(value)}")
     if not _DOMAINS[domain](value):
-        raise ValueError(f"{name} must be {domain}, got {brief(str(value))}")
+        raise ValueError(f"{name} must be {domain}, got {brief(value)}")
     return value
 
 

@@ -9,10 +9,13 @@ import pytest
 @pytest.fixture
 def fake_cpus(monkeypatch):
     """Call with ``count`` to make the simulator see that many usable CPUs,
-    whatever the host has."""
+    whatever the host has: an affinity set of ``count`` CPUs and no CPU quota."""
 
     def fake(count: int) -> None:
+        from erlab import spinsim
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        monkeypatch.setattr(spinsim, "_CPU_QUOTA_FILES", ())
 
     return fake
 

@@ -3,6 +3,7 @@ in-process property test over arbitrary numeric inputs."""
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -194,14 +195,25 @@ def _imports(*args):
     return modules, proc
 
 
+# argv -> modules its process must not load: each command imports only
+# what it runs, and only simulate loads numpy
+_LAYERING = (
+    (("-c", "import erlab.cli"), {"numpy"}),
+    (("-m", "erlab", "table1"), {"numpy"}),
+    (("-m", "erlab", "--version"), {"numpy", "erlab.sensors", "erlab.species", "erlab.report"}),
+    (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds"}),
+    (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"), {"numpy", "erlab.species"}),
+    (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"), {"numpy", "erlab.species"}),
+    (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "100", "--seed", "1"),
+     {"erlab.sensors", "erlab.species", "erlab.bounds"}),
+)
+
+
 def test_only_simulate_imports_numpy():
-    for args in (("-c", "import erlab.cli"), ("-m", "erlab", "table1")):
+    for args, absent in _LAYERING:
         modules, proc = _imports(*args)
-        assert proc.returncode == 0
-        assert "erlab.cli" in modules and "numpy" not in modules
-    modules, proc = _imports("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "100",
-                             "--seed", "1")
-    assert proc.returncode == 0
+        assert proc.returncode == 0, args
+        assert "erlab.cli" in modules and not modules & absent, (args, modules & absent)
     assert "numpy" in modules
     assert json.loads(proc.stdout)["config_echo"]["trajectory_count"] == 100
 
@@ -283,6 +295,31 @@ def test_simulate_trajectory_dumps(tmp_path):
         assert lines[0] == "t_over_tau,value"
         assert len(lines) == 12  # header + t=0 + 10 steps
         assert lines[1] == "0.0,0.0"
+
+
+# SHA-256 of each dump of simulate --atoms 100 --trajectories 10
+# --steps-per-tau 1000 at two seeds, pinned from the build that built each
+# dump in memory before writing it
+DUMP_DIGESTS = {
+    ("7", 0): "f2bf9c578bc6d7ca203a805e2e73c04aa3d6109ff0c83d3eb8ac6be9efa94b2b",
+    ("7", 3): "f3d5a481e45ca8fb2d3b2b96fa2e03c6af0626897879bef387868622992826df",
+    ("18446744073709551615", 0): "5ca1fe93aeae927b322bac0461ec81d317ec460c8224f808ed27300e7f64642e",
+    ("18446744073709551615", 9): "b452c1c4f22add4fda2d177b38e8e88db4403a3b141b51a9c527d9a97a35075a",
+}
+
+
+def test_trajectory_dump_bytes_are_pinned(tmp_path):
+    for seed in ("7", "18446744073709551615"):
+        indices = [idx for s, idx in DUMP_DIGESTS if s == seed]
+        code, _, err = _main_in_process(
+            "simulate", "--atoms", "100", "--trajectories", "10", "--seed", seed,
+            "--steps-per-tau", "1000", "--dump-trajectories", ",".join(map(str, indices)),
+            "--dump-dir", str(tmp_path),
+        )
+        assert (code, err) == (0, "")
+        for idx in indices:
+            data = (tmp_path / f"trajectory_{idx}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == DUMP_DIGESTS[seed, idx], (seed, idx)
 
 
 def test_simulate_matches_analytic_from_cli():

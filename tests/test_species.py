@@ -42,6 +42,19 @@ def test_slowing_factor_rejects_non_half_integer():
         slowing_factor(-0.5)
 
 
+def test_slowing_factor_quotes_an_integer_too_long_to_print_by_its_size():
+    # past Python's 4300-digit limit, repr() itself raises ValueError
+    for spin, message in (
+        (Fraction(1, 10**5000), "nuclear spin must be a half-integer, got <fraction of 1/5001 digits>"),
+        (-(10**5000), "nuclear spin must be finite, got <negative integer of 5001 digits>"),
+    ):
+        with pytest.raises(ValueError) as info:
+            slowing_factor(spin)
+        text = str(info.value)
+        assert text == message
+        assert len(text.encode()) < 200 and "\n" not in text
+
+
 def test_magnetic_moment_scales_bohr_magneton():
     assert magnetic_moment(6) == C.mu_B / 6
     assert magnetic_moment(1) == C.mu_B

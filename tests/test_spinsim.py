@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from erlab import spinsim
 from erlab.spinsim import (
     SimConfig,
+    TrajectorySample,
     analytic_variance,
     result_to_json,
     scheme_variance,
@@ -261,7 +263,7 @@ def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, fake_cpus, chu
         assert a.values.tobytes() == b.values.tobytes()
 
 
-def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, fake_cpus, record_forks):
+def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, tmp_path, fake_cpus, record_forks):
     forks = record_forks()
     monkeypatch.setattr(spinsim, "_CHUNK", 100)
     cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=4)  # three blocks
@@ -276,6 +278,10 @@ def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, fake_cpus, record_f
     fake_cpus(2)
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
     assert len(forks) == 3  # two workers, capped by the CPU count
+    fake_cpus(8)
+    _quota_files(monkeypatch, tmp_path, {"cpu.max": "200000 100000\n"})
+    assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
+    assert len(forks) == 4  # two workers, capped by the CPU quota
 
 
 def test_a_large_affinity_set_starts_at_most_one_process_per_block(fake_cpus, record_forks):
@@ -305,6 +311,34 @@ def test_a_failed_worker_raises_and_leaves_no_child(fake_cpus, record_forks, sen
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def _quota_files(monkeypatch, tmp_path, files: dict) -> None:
+    """Point the cgroup v2 file (``cpu.max``) and the v1 pair (``quota``,
+    ``period``) at ``tmp_path``, holding ``files``; the rest are missing."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = ((tmp_path / "cpu.max",), (tmp_path / "quota", tmp_path / "period"))
+    monkeypatch.setattr(spinsim, "_CPU_QUOTA_FILES", paths)
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "200000 100000\n"}, 2),
+    ({"cpu.max": "150000 100000\n"}, 2),  # 1.5 CPUs round up
+    ({"cpu.max": "1600000 100000\n"}, 8),  # a quota above the affinity set
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu.max": "garbage\n"}, 8),
+    ({"cpu.max": "0 100000\n"}, 8),
+    ({"quota": "50000\n", "period": "100000\n"}, 1),
+    ({"quota": "-1\n", "period": "100000\n"}, 8),
+    ({"quota": "300000\n"}, 8),  # no period file
+    ({}, 8),
+], ids=["v2", "v2-round-up", "v2-above-affinity", "v2-max", "v2-garbage", "v2-zero",
+        "v1", "v1-unlimited", "v1-no-period", "no-files"])
+def test_usable_cpus_honours_a_cgroup_cpu_quota(monkeypatch, tmp_path, fake_cpus, files, cpus):
+    fake_cpus(8)
+    _quota_files(monkeypatch, tmp_path, files)
+    assert spinsim.usable_cpus() == cpus
 
 
 def test_without_fork_blocks_run_serially(monkeypatch, fake_cpus):
@@ -376,6 +410,27 @@ def test_trajectory_csv_format(tmp_path):
     assert float(t) == 0.0 and float(v) == 0.0
     # full-precision round trip
     assert float(lines[-1].split(",")[1]) == res.trajectory_sample[0].values[-1]
+
+
+def test_a_dump_streams_to_its_file_in_constant_memory(tmp_path):
+    # traced peaks at two step counts: building the whole text first grew
+    # with the step count (8.4 MiB at 2^16 steps); streaming takes a
+    # constant 0.16 MiB, the same at 2^20 steps, which is left out here as
+    # it takes about 10 s under tracemalloc
+    peaks = []
+    for steps in (2**12, 2**16):
+        values = np.random.default_rng(1).standard_normal(steps + 1)
+        sample = TrajectorySample(0, np.arange(steps + 1) / steps, values)
+        path = tmp_path / f"traj_{steps}.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(sample, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 30 * steps
+    assert peaks[1] < 2**20
+    assert abs(peaks[1] - peaks[0]) < 2**16
 
 
 @pytest.mark.parametrize(

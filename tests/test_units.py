@@ -23,8 +23,10 @@ from erlab.units import (
     VOLUME,
     Dimension,
     DimensionError,
+    brief,
     constants,
     parse_quantity,
+    require,
 )
 
 C = constants()
@@ -179,6 +181,28 @@ def test_parse_rejects_nonfinite_si_value():
     # finite as written, but the unit scale overflows it
     with pytest.raises(ValueError, match="not finite"):
         parse_quantity("1e305cm^-3", NUMBER_DENSITY)
+
+
+def test_require_quotes_an_integer_too_long_to_print_by_its_size():
+    # past Python's 4300-digit limit, str() itself raises ValueError
+    for value, domain, message in (
+        (10**5000, "positive", "x must be finite, got <integer of 5001 digits>"),
+        (-(10**5000), "finite", "x must be finite, got <negative integer of 5001 digits>"),
+        (Fraction(-1, 10**5000), "positive", "x must be positive, got <negative fraction of 1/5001 digits>"),
+    ):
+        with pytest.raises(ValueError) as info:
+            require(value, "x", domain)
+        text = str(info.value)
+        assert text == message
+        assert len(text.encode()) < 200 and "\n" not in text
+
+
+def test_brief_counts_the_digits_at_powers_of_ten():
+    for exponent in (4301, 4302, 5000, 12345):  # past the 4300-digit limit
+        assert brief(10**exponent) == f"<integer of {exponent + 1} digits>"
+        assert brief(10**exponent - 1) == f"<integer of {exponent} digits>"
+    assert brief(10**40) == f"{10**40 // 10}... (41 characters)"
+    assert brief("abc", repr) == "'abc'"
 
 
 def test_gauss_conversion_power_of_ten():
