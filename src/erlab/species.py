@@ -143,14 +143,8 @@ class SpeciesCatalog:
             if stem and stem not in self._by_name and len(names) == 1:
                 self._aliases[stem] = names[0]
 
-    def names(self) -> list[str]:
-        return list(self._by_name)
-
     def __iter__(self):
         return iter(self._by_name.values())
-
-    def __len__(self) -> int:
-        return len(self._by_name)
 
     def get(self, name: str) -> Species:
         key = name.strip()
@@ -158,7 +152,7 @@ class SpeciesCatalog:
         try:
             return self._by_name[key]
         except KeyError:
-            known = ", ".join(self.names())
+            known = ", ".join(self._by_name)
             raise KeyError(f"unknown species {name!r} (catalog has: {known})") from None
 
 

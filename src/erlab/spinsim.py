@@ -19,8 +19,13 @@ is 0.168091/N, i.e. an uncertainty of 0.410/sqrt(N).
 Determinism contract: trajectory i draws from a Philox counter block that
 depends only on (seed, i) -- the stream of Philox(key=seed,
 counter=i * 2^128) -- so results are bit-identical across runs, worker
-counts, block and buffer sizes, and trajectory-count extensions (a longer
-run reproduces a shorter run's trajectories exactly).
+counts, block and buffer sizes, a missing ``os.fork``, and trajectory-count
+extensions (a longer run reproduces a shorter run's trajectories exactly).
+Its executable statement is the property test
+``test_the_determinism_contract`` in ``tests/test_spinsim.py``: whatever
+those are, the mean and variance at the horizon, and every sampled path,
+equal bit for bit those of a fresh Philox(key=seed, counter=i << 128) per
+trajectory.
 
 Each block of trajectories builds one Philox generator keyed by the seed
 and reaches trajectory i's substream by resetting its state.  The state is

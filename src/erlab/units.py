@@ -77,9 +77,6 @@ class Dimension:
         p = Fraction(power)
         return Dimension(tuple(a * p for a in self.exponents))
 
-    def root(self, n: int) -> "Dimension":
-        return self ** Fraction(1, n)
-
     def __str__(self) -> str:
         if not any(self.exponents):
             return "dimensionless"

@@ -1,9 +1,33 @@
-"""Fixtures shared by the simulator and CLI tests: fake the usable CPUs and
-count the worker processes the simulator forks."""
+"""Fixtures shared by the simulator and CLI tests: fake the usable CPUs,
+count the worker processes the simulator forks, and run the CLI in-process."""
 
+import contextlib
+import io
 import os
 
 import pytest
+
+
+def main_in_process(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``erlab.cli.main(argv)``, run in this
+    process; an exit through argparse (``--version``) gives its exit code."""
+    from erlab.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def run_main(monkeypatch):
+    """``main_in_process`` with ``ERLAB_SPECIES_FILE`` unset, so the bundled
+    species file is read, as in a fresh ``python -m erlab`` with a clean environment."""
+    monkeypatch.delenv("ERLAB_SPECIES_FILE", raising=False)
+    return main_in_process
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
-"""End-to-end CLI tests via subprocess (``python -m erlab``), and one
-in-process property test over arbitrary numeric inputs."""
+"""CLI tests.  The happy paths run ``python -m erlab`` as a subprocess; so do
+the tests of what only a process shows: its exit status, the
+``ERLAB_SPECIES_FILE`` variable, ``--output`` and the modules it imports.
+The failure taxonomy, the forking ``simulate`` runs and a property test over
+arbitrary numeric inputs call ``erlab.cli.main`` in-process (``run_main``)."""
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -16,7 +18,6 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from erlab.cli import main as cli_main
 from erlab.report import Report, render_json, render_text
 from erlab.sensors import VaporCell, atomic_floor
 from erlab.species import default_catalog
@@ -219,53 +220,27 @@ def test_only_simulate_imports_numpy():
 
 
 # ---------------------------------------------------------------------------
-# determinism
+# simulate
 # ---------------------------------------------------------------------------
 
-def test_table_output_is_stable_between_runs():
-    assert run_cli("table1", "--format", "json").stdout == run_cli("table1", "--format", "json").stdout
-    assert run_cli("table2", "--format", "csv").stdout == run_cli("table2", "--format", "csv").stdout
-
-
 SIM_ARGS = ("simulate", "--atoms", "1e6", "--trajectories", "2000", "--seed", "42")
-
-
-def test_simulate_byte_identical_across_runs_and_workers():
-    one = run_cli(*SIM_ARGS)
-    two = run_cli(*SIM_ARGS)
-    threaded = run_cli(*SIM_ARGS, "--workers", "4")
-    assert one.returncode == 0
-    assert one.stdout == two.stdout == threaded.stdout
-    doc = json.loads(one.stdout)
-    assert doc["config_echo"]["seed"] == 42
-    # workers must not leak into the echoed configuration
-    assert "workers" not in doc["config_echo"]
-
-
-def _main_in_process(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 WIDE_SIM_ARGS = ("simulate", "--atoms", "1e6", "--trajectories", "8193", "--seed", "43")  # 3 blocks
 
 
-def test_simulate_defaults_to_the_usable_cpus(fake_cpus, record_forks):
+def test_simulate_defaults_to_the_usable_cpus(run_main, fake_cpus, record_forks):
     fake_cpus(2)
     forks = record_forks()
-    serial = _main_in_process(*WIDE_SIM_ARGS, "--workers", "1")
+    serial = run_main(*WIDE_SIM_ARGS, "--workers", "1")
     assert forks == []
-    assert _main_in_process(*WIDE_SIM_ARGS) == serial
+    assert run_main(*WIDE_SIM_ARGS) == serial
     assert len(forks) == 1  # two usable CPUs: this process and one fork
     assert serial[0] == 0 and serial[2] == ""
 
 
-def test_simulate_failed_worker_exits_3(fake_cpus, record_forks):
+def test_simulate_failed_worker_exits_3(run_main, fake_cpus, record_forks):
     fake_cpus(2)
     forks = record_forks(child=lambda: os._exit(1))
-    code, out, err = _main_in_process(*WIDE_SIM_ARGS)
+    code, out, err = run_main(*WIDE_SIM_ARGS)
     assert len(forks) == 1
     assert (code, out) == (3, "")
     assert re.fullmatch(r"erlab: error: io: worker process \d+ ended before sending its results\n", err)
@@ -308,10 +283,10 @@ DUMP_DIGESTS = {
 }
 
 
-def test_trajectory_dump_bytes_are_pinned(tmp_path):
+def test_trajectory_dump_bytes_are_pinned(run_main, tmp_path):
     for seed in ("7", "18446744073709551615"):
         indices = [idx for s, idx in DUMP_DIGESTS if s == seed]
-        code, _, err = _main_in_process(
+        code, _, err = run_main(
             "simulate", "--atoms", "100", "--trajectories", "10", "--seed", seed,
             "--steps-per-tau", "1000", "--dump-trajectories", ",".join(map(str, indices)),
             "--dump-dir", str(tmp_path),
@@ -370,6 +345,13 @@ def test_env_var_pointing_nowhere_is_io_error():
 # failure taxonomy: 1 usage, 2 validation, 3 io
 # ---------------------------------------------------------------------------
 
+def _assert_fails(result, code, kind):
+    """``result``, an in-process run, exited with ``code``, printed nothing
+    and wrote one ``erlab: error: KIND:`` line to stderr."""
+    assert result[:2] == (code, "")
+    assert result[2].startswith(f"erlab: error: {kind}: ") and len(result[2].splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -380,11 +362,8 @@ def test_env_var_pointing_nowhere_is_io_error():
         ("simulate", "--atoms", "ten", "--trajectories", "5", "--seed", "0"),
     ],
 )
-def test_usage_errors_exit_1(args):
-    proc = run_cli(*args)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("erlab: error: usage:")
-    assert len(proc.stderr.strip().split("\n")) == 1
+def test_usage_errors_exit_1(run_main, args):
+    _assert_fails(run_main(*args), 1, "usage")
 
 
 @pytest.mark.parametrize(
@@ -428,12 +407,8 @@ def test_usage_errors_exit_1(args):
           for fmt in ("text", "json", "csv") for d in ("-1", "100000000000")),
     ],
 )
-def test_validation_errors_exit_2(args):
-    proc = run_cli(*args)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("erlab: error: validation:")
-    assert len(proc.stderr.strip().split("\n")) == 1
+def test_validation_errors_exit_2(run_main, args):
+    _assert_fails(run_main(*args), 2, "validation")
 
 
 @pytest.mark.parametrize(
@@ -444,13 +419,11 @@ def test_validation_errors_exit_2(args):
         ("table1", "--output", "/no/such/dir/out.txt"),
     ],
 )
-def test_io_errors_exit_3(args):
-    proc = run_cli(*args)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("erlab: error: io:")
+def test_io_errors_exit_3(run_main, args):
+    _assert_fails(run_main(*args), 3, "io")
 
 
-def test_bad_records_content_is_validation_error(tmp_path, monkeypatch):
+def test_bad_records_content_is_validation_error(run_main, tmp_path, monkeypatch):
     path = tmp_path / "records.json"
     for content in (
         "{\"oops\": 1}",
@@ -463,17 +436,14 @@ def test_bad_records_content_is_validation_error(tmp_path, monkeypatch):
         % ("0" * 5000),
     ):
         path.write_text(content)
-        proc = run_cli("table2", "--records", str(path))
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith(f"erlab: error: validation: {path}: ")
+        _assert_fails(run_main("table2", "--records", str(path)), 2, f"validation: {path}")
     # a 4001-digit integer, or a 4000-character string, is quoted by its head only
     monkeypatch.chdir(tmp_path)
     for value in ("1" + "0" * 4000, '"%s"' % ("9" * 4000)):
         path.write_text(
             '[{"label": "a", "p": 1e-6, "T_K": %s, "tau_s": 1e-6, "measured_erl_hbar": 5}]' % value
         )
-        code, out, err = _main_in_process("compare", "--records", path.name)
+        code, out, err = run_main("compare", "--records", path.name)
         assert (code, out) == (2, "")
         assert err.startswith("erlab: error: validation: records.json: record 0: field 'T_K' must be ")
         assert len(err.splitlines()) == 1 and len(err.encode()) < 200
@@ -549,9 +519,9 @@ def _reject_constant(name):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_numeric_input_exits_with_a_documented_code(data, tmp_path):
+def test_any_numeric_input_exits_with_a_documented_code(data, run_main, tmp_path):
     argv = data.draw(_argv(tmp_path))
-    code, out, err = _main_in_process(*argv)
+    code, out, err = run_main(*argv)
     assert code in (0, 1, 2, 3)
     if code:
         assert out == ""

@@ -14,9 +14,7 @@ Re-capture (only for an intended, documented output change)::
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import io
 import json
 import os
 import sys
@@ -89,19 +87,6 @@ def _cases() -> dict[str, list[str]]:
     return cases
 
 
-def run_main(argv: list[str]) -> dict:
-    """stdout, stderr and exit code of ``erlab.cli.main(argv)``."""
-    from erlab.cli import main
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # --version exits through argparse
-            code = exc.code
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
 @functools.cache
 def _load() -> dict:
     return json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
@@ -109,7 +94,6 @@ def _load() -> dict:
 
 @pytest.fixture
 def in_golden_dir(monkeypatch):
-    monkeypatch.delenv("ERLAB_SPECIES_FILE", raising=False)
     monkeypatch.chdir(GOLDEN_DIR)
 
 
@@ -118,16 +102,21 @@ def test_golden_file_covers_every_case():
 
 
 @pytest.mark.parametrize("case", sorted(_cases()))
-def test_cli_output_is_byte_identical(case, in_golden_dir):
+def test_cli_output_is_byte_identical(case, in_golden_dir, run_main):
     expected = _load()[case]
-    assert run_main(expected["argv"]) == expected
+    assert run_main(*expected["argv"]) == (expected["code"], expected["stdout"], expected["stderr"])
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     os.environ.pop("ERLAB_SPECIES_FILE", None)
+    from conftest import main_in_process
+
     os.chdir(GOLDEN_DIR)
-    captured = {name: run_main(argv) for name, argv in _cases().items()}
+    captured = {}
+    for name, argv in _cases().items():
+        code, stdout, stderr = main_in_process(*argv)
+        captured[name] = {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
     GOLDEN_FILE.write_text(json.dumps(captured, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(captured)} cases to {GOLDEN_FILE}")

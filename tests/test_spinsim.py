@@ -4,10 +4,11 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from erlab import spinsim
 from erlab.spinsim import (
@@ -152,38 +153,10 @@ def test_relaxation_time_only_sets_the_clock():
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_same_seed_same_bytes():
-    cfg = SimConfig(1e6, 1.0, 3_000, seed=123)
-    a = result_to_json(simulate_transient(cfg), cfg)
-    b = result_to_json(simulate_transient(cfg), cfg)
-    assert a.encode() == b.encode()
-
-
 def test_different_seed_different_result():
     a = simulate_transient(SimConfig(1e6, 1.0, 1_000, seed=1))
     b = simulate_transient(SimConfig(1e6, 1.0, 1_000, seed=2))
     assert a.variance_at_horizon != b.variance_at_horizon
-
-
-def test_workers_do_not_change_output(fake_cpus):
-    fake_cpus(4)  # three workers for three blocks on any host
-    cfg = SimConfig(1e4, 1.0, 10_000, seed=77)
-    serial = result_to_json(simulate_transient(cfg, workers=1), cfg)
-    forked = result_to_json(simulate_transient(cfg, workers=4), cfg)
-    assert serial == forked
-
-
-def test_trajectories_are_stable_under_ensemble_growth():
-    # per-trajectory counter streams: trajectory 7 is the same whether the
-    # run asks for 10 or 10000 trajectories, and the horizon values of both
-    # runs are the first 10 and 10000 of one reference sequence
-    large_cfg = SimConfig(1e4, 1.0, 10_000, seed=9)
-    small = simulate_transient(SimConfig(1e4, 1.0, 10, seed=9), sample_indices=(7,))
-    large = simulate_transient(large_cfg, sample_indices=(7,))
-    np.testing.assert_array_equal(small.trajectory_sample[0].values, large.trajectory_sample[0].values)
-    endpoints = _reference_endpoints(large_cfg)
-    _assert_statistics_are_those_of(small, endpoints[:10])
-    _assert_statistics_are_those_of(large, endpoints)
 
 
 def _reference_path(config, index):
@@ -200,67 +173,56 @@ def _reference_path(config, index):
     return np.concatenate([[0.0], scale * np.cumsum(weighted)]), scale * float(np.sum(weighted))
 
 
-def _reference_endpoints(config):
-    return np.array([_reference_path(config, i)[1] for i in range(config.trajectory_count)])
-
-
-def _assert_statistics_are_those_of(result, endpoints):
-    # the horizon values come from the simulator's own state resets, the
-    # endpoints from the reference: the statistics must agree bit for bit
-    assert result.mean_over_trajectories == float(np.mean(endpoints))
-    assert result.variance_at_horizon == float(np.var(endpoints, ddof=1))
-
-
-def _assert_statistics_follow_the_counter_contract(config):
-    endpoints = _reference_endpoints(config)
-    for workers in (1, 2):
-        _assert_statistics_are_those_of(simulate_transient(config, workers=workers), endpoints)
-
-
-def test_sampled_paths_follow_the_counter_contract(fake_cpus):
-    fake_cpus(2)
-    cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=2**63 + 12345)
-    indices = (0, 4095, 4096, cfg.trajectory_count - 1)
-    res = simulate_transient(cfg, workers=2, sample_indices=indices)
-    for sample in res.trajectory_sample:
-        path, _ = _reference_path(cfg, sample.index)
-        assert sample.values.tobytes() == path.tobytes()
-    _assert_statistics_follow_the_counter_contract(cfg)
-    # a one-trajectory run's mean is that trajectory's horizon value
-    single = SimConfig(1e5, 1.0, 1, steps_per_tau=10, horizon=1.3, seed=cfg.seed)
-    _, endpoint = _reference_path(single, 0)
-    assert simulate_transient(single).mean_over_trajectories == endpoint
-
-
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_counter_contract_at_the_seed_extremes(fake_cpus, seed):
-    # the simulator writes the Philox key words itself; a fresh
-    # Philox(key=seed, counter=i << 128) is the reference at both ends
-    fake_cpus(2)
-    cfg = SimConfig(1e5, 1.0, 5_000, steps_per_tau=10, horizon=1.3, seed=seed)
-    indices = (0, 4095, 4096, cfg.trajectory_count - 1)
-    res = simulate_transient(cfg, sample_indices=indices)
-    assert [sample.index for sample in res.trajectory_sample] == list(indices)
-    for sample in res.trajectory_sample:
-        path, _ = _reference_path(cfg, sample.index)
-        assert sample.values.tobytes() == path.tobytes()
-    _assert_statistics_follow_the_counter_contract(cfg)
-
-
-@pytest.mark.parametrize("chunk, row_buffer", [(3, 7), (7, 3)])
-@pytest.mark.parametrize("steps_per_tau, horizon", [(10, 0.3), (10, 1.3)])
-def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, fake_cpus, chunk, row_buffer, steps_per_tau, horizon):
-    cfg = SimConfig(1e4, 1.0, 500, steps_per_tau=steps_per_tau, horizon=horizon, seed=31)
-    indices = (0, 2, 3, 6, 7, 499)
-    before = simulate_transient(cfg, sample_indices=indices)
-    fake_cpus(2)
-    monkeypatch.setattr(spinsim, "_CHUNK", chunk)
-    monkeypatch.setattr(spinsim, "_ROW_BUFFER", row_buffer)
-    after = simulate_transient(cfg, workers=2, sample_indices=indices)
-    assert result_to_json(after, cfg) == result_to_json(before, cfg)
-    for a, b in zip(before.trajectory_sample, after.trajectory_sample, strict=True):
-        assert a.index == b.index
-        assert a.values.tobytes() == b.values.tobytes()
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    m=st.integers(1, 600),
+    growth=st.integers(0, 400),
+    steps_per_tau=st.integers(10, 40),
+    horizon=st.sampled_from((0.3, 1.0, 1.3)),
+    seed=st.one_of(st.sampled_from((0, 2**63 + 12345, 2**64 - 1)), st.integers(0, 2**64 - 1)),
+    workers=st.integers(1, 3),
+    chunk=st.sampled_from((1, 3, 7, 64, 4096)),
+    row_buffer=st.sampled_from((1, 3, 7, 2**14)),
+    fork=st.booleans(),
+    picks=st.lists(st.integers(0, 5000), max_size=4),
+)
+# block edges at 4096 at both ends of the seed range, without os.fork at one
+@example(m=5000, growth=0, steps_per_tau=10, horizon=1.3, seed=0, workers=2,
+         chunk=4096, row_buffer=2**14, fork=True, picks=[0, 4095, 4096, 4999])
+@example(m=5000, growth=0, steps_per_tau=10, horizon=1.3, seed=2**64 - 1, workers=3,
+         chunk=4096, row_buffer=2**14, fork=False, picks=[4999, 4096, 4095, 0])
+# trajectory 7 of 10 is trajectory 7 of 1000
+@example(m=10, growth=990, steps_per_tau=10, horizon=1.0, seed=9, workers=3,
+         chunk=64, row_buffer=7, fork=True, picks=[7])
+@example(m=1, growth=0, steps_per_tau=10, horizon=1.0, seed=13, workers=1,
+         chunk=4096, row_buffer=2**14, fork=True, picks=[0])
+def test_the_determinism_contract(monkeypatch, fake_cpus, m, growth, steps_per_tau, horizon, seed,
+                                  workers, chunk, row_buffer, fork, picks):
+    # no run, worker count, block size, buffer size, missing os.fork or
+    # ensemble growth changes a bit: the M and M + growth runs both give the
+    # reference's statistics and paths, and leave no worker behind
+    fake_cpus(3)
+    big = SimConfig(1e4, 1.0, m + growth, steps_per_tau=steps_per_tau, horizon=horizon, seed=seed)
+    reference = [_reference_path(big, i) for i in range(m + growth)]
+    indices = [p % m for p in picks]
+    with monkeypatch.context() as patch:
+        patch.setattr(spinsim, "_CHUNK", chunk)
+        patch.setattr(spinsim, "_ROW_BUFFER", row_buffer)
+        if not fork:
+            patch.delattr(os, "fork")
+        for count in (m, m + growth):
+            config = replace(big, trajectory_count=count)
+            res = simulate_transient(config, workers=workers, sample_indices=indices)
+            endpoints = np.array([end for _, end in reference[:count]])
+            assert res.mean_over_trajectories == float(np.mean(endpoints))
+            assert res.variance_at_horizon == (float(np.var(endpoints, ddof=1)) if count > 1 else 0.0)
+            assert [sample.index for sample in res.trajectory_sample] == sorted(set(indices))
+            for sample in res.trajectory_sample:
+                path, end = reference[sample.index]
+                assert sample.values.tobytes() == path.tobytes()
+                assert sample.values[-1] == pytest.approx(end, rel=1e-12)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, tmp_path, fake_cpus, record_forks):
@@ -339,24 +301,6 @@ def test_usable_cpus_honours_a_cgroup_cpu_quota(monkeypatch, tmp_path, fake_cpus
     fake_cpus(8)
     _quota_files(monkeypatch, tmp_path, files)
     assert spinsim.usable_cpus() == cpus
-
-
-def test_without_fork_blocks_run_serially(monkeypatch, fake_cpus):
-    fake_cpus(4)
-    cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=7)  # three blocks
-    forked = result_to_json(simulate_transient(cfg, workers=4), cfg)
-    monkeypatch.delattr(os, "fork")
-    assert result_to_json(simulate_transient(cfg, workers=4), cfg).encode() == forked.encode()
-
-
-def test_sampled_trajectory_endpoint_consistency():
-    # a sampled path must end at the same value the variance sweep recorded:
-    # one-trajectory ensembles expose it via the mean
-    cfg = SimConfig(1e4, 1.0, 1, seed=13)
-    res = simulate_transient(cfg, sample_indices=(0,))
-    assert res.trajectory_sample[0].values[-1] == pytest.approx(
-        res.mean_over_trajectories, rel=1e-12
-    )
 
 
 def test_result_json_is_canonical():

@@ -78,7 +78,7 @@ def test_energy_resolution_has_action_dimension():
 
 def test_noise_density_squared_is_field_squared_time():
     assert FIELD_NOISE_DENSITY**2 == MAGNETIC_FIELD**2 * TIME
-    assert (MAGNETIC_FIELD**2 * TIME).root(2) == FIELD_NOISE_DENSITY
+    assert (MAGNETIC_FIELD**2 * TIME) ** Fraction(1, 2) == FIELD_NOISE_DENSITY
 
 
 def test_dimension_str_forms():
@@ -101,7 +101,7 @@ def test_dimension_product_commutes(a, b):
 @given(_exponents)
 def test_dimension_power_roundtrip(a):
     d = Dimension(tuple(map(Fraction, a)))
-    assert (d**2).root(2) == d
+    assert (d**2) ** Fraction(1, 2) == d
     assert d**2 == d * d
     assert d / d == DIMENSIONLESS
 
