@@ -198,6 +198,12 @@ def _reference_path(config, index):
          chunk=4096, row_buffer=2**14, fork=True, picks=[0])
 def test_the_determinism_contract(monkeypatch, fake_cpus, m, growth, steps_per_tau, horizon, seed,
                                   workers, chunk, row_buffer, fork, picks):
+    _check_contract(monkeypatch, fake_cpus, m, growth, steps_per_tau=steps_per_tau, horizon=horizon,
+                    seed=seed, workers=workers, chunk=chunk, row_buffer=row_buffer, fork=fork, picks=picks)
+
+
+def _check_contract(monkeypatch, fake_cpus, m, growth=0, *, steps_per_tau=10, horizon=1.0, seed,
+                    workers=1, chunk=4096, row_buffer=2**14, fork=True, picks=()):
     # no run, worker count, block size, buffer size, missing os.fork or
     # ensemble growth changes a bit: the M and M + growth runs both give the
     # reference's statistics and paths, and leave no worker behind
@@ -223,6 +229,47 @@ def test_the_determinism_contract(monkeypatch, fake_cpus, m, growth, steps_per_t
                 assert sample.values[-1] == pytest.approx(end, rel=1e-12)
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+# named cases of the contract, each checked by the same oracle
+def test_same_seed_same_bytes(monkeypatch, fake_cpus):
+    _check_contract(monkeypatch, fake_cpus, 3_000, steps_per_tau=100, seed=123)  # run twice
+
+
+def test_workers_do_not_change_output(monkeypatch, fake_cpus):
+    _check_contract(monkeypatch, fake_cpus, 10_000, seed=77, workers=3)  # three forked blocks
+
+
+def test_trajectories_are_stable_under_ensemble_growth(monkeypatch, fake_cpus):
+    _check_contract(monkeypatch, fake_cpus, 10, 9_990, seed=9, picks=(7,))
+
+
+_BLOCK_EDGES = (0, 4095, 4096, 4999)
+
+
+def test_sampled_paths_follow_the_counter_contract(monkeypatch, fake_cpus):
+    _check_contract(monkeypatch, fake_cpus, 5_000, horizon=1.3, seed=2**63 + 12345, workers=2, picks=_BLOCK_EDGES)
+    _check_contract(monkeypatch, fake_cpus, 1, horizon=1.3, seed=2**63 + 12345, picks=(0,))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_counter_contract_at_the_seed_extremes(monkeypatch, fake_cpus, seed):
+    _check_contract(monkeypatch, fake_cpus, 5_000, horizon=1.3, seed=seed, workers=2, picks=_BLOCK_EDGES)
+
+
+@pytest.mark.parametrize("chunk, row_buffer", [(3, 7), (7, 3)])
+@pytest.mark.parametrize("steps_per_tau, horizon", [(10, 0.3), (10, 1.3)])
+def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, fake_cpus, chunk, row_buffer, steps_per_tau, horizon):
+    _check_contract(monkeypatch, fake_cpus, 500, steps_per_tau=steps_per_tau, horizon=horizon, seed=31,
+                    workers=2, chunk=chunk, row_buffer=row_buffer, picks=(0, 2, 3, 6, 7, 499))
+
+
+def test_without_fork_blocks_run_serially(monkeypatch, fake_cpus):
+    _check_contract(monkeypatch, fake_cpus, 12_000, seed=7, workers=3, fork=False)  # three blocks
+
+
+def test_sampled_trajectory_endpoint_consistency(monkeypatch, fake_cpus):
+    _check_contract(monkeypatch, fake_cpus, 1, steps_per_tau=100, seed=13, picks=(0,))
 
 
 def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, tmp_path, fake_cpus, record_forks):
