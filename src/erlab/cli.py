@@ -97,7 +97,10 @@ def _common_options(default_format: str = "text") -> _Parser:
         type=int,
         default=6,
         metavar="N",
-        help="significant digits for text/csv floats (default: 6)",
+        help=(
+            "significant digits for text/csv floats, as Python's g format: 0 prints one "
+            "(default: 6; simulate --format csv ignores it and prints each float in full)"
+        ),
     )
     return p
 

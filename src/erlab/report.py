@@ -2,7 +2,7 @@
 
 A report is a header (tool version plus an echo of the parsed inputs) and
 a flat list of ``(label, value, unit, provenance)`` rows.  The provenance
-tag is``predicted`` (model output), ``measured`` (taken from published
+tag is ``predicted`` (model output), ``measured`` (taken from published
 data), or ``derived`` (intermediate quantity).  Rows in hbar units are
 labeled ``hbar``.  A missing value is ``None``: ``null`` in JSON, ``nan`` elsewhere.
 

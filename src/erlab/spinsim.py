@@ -109,12 +109,12 @@ class SimConfig:
     def __post_init__(self):
         require(self.atom_count, "atom count", ">= 1")
         require(self.relaxation_time, "relaxation time")
-        if not isinstance(self.trajectory_count, int) or self.trajectory_count < 1:
+        if type(self.trajectory_count) is not int or self.trajectory_count < 1:
             raise ValueError(f"trajectory count must be an integer >= 1, got {self.trajectory_count}")
-        if not isinstance(self.steps_per_tau, int) or self.steps_per_tau < 10:
+        if type(self.steps_per_tau) is not int or self.steps_per_tau < 10:
             raise ValueError(f"steps_per_tau must be an integer >= 10, got {self.steps_per_tau}")
         require(self.horizon, "horizon", "non-negative")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
+        if type(self.seed) is not int or not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         _within_budget("trajectory count", self.trajectory_count)
         try:

@@ -259,10 +259,12 @@ def _digits(n: int) -> int:
 
 
 def require(value: float, name: str, domain: str = "positive") -> float:
-    """``value`` if it is finite and in ``domain``, else ValueError:
-    "<name> must be finite, got nan" for NaN and +-inf, and
-    "<name> must be <domain>, got <value>" for a finite value, with the
-    value shortened by ``brief``."""
+    """``value`` if it is a finite number in ``domain``, else ValueError:
+    "<name> must be a number, got True" for a bool, "<name> must be finite,
+    got nan" for NaN and +-inf, and "<name> must be <domain>, got <value>"
+    for a finite value, with the value shortened by ``brief``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past the float range

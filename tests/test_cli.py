@@ -1,8 +1,12 @@
-"""CLI tests.  The happy paths run ``python -m erlab`` as a subprocess; so do
-the tests of what only a process shows: its exit status, the
-``ERLAB_SPECIES_FILE`` variable, ``--output`` and the modules it imports.
-The failure taxonomy, the forking ``simulate`` runs and a property test over
-arbitrary numeric inputs call ``erlab.cli.main`` in-process (``run_main``)."""
+"""CLI tests.  They call ``erlab.cli.main`` in-process through ``run_main``
+(``tests/conftest.py``), except the few that test what only a process
+shows: the ``python -m erlab`` entry point and its exit status, the
+``ERLAB_SPECIES_FILE`` variable, ``--output`` and the modules a command
+imports, which start one through ``_process``.  ``tests/test_golden.py``
+pins the bytes of every command's output at fixed argv; here
+``_check_against_library`` holds the values of the analytic commands to the
+library, over drawn inputs in the property test at the end and at
+hand-picked argv in the happy-path tests."""
 
 import csv
 import hashlib
@@ -13,187 +17,214 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from erlab.report import Report, render_json, render_text
-from erlab.sensors import VaporCell, atomic_floor
+from erlab import sensors, units
+from erlab.report import Report, format_value, render_json, render_text
 from erlab.species import default_catalog
+from erlab.units import FIELD_NOISE_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, VOLUME, parse_quantity
 
 PKG_DATA = Path(__file__).resolve().parent.parent / "src" / "erlab" / "data"
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = os.environ.copy()
-    env.pop("ERLAB_SPECIES_FILE", None)
-    if env_extra:
-        env.update(env_extra)
+def _process(*args, env=None):
+    """A fresh ``python ARGS`` process, run to its end, with
+    ``ERLAB_SPECIES_FILE`` unset unless ``env`` sets it."""
+    environ = {k: v for k, v in os.environ.items() if k != "ERLAB_SPECIES_FILE"}
     return subprocess.run(
-        [sys.executable, "-m", "erlab", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
+        [sys.executable, *args], capture_output=True, text=True, env={**environ, **(env or {})}
     )
 
 
 # ---------------------------------------------------------------------------
-# happy paths
+# the library oracle of the analytic commands
+# ---------------------------------------------------------------------------
+
+# (label, unit, provenance) of each row an analytic command prints, in order;
+# those of table1, species-list, table2 and compare repeat for each species or record
+_SCHEMA = {
+    "atomic": (
+        ("atom_count", "", "derived"), ("relaxation_time", "s", "derived"),
+        ("delta_B_floor", "T", "predicted"), ("erl", "hbar", "predicted"), ("kappa", "", "derived"),
+        ("kappa_bare", "", "derived"), ("spin_temperature", "K", "derived"),
+        ("correlation_atoms", "", "derived"), ("correlation_volume", "m3", "derived"),
+        ("collision_time", "s", "derived"), ("sd_phase", "", "derived"),
+        ("delta_B_uncertainty_check", "T", "derived"), ("psd", "T/rtHz", "predicted"),
+    ),
+    "squid": (
+        ("flux_noise_fraction", "", "measured"), ("bath_temperature", "K", "measured"),
+        ("measurement_time", "s", "measured"), ("info_gained", "nat", "derived"),
+        ("predicted_erl", "hbar", "predicted"), ("measured_erl", "hbar", "measured"),
+        ("ratio_measured_to_predicted", "", "derived"),
+    ),
+    "diamond": (
+        ("bath_temperature", "K", "measured"), ("relaxation_time", "s", "measured"),
+        ("optimal_erl", "hbar", "predicted"), ("noise_density", "T/rtHz", "measured"),
+        ("sensing_volume", "m3", "measured"), ("measured_erl", "hbar", "measured"),
+        ("ratio_measured_to_optimal", "", "derived"),
+    ),
+    "table1": (("delta_B_floor", "1e-17 T", "predicted"), ("erl", "hbar", "predicted")),
+    "species-list": (
+        ("nuclear_spin", "", "measured"), ("mass", "amu", "measured"), ("sd_cross_section", "cm2", "derived"),
+        ("reference_temperature", "K", "derived"), ("slowing_factor", "", "derived"),
+        ("magnetic_moment", "J/T", "derived"), ("mean_relative_velocity", "m/s", "derived"),
+    ),
+    "table2": (
+        ("p", "", "measured"), ("bath_temperature", "K", "measured"), ("measurement_time", "s", "measured"),
+        ("predicted_erl", "hbar", "predicted"), ("measured_erl", "hbar", "measured"),
+        ("ratio", "", "derived"), ("warning", "", "derived"),
+    ),
+}
+_SCHEMA["compare"] = _SCHEMA["table2"]
+# table2 and compare print CSV one line per record, the first six values as its columns
+_WIDE_CSV_HEADER = ["label", "p", "T_K", "tau_s", "predicted_erl_hbar", "measured_erl_hbar", "ratio"]
+
+
+def _library_values(command, opts):
+    """``(label prefix, values)`` for each species or record the analytic
+    ``command`` reports with the options ``opts``: the values the library
+    computes, in ``_SCHEMA`` order, without the rows the command leaves out;
+    ValueError or KeyError where the library refuses the options."""
+
+    def si(flag, dimension):
+        return parse_quantity(opts[flag], dimension).si
+
+    if command == "atomic":
+        temperature = si("--temp", TEMPERATURE) if "--temp" in opts else None
+        species = default_catalog().get(opts["--species"])
+        cell = sensors.VaporCell(species, si("--density", NUMBER_DENSITY), si("--volume", VOLUME), temperature)
+        return [("", astuple(sensors.atomic_floor(cell)))]
+    if command == "squid":
+        measured = float(opts["--measured"]) if "--measured" in opts else None
+        spec = sensors.SquidSpec(float(opts["--p"]), si("--temp", TEMPERATURE), si("--tau", TIME), measured)
+        predicted = sensors.squid_erl(spec)
+        values = [spec.flux_noise_fraction, spec.bath_temperature, spec.measurement_time, spec.info_nats,
+                  predicted]
+        if measured is not None:
+            values += [measured, sensors.erl_ratio(measured, predicted)]
+        return [("", values)]
+    if command == "diamond":
+        temperature, tau = si("--temp", TEMPERATURE), si("--tau", TIME)
+        optimal = sensors.diamond_erl(temperature, tau)
+        values = [temperature, tau, optimal]
+        if "--psd" in opts:
+            psd, volume = si("--psd", FIELD_NOISE_DENSITY), si("--volume", VOLUME)
+            measured = sensors.measured_erl_from_psd(psd, volume)
+            values += [psd, volume, measured, sensors.erl_ratio(measured, optimal)]
+        return [("", values)]
+    if command == "table1":
+        reports = [(sp.name, sensors.atomic_floor(sensors.VaporCell(sp, 1e20, 1e-5))) for sp in default_catalog()]
+        return [(f"{name}.", (rep.delta_B_floor / 1e-17, rep.erl_hbar)) for name, rep in reports]
+    groups = []
+    if command == "species-list":
+        for sp in default_catalog():
+            sigma = sp.sd_cross_section_m2
+            values = (str(sp.nuclear_spin), sp.mass_kg / units.constants().atomic_mass,
+                      None if sigma is None else sigma * 1e4, sp.reference_temperature_K,
+                      sp.slowing_factor, sp.magnetic_moment, sp.mean_relative_velocity())
+            groups.append((f"{sp.name}.", values))
+        return groups
+    path = opts.get("--records")
+    for row in sensors.compare_published(
+        sensors.load_published_records(path) if path else sensors.default_published_records()
+    ):
+        warning = ("measured below prediction",) if row.flagged else ()
+        groups.append((f"{row.label}.", astuple(row)[1:-1] + warning))  # the fields from p to ratio
+    return groups
+
+
+def _check_against_library(run_main, *argv):
+    """Run the analytic command ``argv`` and hold its outcome to the library's:
+    exit 2 where ``_library_values`` refuses the options or ``--digits`` is
+    out of range, else exit 0 and the library's rows, each value exact in
+    JSON and ``format_value(value, digits)`` in text and CSV.  An argv
+    argparse refuses (exit 1) is not checked here.  Returns the run's outcome."""
+    result = code, out, err = run_main(*argv)
+    if code == 1:
+        return result
+    command, opts = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    try:
+        digits = int(opts.get("--digits", "6"))
+        if not 0 <= digits <= 1000:
+            raise ValueError(f"--digits {digits}")
+        groups = _library_values(command, opts)
+    except (ValueError, KeyError):
+        assert code == 2, argv
+        return result
+    assert (code, err) == (0, ""), argv
+    rows = [(prefix + label, value, unit, prov)
+            for prefix, values in groups for value, (label, unit, prov) in zip(values, _SCHEMA[command])]
+    fmt = opts.get("--format", "text")
+    if fmt == "json":
+        got = json.loads(out)["rows"]
+        expected = [dict(zip(("label", "value", "unit", "provenance"), row)) for row in rows]
+    elif fmt == "text":
+        got = [line.split() for line in out.splitlines() if not line.startswith("#")]
+        expected = [f"{label} {format_value(v, digits)} {unit} {prov}".split() for label, v, unit, prov in rows]
+    elif command in ("table2", "compare"):
+        got = list(csv.reader(io.StringIO(out)))
+        expected = [_WIDE_CSV_HEADER, *([prefix[:-1], *(format_value(v, digits) for v in values[:6])]
+                                        for prefix, values in groups)]
+    else:
+        got = list(csv.reader(io.StringIO(out)))
+        expected = [["label", "value", "unit", "provenance"],
+                    *([label, format_value(v, digits), unit, prov] for label, v, unit, prov in rows)]
+    assert got == expected, argv
+    return result
+
+
+# ---------------------------------------------------------------------------
+# what only a process shows
 # ---------------------------------------------------------------------------
 
 def test_version():
-    proc = run_cli("--version")
+    proc = _process("-m", "erlab", "--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("erlab ")
 
 
-def test_table1_text():
-    proc = run_cli("table1")
-    assert proc.returncode == 0
-    assert "41K.delta_B_floor" in proc.stdout
-    assert "3.68951" in proc.stdout
-    assert "6764.09" in proc.stdout
-    assert proc.stderr == ""
-
-
-def test_table1_matches_library():
-    proc = run_cli("table1", "--format", "json")
-    doc = json.loads(proc.stdout)
-    rows = {r["label"]: r["value"] for r in doc["rows"]}
-    for sp in default_catalog():
-        rep = atomic_floor(VaporCell(sp, 1e20, 1e-5))
-        assert rows[f"{sp.name}.erl"] == rep.erl_hbar
-        assert rows[f"{sp.name}.delta_B_floor"] == rep.delta_B_floor / 1e-17
-
-
-def test_atomic_matches_library():
-    proc = run_cli(
-        "atomic", "--species", "Cs", "--density", "2e13/cm3", "--volume", "1cm3",
-        "--format", "json",
-    )
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    rows = {r["label"]: r for r in doc["rows"]}
-    rep = atomic_floor(VaporCell(default_catalog().get("Cs"), 2e19, 1e-6))
-    assert rows["delta_B_floor"]["value"] == rep.delta_B_floor
-    assert rows["psd"]["value"] == rep.psd
-    assert rows["erl"]["unit"] == "hbar"
-    assert rows["delta_B_floor"]["provenance"] == "predicted"
-    assert doc["header"]["species"] == "133Cs"
-
-
-def test_atomic_unit_spellings_are_equivalent():
-    a = run_cli("atomic", "--species", "K", "--density", "1e14/cm3", "--volume", "1cm3")
-    b = run_cli("atomic", "--species", "K", "--density", "1e20m^-3", "--volume", "1e-6m3")
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-
-
-def test_atomic_explicit_temperature_changes_floor():
-    hot = run_cli("atomic", "--species", "K", "--density", "1e14/cm3", "--volume", "1cm3",
-                  "--temp", "500K", "--format", "json")
-    ref = run_cli("atomic", "--species", "K", "--density", "1e14/cm3", "--volume", "1cm3",
-                  "--format", "json")
-    v_hot = {r["label"]: r["value"] for r in json.loads(hot.stdout)["rows"]}["delta_B_floor"]
-    v_ref = {r["label"]: r["value"] for r in json.loads(ref.stdout)["rows"]}["delta_B_floor"]
-    assert v_hot > v_ref  # faster collisions at higher temperature
-
-
-def test_squid_command():
-    proc = run_cli(
-        "squid", "--p", "4.5e-8", "--temp", "4.2K", "--tau", "0.5e-5s",
-        "--measured", "6.3", "--format", "json",
-    )
-    assert proc.returncode == 0
-    rows = {r["label"]: r["value"] for r in json.loads(proc.stdout)["rows"]}
-    assert rows["predicted_erl"] == pytest.approx(2.0929174374991533, rel=1e-12)
-    assert rows["ratio_measured_to_predicted"] == pytest.approx(3.0101521861884475, rel=1e-12)
-
-
-def test_diamond_command():
-    proc = run_cli(
-        "diamond", "--temp", "300K", "--tau", "1us",
-        "--psd", "300pT/rtHz", "--volume", "2.79e-12m3", "--format", "json",
-    )
-    rows = {r["label"]: r["value"] for r in json.loads(proc.stdout)["rows"]}
-    assert rows["optimal_erl"] == pytest.approx(27224119.183147293, rel=1e-12)
-    assert rows["measured_erl"] == pytest.approx(947394134.7546226, rel=1e-12)
-
-
-def test_table2_csv_has_fixed_schema():
-    proc = run_cli("table2", "--format", "csv")
-    assert proc.returncode == 0
-    reader = list(csv.reader(io.StringIO(proc.stdout)))
-    assert reader[0] == ["label", "p", "T_K", "tau_s", "predicted_erl_hbar", "measured_erl_hbar", "ratio"]
-    assert len(reader) == 6
-    assert all(len(line) == 7 for line in reader)
-
-
-def test_table2_text_warns_on_subunity_ratio():
-    proc = run_cli("table2")
-    assert "Awschalom1988.warning" in proc.stdout
-    assert "Wakai1988.warning" in proc.stdout
-    assert "Schmelz2017.warning" not in proc.stdout
-
-
-def test_compare_with_custom_records(tmp_path):
-    records = tmp_path / "records.json"
-    records.write_text(json.dumps(
-        [{"label": "lab", "p": 1e-6, "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 100.0}]
-    ))
-    proc = run_cli("compare", "--records", str(records), "--format", "csv")
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[1].startswith("lab,1e-06,4.2,")
-
-
-def test_species_list_csv():
-    proc = run_cli("species-list", "--format", "csv")
-    reader = list(csv.reader(io.StringIO(proc.stdout)))
-    assert reader[0] == ["label", "value", "unit", "provenance"]
-    labels = [line[0] for line in reader[1:]]
-    assert "133Cs.slowing_factor" in labels
-    idx = labels.index("133Cs.slowing_factor")
-    assert float(reader[1 + idx][1]) == 22.0
-
-
-def test_output_file_equals_stdout(tmp_path):
+def test_output_file_equals_stdout(run_main, tmp_path):
     out = tmp_path / "t1.json"
-    proc = run_cli("table1", "--format", "json", "--output", str(out))
+    proc = _process("-m", "erlab", "table1", "--format", "json", "--output", str(out))
     assert proc.returncode == 0
     assert proc.stdout == ""
-    direct = run_cli("table1", "--format", "json")
-    assert out.read_text() == direct.stdout
+    assert out.read_text() == run_main("table1", "--format", "json")[1]
 
 
-def test_digits_flag_controls_text_precision():
-    short = run_cli("table1", "--digits", "3")
-    long = run_cli("table1", "--digits", "12")
-    assert "3.69" in short.stdout and "3.68951" not in short.stdout
-    assert "3.6895061499" in long.stdout
-    # no float has more than 767 significant digits, so the cap of 1000 prints the same
-    assert run_cli("table1", "--digits", "1000").stdout == run_cli("table1", "--digits", "767").stdout
-    over = run_cli("table1", "--digits", "1001")
-    assert over.returncode == 2
-    assert over.stderr == "erlab: error: validation: --digits must be from 0 to 1000, got 1001\n"
+def _custom_species_file(tmp_path):
+    doc = json.loads((PKG_DATA / "species.json").read_text())
+    doc["species"] = [row for row in doc["species"] if row["name"] == "133Cs"]
+    path = tmp_path / "only_cs.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
-# ---------------------------------------------------------------------------
-# layering: only simulate needs numpy
-# ---------------------------------------------------------------------------
+def test_env_var_selects_species_file(tmp_path):
+    path = _custom_species_file(tmp_path)
+    proc = _process("-m", "erlab", "table1", env={"ERLAB_SPECIES_FILE": str(path)})
+    assert proc.returncode == 0
+    assert "133Cs.erl" in proc.stdout
+    assert "41K" not in proc.stdout
 
-def _imports(*args):
-    """The modules a fresh ``python -X importtime ARGS`` imports, and the process."""
-    env = os.environ.copy()
-    env.pop("ERLAB_SPECIES_FILE", None)
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env)
-    modules = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    return modules, proc
+
+def test_flag_overrides_env_var(tmp_path):
+    path = _custom_species_file(tmp_path)
+    proc = _process(
+        "-m", "erlab", "table1", "--species-file", str(path),
+        env={"ERLAB_SPECIES_FILE": "/does/not/exist.json"},
+    )
+    assert proc.returncode == 0
+    assert "133Cs.erl" in proc.stdout
+
+
+def test_env_var_pointing_nowhere_is_io_error():
+    proc = _process("-m", "erlab", "table1", env={"ERLAB_SPECIES_FILE": "/does/not/exist.json"})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("erlab: error: io:")
 
 
 # argv -> modules its process must not load: each command imports only
@@ -212,11 +243,87 @@ _LAYERING = (
 
 def test_only_simulate_imports_numpy():
     for args, absent in _LAYERING:
-        modules, proc = _imports(*args)
+        proc = _process("-X", "importtime", *args)
+        modules = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
         assert proc.returncode == 0, args
         assert "erlab.cli" in modules and not modules & absent, (args, modules & absent)
     assert "numpy" in modules
     assert json.loads(proc.stdout)["config_echo"]["trajectory_count"] == 100
+
+
+# ---------------------------------------------------------------------------
+# analytic commands: the library oracle at hand-picked argv
+# ---------------------------------------------------------------------------
+
+def test_table1_text(run_main):
+    assert _check_against_library(run_main, "table1")[0] == 0
+
+
+def test_table1_matches_library(run_main):
+    assert _check_against_library(run_main, "table1", "--format", "json")[0] == 0
+
+
+def test_atomic_matches_library(run_main):
+    argv = ("atomic", "--species", "Cs", "--density", "2e13/cm3", "--volume", "1cm3", "--format", "json")
+    assert _check_against_library(run_main, *argv)[0] == 0
+
+
+def test_atomic_unit_spellings_are_equivalent(run_main):
+    a = run_main("atomic", "--species", "K", "--density", "1e14/cm3", "--volume", "1cm3")
+    b = run_main("atomic", "--species", "K", "--density", "1e20m^-3", "--volume", "1e-6m3")
+    assert a[0] == 0 and a == b
+
+
+def test_atomic_explicit_temperature_changes_floor(run_main):
+    argv = ("atomic", "--species", "K", "--density", "1e14/cm3", "--volume", "1cm3", "--format", "json")
+    hot, ref = (json.loads(run_main(*argv, *temp)[1])["rows"][2] for temp in (("--temp", "500K"), ()))
+    assert hot["label"] == ref["label"] == "delta_B_floor"
+    assert hot["value"] > ref["value"]  # faster collisions at higher temperature
+
+
+def test_squid_command(run_main):
+    argv = ("squid", "--p", "4.5e-8", "--temp", "4.2K", "--tau", "0.5e-5s", "--measured", "6.3")
+    assert _check_against_library(run_main, *argv, "--format", "json")[0] == 0
+
+
+def test_diamond_command(run_main):
+    argv = ("diamond", "--temp", "300K", "--tau", "1us", "--psd", "300pT/rtHz", "--volume", "2.79e-12m3")
+    assert _check_against_library(run_main, *argv, "--format", "json")[0] == 0
+
+
+def test_table2_csv_has_fixed_schema(run_main):
+    assert _check_against_library(run_main, "table2", "--format", "csv")[0] == 0
+
+
+def test_table2_text_warns_on_subunity_ratio(run_main):
+    assert _check_against_library(run_main, "table2")[0] == 0
+
+
+def test_compare_with_custom_records(run_main, tmp_path):
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps(
+        [{"label": "lab", "p": 1e-6, "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 100.0}]
+    ))
+    assert _check_against_library(run_main, "compare", "--records", str(records), "--format", "csv")[0] == 0
+
+
+def test_species_list_csv(run_main):
+    assert _check_against_library(run_main, "species-list", "--format", "csv")[0] == 0
+
+
+def test_digits_flag_controls_text_precision(run_main):
+    short = run_main("table1", "--digits", "3")[1]
+    assert "3.69" in short and "3.68951" not in short
+    assert "3.6895061499" in run_main("table1", "--digits", "12")[1]
+    # no float has more than 767 significant digits, so the cap of 1000 prints the same
+    assert run_main("table1", "--digits", "1000") == run_main("table1", "--digits", "767")
+    assert run_main("table1", "--digits", "1001") == (
+        2, "", "erlab: error: validation: --digits must be from 0 to 1000, got 1001\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +355,21 @@ def test_simulate_failed_worker_exits_3(run_main, fake_cpus, record_forks):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_simulate_text_and_csv_formats():
-    text = run_cli(*SIM_ARGS, "--format", "text")
-    assert "variance_at_horizon" in text.stdout
-    as_csv = run_cli(*SIM_ARGS, "--format", "csv")
-    header, values = as_csv.stdout.strip().split("\n")
+def test_simulate_text_and_csv_formats(run_main):
+    assert "variance_at_horizon" in run_main(*SIM_ARGS, "--format", "text")[1]
+    header, values = run_main(*SIM_ARGS, "--format", "csv")[1].strip().split("\n")
     assert header == "variance,std_error,mean"
     var = float(values.split(",")[0])
-    assert var == pytest.approx(json.loads(run_cli(*SIM_ARGS).stdout)["variance"], rel=1e-15)
+    assert var == pytest.approx(json.loads(run_main(*SIM_ARGS)[1])["variance"], rel=1e-15)
 
 
-def test_simulate_trajectory_dumps(tmp_path):
-    proc = run_cli(
+def test_simulate_trajectory_dumps(run_main, tmp_path):
+    code, _, _ = run_main(
         "simulate", "--atoms", "100", "--trajectories", "10", "--seed", "7",
         "--steps-per-tau", "10", "--dump-trajectories", "0,3",
         "--dump-dir", str(tmp_path),
     )
-    assert proc.returncode == 0
+    assert code == 0
     for idx in (0, 3):
         lines = (tmp_path / f"trajectory_{idx}.csv").read_text().strip().split("\n")
         assert lines[0] == "t_over_tau,value"
@@ -297,48 +402,11 @@ def test_trajectory_dump_bytes_are_pinned(run_main, tmp_path):
             assert hashlib.sha256(data).hexdigest() == DUMP_DIGESTS[seed, idx], (seed, idx)
 
 
-def test_simulate_matches_analytic_from_cli():
-    proc = run_cli("simulate", "--atoms", "1e6", "--trajectories", "20000", "--seed", "5")
-    doc = json.loads(proc.stdout)
+def test_simulate_matches_analytic_from_cli(run_main):
+    doc = json.loads(run_main("simulate", "--atoms", "1e6", "--trajectories", "20000", "--seed", "5")[1])
     target = 0.16809124072457832e-6
     se = doc["variance"] * math.sqrt(2.0 / 19999)
     assert abs(doc["variance"] - target) < 4.0 * se
-
-
-# ---------------------------------------------------------------------------
-# species file override
-# ---------------------------------------------------------------------------
-
-def _custom_species_file(tmp_path):
-    doc = json.loads((PKG_DATA / "species.json").read_text())
-    doc["species"] = [row for row in doc["species"] if row["name"] == "133Cs"]
-    path = tmp_path / "only_cs.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def test_env_var_selects_species_file(tmp_path):
-    path = _custom_species_file(tmp_path)
-    proc = run_cli("table1", env_extra={"ERLAB_SPECIES_FILE": str(path)})
-    assert proc.returncode == 0
-    assert "133Cs.erl" in proc.stdout
-    assert "41K" not in proc.stdout
-
-
-def test_flag_overrides_env_var(tmp_path):
-    path = _custom_species_file(tmp_path)
-    proc = run_cli(
-        "table1", "--species-file", str(path),
-        env_extra={"ERLAB_SPECIES_FILE": "/does/not/exist.json"},
-    )
-    assert proc.returncode == 0
-    assert "133Cs.erl" in proc.stdout
-
-
-def test_env_var_pointing_nowhere_is_io_error():
-    proc = run_cli("table1", env_extra={"ERLAB_SPECIES_FILE": "/does/not/exist.json"})
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("erlab: error: io:")
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +518,8 @@ def test_bad_records_content_is_validation_error(run_main, tmp_path, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# property: any numeric input ends in a documented exit code
+# property: any numeric input ends in a documented exit code, and an
+# analytic command prints what the library computes
 # ---------------------------------------------------------------------------
 
 _EDGE_NUMBERS = ("nan", "inf", "-inf", "-0", "0", "1e400", "1e-400", "-1",
@@ -462,25 +531,72 @@ _numbers = st.one_of(
 )
 
 
+def _in_range(low, high):
+    """Floats from ``low`` to ``high``, uniform in their logarithm."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+def _spellings(dimension):
+    """Every unit spelling the parser accepts for ``dimension``, aliases too."""
+    spellings = {*units._UNITS, *units._ALIASES}
+    return sorted(u for u in spellings if u and parse_quantity(f"1{u}").dimension == dimension)
+
+
+def _records(anything):
+    """Record lists for compare: each field in its valid range, or, if
+    ``anything``, possibly any float."""
+
+    def field(low, high):
+        return st.one_of(_in_range(low, high), st.floats()) if anything else _in_range(low, high)
+
+    return st.lists(st.fixed_dictionaries({
+        "label": st.sampled_from(("lab", "a,b")),
+        "p": field(1e-12, 0.9),
+        "T_K": field(1e-3, 1e3),
+        "tau_s": field(1e-12, 1e3),
+        "measured_erl_hbar": field(1e-3, 1e9),
+    }), max_size=3)
+
+
 @st.composite
-def _argv(draw, dump_dir):
+def _argv(draw, tmp_dir):
+    anything = draw(st.booleans())  # else each number of an analytic command is in its valid range
+
     def num(unit=""):
         return draw(_numbers) + unit
 
-    command = draw(st.sampled_from(("atomic", "squid", "diamond", "simulate")))
+    def bare(low, high):
+        valid = _in_range(low, high).map(repr)
+        return draw(st.one_of(_numbers, valid) if anything else valid)
+
+    def quantity(dimension, low, high):  # low and high in SI
+        unit = draw(st.sampled_from(_spellings(dimension)))
+        scale = parse_quantity(f"1{unit}").si
+        return bare(low / scale, high / scale) + unit
+
+    command = draw(st.sampled_from(
+        ("atomic", "squid", "diamond", "table1", "table2", "compare", "species-list", "simulate")
+    ))
     if command == "atomic":
-        argv = ["atomic", "--species", "Cs", "--density", num("/cm3"), "--volume", num("cm3")]
+        argv = ["atomic", "--species", draw(st.sampled_from(("Cs", "133Cs", "K", "41K", "Rb", "Xe"))),
+                "--density", quantity(NUMBER_DENSITY, 1e16, 1e24), "--volume", quantity(VOLUME, 1e-10, 1e-2)]
         if draw(st.booleans()):
-            argv += ["--temp", num("K")]
+            argv += ["--temp", quantity(TEMPERATURE, 1e2, 2e3)]
     elif command == "squid":
-        argv = ["squid", "--p", num(), "--temp", num("K"), "--tau", num("s")]
+        argv = ["squid", "--p", bare(1e-12, 0.9), "--temp", quantity(TEMPERATURE, 1e-3, 1e3),
+                "--tau", quantity(TIME, 1e-12, 1e3)]
         if draw(st.booleans()):
-            argv += ["--measured", num()]
+            argv += ["--measured", bare(1e-3, 1e9)]
     elif command == "diamond":
-        argv = ["diamond", "--temp", num("K"), "--tau", num("s")]
+        argv = ["diamond", "--temp", quantity(TEMPERATURE, 1e-3, 1e4), "--tau", quantity(TIME, 1e-12, 1e3)]
         if draw(st.booleans()):
-            argv += ["--psd", num("pT/rtHz"), "--volume", num("m3")]
-    else:
+            argv += ["--psd", quantity(FIELD_NOISE_DENSITY, 1e-16, 1e-8),
+                     "--volume", quantity(VOLUME, 1e-18, 1e-3)]
+    elif command == "compare":
+        path = tmp_dir / "records.json"
+        path.write_text(json.dumps(draw(_records(anything))))
+        argv = ["compare", "--records", str(path)]
+    elif command == "simulate":
         # at most 4 trajectories and 1e5 steps, or a step count past the budget
         horizon = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats(-10, 100).map(repr))
         argv = [
@@ -492,10 +608,13 @@ def _argv(draw, dump_dir):
             "--horizon", draw(horizon),
             "--workers", draw(st.sampled_from(("1", "2", "0", "-1", "inf"))),
             "--dump-trajectories", draw(st.sampled_from(("0", "0,3", "-1", "4", "nan"))),
-            "--dump-dir", str(dump_dir),
+            "--dump-dir", str(tmp_dir),
         ]
+    else:
+        argv = [command]
     fmt = draw(st.sampled_from(("text", "json", "csv")))
-    digits = draw(st.sampled_from(("6", "17", "0", "-1", "nan", "1e400")))
+    bad_digits = draw(st.integers(0, 9)) == 0
+    digits = draw(st.sampled_from(("-1", "1001", "nan", "1e400") if bad_digits else ("6", "0", "3", "12", "17")))
     return argv + ["--format", fmt, "--digits", digits]
 
 
@@ -516,12 +635,16 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_numeric_input_exits_with_a_documented_code(data, run_main, tmp_path):
     argv = data.draw(_argv(tmp_path))
-    code, out, err = run_main(*argv)
+    if argv[0] == "simulate":
+        code, out, err = run_main(*argv)
+    else:
+        code, out, err = _check_against_library(run_main, *argv)
+        event(f"analytic command, exit {code}")
     assert code in (0, 1, 2, 3)
     if code:
         assert out == ""

@@ -450,12 +450,15 @@ def test_a_dump_streams_to_its_file_in_constant_memory(tmp_path):
         dict(steps_per_tau=10**400),
         dict(horizon=1e307),
         dict(steps_per_tau=spinsim.MAX_ARRAY_LENGTH, horizon=1.5),
+        # True is an int to Python, but a valid value of no field
+        *({field: True} for field in ("atom_count", "relaxation_time", "trajectory_count",
+                                       "steps_per_tau", "horizon", "seed")),
     ],
 )
 def test_config_validation(kwargs):
     base = dict(atom_count=1e4, relaxation_time=1.0, trajectory_count=10)
     base.update(kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^[^\n]*$"):  # one line
         SimConfig(**base)
 
 
