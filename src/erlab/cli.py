@@ -13,8 +13,9 @@ accepted only for dimensionless parameters.  Exit codes: 0 success,
 
 Each command imports only what it runs: every ``_cmd_*`` handler, and
 ``_catalog`` and ``_render``, imports its own ``sensors``, ``species``,
-``report`` and ``spinsim`` names, so ``--version`` loads none of them and
-only ``simulate`` loads numpy.  Only ``units`` is imported at the top.
+``report``, ``spinsim`` and ``units`` names, so ``--version`` loads none
+of them and only ``simulate`` loads numpy.  Nothing of erlab but
+``__version__`` is imported at the top.
 """
 
 from __future__ import annotations
@@ -25,15 +26,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .units import (
-    FIELD_NOISE_DENSITY,
-    NUMBER_DENSITY,
-    TEMPERATURE,
-    TIME,
-    VOLUME,
-    constants,
-    parse_quantity,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,9 +105,10 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"erlab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
+    common = {fmt: _common_options(fmt) for fmt in ("text", "json")}
 
     def command(name, handler, help_text, default_format="text"):
-        p = sub.add_parser(name, parents=[_common_options(default_format)], help=help_text)
+        p = sub.add_parser(name, parents=[common[default_format]], help=help_text)
         p.set_defaults(handler=handler)
         return p
 
@@ -186,6 +179,8 @@ def _catalog(args):
 
 
 def _cmd_species_list(args):
+    from .units import constants
+
     rows = []
     for sp in _catalog(args):
         sigma = sp.sd_cross_section_m2
@@ -210,6 +205,7 @@ def _field_rows(result, fields: dict, prefix: str = "") -> list[tuple]:
 
 def _cmd_atomic(args):
     from .sensors import VaporCell, atomic_floor
+    from .units import NUMBER_DENSITY, TEMPERATURE, VOLUME, parse_quantity
 
     species = _catalog(args).get(args.species)
     density = parse_quantity(args.density, NUMBER_DENSITY).si
@@ -227,6 +223,7 @@ def _cmd_atomic(args):
 
 def _cmd_squid(args):
     from .sensors import SquidSpec, erl_ratio, squid_erl
+    from .units import TEMPERATURE, TIME, parse_quantity
 
     temperature = parse_quantity(args.temp, TEMPERATURE).si
     tau = parse_quantity(args.tau, TIME).si
@@ -249,6 +246,7 @@ def _cmd_squid(args):
 
 def _cmd_diamond(args):
     from .sensors import diamond_erl, erl_ratio, measured_erl_from_psd
+    from .units import FIELD_NOISE_DENSITY, TEMPERATURE, TIME, VOLUME, parse_quantity
 
     temperature = parse_quantity(args.temp, TEMPERATURE).si
     tau = parse_quantity(args.tau, TIME).si
@@ -317,6 +315,7 @@ def _cmd_simulate(args):
         usable_cpus,
         write_trajectory_csv,
     )
+    from .units import TIME, parse_quantity
 
     tau = parse_quantity(args.tau, TIME).si
     atoms = int(args.atoms) if float(args.atoms).is_integer() else args.atoms

@@ -228,8 +228,10 @@ def usable_cpus() -> int:
 
 
 def _as_int(value, valid, message: str) -> int:
-    """``value`` as a plain int (numpy integers too) if ``valid`` holds for
-    it; otherwise ValueError(message)."""
+    """``value`` as a plain int (numpy integers too, not a bool) if
+    ``valid`` holds for it; otherwise ValueError(message)."""
+    if isinstance(value, bool):
+        raise ValueError(message)
     try:
         n = operator.index(value)
     except TypeError:

@@ -229,10 +229,12 @@ def test_env_var_pointing_nowhere_is_io_error():
 
 # argv -> modules its process must not load: each command imports only
 # what it runs, and only simulate loads numpy
+_NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.report"}
 _LAYERING = (
     (("-c", "import erlab.cli"), {"numpy"}),
     (("-m", "erlab", "table1"), {"numpy"}),
-    (("-m", "erlab", "--version"), {"numpy", "erlab.sensors", "erlab.species", "erlab.report"}),
+    (("-m", "erlab", "--version"), _NO_COMMAND),
+    (("-m", "erlab", "--help"), _NO_COMMAND),
     (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds"}),
     (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"), {"numpy", "erlab.species"}),
     (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"), {"numpy", "erlab.species"}),

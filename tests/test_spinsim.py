@@ -482,7 +482,7 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
 
 def test_sample_index_bounds():
     cfg = SimConfig(1e4, 1.0, 10, seed=0)
-    for index in (10, -1, 1.5, "1", None, 1.0):
+    for index in (10, -1, 1.5, "1", None, 1.0, True):
         with pytest.raises(ValueError, match=r"^sample index .* is not an integer in \[0, 10\)$"):
             simulate_transient(cfg, sample_indices=(index,))
     # numpy integers are integers
@@ -491,7 +491,7 @@ def test_sample_index_bounds():
 
 
 def test_worker_count_validated():
-    for workers in (0, -1, 2.5, "2", None, 2.0):
+    for workers in (0, -1, 2.5, "2", None, 2.0, True):
         with pytest.raises(ValueError, match=r"^workers must be an integer >= 1, got [^\n]*$"):
             simulate_transient(SimConfig(1e4, 1.0, 10), workers=workers)
     cfg = SimConfig(1e4, 1.0, 10)
