@@ -315,7 +315,7 @@ def _cmd_simulate(args):
         usable_cpus,
         write_trajectory_csv,
     )
-    from .units import TIME, parse_quantity
+    from .units import TIME, brief, parse_quantity
 
     tau = parse_quantity(args.tau, TIME).si
     atoms = int(args.atoms) if float(args.atoms).is_integer() else args.atoms
@@ -333,7 +333,8 @@ def _cmd_simulate(args):
             indices = tuple(int(tok) for tok in args.dump_trajectories.split(","))
         except ValueError:
             raise ValueError(
-                f"--dump-trajectories must be comma-separated integers, got {args.dump_trajectories!r}"
+                "--dump-trajectories must be comma-separated integers, "
+                f"got {brief(args.dump_trajectories, repr)}"
             ) from None
     workers = usable_cpus() if args.workers is None else args.workers
     result = simulate_transient(config, workers=workers, sample_indices=indices)
@@ -390,7 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "handler", None) is None:
         return _fail(EXIT_USAGE, "usage", "a command is required (try --help)")
     if not 0 <= args.digits <= _MAX_DIGITS:
-        message = f"--digits must be from 0 to {_MAX_DIGITS}, got {args.digits}"
+        from .units import brief
+
+        message = f"--digits must be from 0 to {_MAX_DIGITS}, got {brief(args.digits)}"
         return _fail(EXIT_VALIDATION, "validation", message)
     try:
         content = _render(args.handler(args), args)

@@ -153,7 +153,7 @@ class SpeciesCatalog:
             return self._by_name[key]
         except KeyError:
             known = ", ".join(self._by_name)
-            raise KeyError(f"unknown species {name!r} (catalog has: {known})") from None
+            raise KeyError(f"unknown species {brief(name, repr)} (catalog has: {known})") from None
 
 
 def _parse_spin(text, where: str) -> Fraction:

@@ -34,9 +34,10 @@ fast as the ndarrays that ``bitgen.state`` returns: a reset took 0.75 us
 instead of 1.5-1.8 us (Intel Xeon, Python 3.11, numpy 2.4).  Draws fill
 the rows of a buffer of at most _ROW_BUFFER float64 values, which is
 weighted and reduced row by row in one call.  With ``workers`` > 1 the
-blocks are shared out among forked worker processes, which pipe their
-horizon values back; processes, not threads, because each reset holds
-the GIL.  Sampled paths are redrawn afterwards from their own counters.
+blocks are shared out among forked worker processes, which write their
+horizon values into one anonymous mapping shared with this process;
+processes, not threads, because each reset holds the GIL.  Sampled paths
+are redrawn afterwards from their own counters.
 A dump streams its rows straight to its file, so writing one needs a
 constant amount of memory beyond the sampled path itself.
 """
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import operator
 import os
 import signal
@@ -54,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .report import write_csv
-from .units import require
+from .units import brief, require
 
 __all__ = [
     "SimConfig",
@@ -86,7 +88,7 @@ _CPU_QUOTA_FILES = (
 
 def _within_budget(what: str, count) -> None:
     if count > MAX_ARRAY_LENGTH:
-        raise ValueError(f"{what} must be at most {MAX_ARRAY_LENGTH} (memory budget), got {count}")
+        raise ValueError(f"{what} must be at most {MAX_ARRAY_LENGTH} (memory budget), got {brief(count)}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,12 @@ class SimConfig:
         require(self.atom_count, "atom count", ">= 1")
         require(self.relaxation_time, "relaxation time")
         if type(self.trajectory_count) is not int or self.trajectory_count < 1:
-            raise ValueError(f"trajectory count must be an integer >= 1, got {self.trajectory_count}")
+            raise ValueError(f"trajectory count must be an integer >= 1, got {brief(self.trajectory_count)}")
         if type(self.steps_per_tau) is not int or self.steps_per_tau < 10:
-            raise ValueError(f"steps_per_tau must be an integer >= 10, got {self.steps_per_tau}")
+            raise ValueError(f"steps_per_tau must be an integer >= 10, got {brief(self.steps_per_tau)}")
         require(self.horizon, "horizon", "non-negative")
         if type(self.seed) is not int or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {brief(self.seed)}")
         _within_budget("trajectory count", self.trajectory_count)
         try:
             _within_budget("step count", self.step_count)
@@ -259,17 +261,20 @@ def simulate_transient(
     (for dumping/plotting), up to MAX_ARRAY_LENGTH values in all.
     """
     M = config.trajectory_count
-    workers = _as_int(workers, lambda n: n >= 1, f"workers must be an integer >= 1, got {workers!r}")
+    message = f"workers must be an integer >= 1, got {brief(workers, repr)}"
+    workers = _as_int(workers, lambda n: n >= 1, message)
     # plain ints, as the counter i << 128 below needs one
     sample_indices = [
-        _as_int(idx, lambda i: 0 <= i < M, f"sample index {idx!r} is not an integer in [0, {M})")
+        _as_int(idx, lambda i: 0 <= i < M, f"sample index {brief(idx, repr)} is not an integer in [0, {M})")
         for idx in sample_indices
     ]
     steps = config.step_count
     _within_budget("sample count x step count", len(sample_indices) * steps)
 
     coeff, scale = _envelope(config)
-    horizon_values = np.zeros(M)
+    # one zero-filled anonymous mapping, shared with the workers forked below,
+    # which write their blocks' values straight into it
+    horizon_values = np.frombuffer(mmap.mmap(-1, 8 * M), dtype=np.float64)
 
     def run_block(start: int, stop: int) -> None:
         # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
@@ -310,7 +315,7 @@ def simulate_transient(
         # each reset holds the GIL, so workers are processes, and beyond the
         # usable cores they only contend
         workers = min(workers, usable_cpus(), len(blocks)) if hasattr(os, "fork") else 1
-        _run_blocks(blocks, workers, run_block, horizon_values)
+        _run_blocks(blocks, workers, run_block)
 
     mean = float(horizon_values.mean())
     if M > 1:
@@ -340,61 +345,42 @@ def simulate_transient(
     )
 
 
-def _run_blocks(blocks, workers: int, run_block, out: np.ndarray) -> None:
+def _run_blocks(blocks, workers: int, run_block) -> None:
     """Run block k on worker k mod ``workers``: this process is worker 0 and
-    forks the others, which send their blocks' slices of ``out`` back
-    through a pipe each; one worker forks nothing.  Every forked worker is
-    reaped before this returns or raises."""
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    forks the others; one worker forks nothing.  ``run_block`` writes into
+    memory shared with the forked workers, so a worker sends nothing back and
+    the parent learns its outcome from its exit status alone.  Every forked
+    worker is reaped before this returns or raises."""
+    children: list[int] = []
     done = False
     try:
         for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                _serve(blocks[w::workers], run_block, out, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
+                _serve(blocks[w::workers], run_block)
+            children.append(pid)
         for block in blocks[::workers]:
             run_block(*block)
-        for w, (pid, read_fd) in enumerate(children, 1):
-            # a buffered readinto fills its whole slice unless the pipe ends
-            with open(read_fd, "rb", closefd=False) as pipe:
-                for lo, hi in blocks[w::workers]:
-                    if pipe.readinto(out[lo:hi]) != (hi - lo) * out.itemsize:
-                        raise ChildProcessError(f"worker process {pid} ended before sending its results")
         done = True
     finally:
-        for pid, read_fd in children:
-            os.close(read_fd)
-            if not done:  # stop the other workers rather than wait for them
+        if not done:  # stop the other workers rather than wait for them
+            for pid in children:
                 os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0) for pid, _ in children]
+        statuses = [os.waitpid(pid, 0) for pid in children]
     for pid, status in statuses:
         if status:
             code = os.waitstatus_to_exitcode(status)
             raise ChildProcessError(f"worker process {pid} ended with exit status {code}")
 
 
-def _serve(blocks, run_block, out: np.ndarray, write_fd: int) -> None:
-    """Body of a forked worker: run ``blocks``, write their slices of ``out``
-    to ``write_fd`` and leave by ``os._exit``, never returning to the caller
-    (nor flushing the parent's buffers a second time)."""
+def _serve(blocks, run_block) -> None:
+    """Body of a forked worker: run ``blocks`` and leave by ``os._exit``, with
+    status 0 once all have run and 1 on an exception, never returning to the
+    caller (nor flushing the parent's buffers a second time)."""
     code = 1
     try:
-        with open(write_fd, "wb") as pipe:
-            # every block before any write: a pipe holds 64 KiB, and the
-            # parent reads it only once its own share is done
-            for block in blocks:
-                run_block(*block)
-            for lo, hi in blocks:
-                pipe.write(out[lo:hi])
+        for block in blocks:
+            run_block(*block)
         code = 0
     finally:
         os._exit(code)

@@ -190,27 +190,27 @@ def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
     """
     m = _QUANTITY_RE.match(text)
     if not m:
-        raise ValueError(f"cannot parse quantity from '{text}'")
+        raise ValueError(f"cannot parse quantity from '{brief(text)}'")
     value = float(m.group("num"))
     unit = m.group("unit")
     try:
         dimension, scale = _UNITS[_ALIASES.get(unit, unit)]
     except KeyError:
         known = ", ".join(sorted(k for k in _UNITS if k))
-        raise DimensionError(f"unknown unit '{unit}' (known units: {known})") from None
+        raise DimensionError(f"unknown unit '{brief(unit)}' (known units: {known})") from None
     if expect is not None and dimension != expect:
         if unit == "":
             raise DimensionError(
-                f"'{text}' has no unit; expected a value of dimension [{expect}] "
+                f"'{brief(text)}' has no unit; expected a value of dimension [{expect}] "
                 f"(e.g. unit suffixes like 'cm3', 'us', 'pT/rtHz')"
             )
         raise DimensionError(
-            f"'{text}' has dimension [{dimension}] but a value of dimension "
+            f"'{brief(text)}' has dimension [{dimension}] but a value of dimension "
             f"[{expect}] is required"
         )
     si = value * scale
     if not math.isfinite(si):
-        raise ValueError(f"'{text}' is out of range: its SI value is not finite")
+        raise ValueError(f"'{brief(text)}' is out of range: its SI value is not finite")
     return Quantity(si, dimension)
 
 

@@ -1,8 +1,11 @@
 """Fixtures shared by the simulator and CLI tests: fake the usable CPUs,
-count the worker processes the simulator forks, and run the CLI in-process."""
+count the worker processes the simulator forks or make a fork fail, and run
+the CLI in-process."""
 
 import contextlib
+import errno
 import io
+import itertools
 import os
 
 import pytest
@@ -47,12 +50,16 @@ def fake_cpus(monkeypatch):
 @pytest.fixture
 def record_forks(monkeypatch):
     """Call to wrap ``os.fork``: the returned list gets each fork's child pid,
-    as the parent sees it, and ``child``, if given, runs first in each child."""
+    as the parent sees it, ``child``, if given, runs first in each child, and
+    the ``fail_at``-th call, if given (1 for the first), raises OSError(EAGAIN)
+    and forks nothing."""
 
-    def install(child=None) -> list[int]:
-        forks, real_fork = [], os.fork
+    def install(child=None, fail_at=None) -> list[int]:
+        forks, real_fork, calls = [], os.fork, itertools.count(1)
 
         def recording_fork():
+            if next(calls) == fail_at:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
             pid = real_fork()
             if pid == 0:
                 if child is not None:

@@ -9,6 +9,7 @@ library, over drawn inputs in the property test at the end and at
 hand-picked argv in the happy-path tests."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -352,7 +353,18 @@ def test_simulate_failed_worker_exits_3(run_main, fake_cpus, record_forks):
     code, out, err = run_main(*WIDE_SIM_ARGS)
     assert len(forks) == 1
     assert (code, out) == (3, "")
-    assert re.fullmatch(r"erlab: error: io: worker process \d+ ended before sending its results\n", err)
+    assert re.fullmatch(r"erlab: error: io: worker process \d+ ended with exit status 1\n", err)
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_failed_fork_exits_3(run_main, fake_cpus, record_forks):
+    fake_cpus(3)
+    forks = record_forks(fail_at=2)
+    code, out, err = run_main(*WIDE_SIM_ARGS)
+    assert len(forks) == 1
+    assert (code, out) == (3, "")
+    assert re.fullmatch(rf"erlab: error: io: \[Errno {errno.EAGAIN}\] [^\n]+\n", err)
     with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -417,9 +429,10 @@ def test_simulate_matches_analytic_from_cli(run_main):
 
 def _assert_fails(result, code, kind):
     """``result``, an in-process run, exited with ``code``, printed nothing
-    and wrote one ``erlab: error: KIND:`` line to stderr."""
+    and wrote one ``erlab: error: KIND:`` line of under 200 bytes to stderr."""
     assert result[:2] == (code, "")
     assert result[2].startswith(f"erlab: error: {kind}: ") and len(result[2].splitlines()) == 1
+    assert len(result[2].encode()) < 200
 
 
 @pytest.mark.parametrize(
@@ -475,10 +488,32 @@ def test_usage_errors_exit_1(run_main, args):
         # --digits outside 0..1000, in every format
         *(("squid", "--p", "0.1", "--temp", "4K", "--tau", "1s", "--format", fmt, "--digits", d)
           for fmt in ("text", "json", "csv") for d in ("-1", "100000000000")),
+        # long values, each quoted by its head and its length
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0", "--horizon", "1e300"),
+        ("simulate", "--atoms", "1e6", "--trajectories", "1" * 500, "--seed", "0"),
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 500),
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0",
+         "--dump-trajectories", "1" * 500),
+        ("atomic", "--species", "X" * 500, "--density", "1e14/cm3", "--volume", "1cm3"),
+        ("atomic", "--species", "Cs", "--density", "1%s/cm3" % ("0" * 500), "--volume", "1cm3"),
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0", "--steps-per-tau", "-" + "1" * 500),
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0", "--workers", "-" + "1" * 500),
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0",
+         "--dump-trajectories", "a" * 500),
+        ("squid", "--p", "0.1", "--temp", "4K", "--tau", "1s", "--digits", "1" * 500),
     ],
 )
 def test_validation_errors_exit_2(run_main, args):
     _assert_fails(run_main(*args), 2, "validation")
+
+
+def test_an_unknown_unit_is_quoted_by_its_head_and_length(run_main):
+    # the list of known units that follows is about 250 bytes by itself
+    code, out, err = run_main("atomic", "--species", "Cs", "--density", "1e14/" + "c" * 500, "--volume", "1cm3")
+    assert (code, out) == (2, "")
+    unit, known = err.split(" (known units: ")
+    assert unit == "erlab: error: validation: unknown unit '/%s... (501 characters)'" % ("c" * 39)
+    assert known.startswith("G, G/rtHz, ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -494,6 +529,7 @@ def test_io_errors_exit_3(run_main, args):
 
 
 def test_bad_records_content_is_validation_error(run_main, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the file is named by a short path, so the message is short
     path = tmp_path / "records.json"
     for content in (
         "{\"oops\": 1}",
@@ -506,9 +542,8 @@ def test_bad_records_content_is_validation_error(run_main, tmp_path, monkeypatch
         % ("0" * 5000),
     ):
         path.write_text(content)
-        _assert_fails(run_main("table2", "--records", str(path)), 2, f"validation: {path}")
+        _assert_fails(run_main("table2", "--records", path.name), 2, "validation: records.json")
     # a 4001-digit integer, or a 4000-character string, is quoted by its head only
-    monkeypatch.chdir(tmp_path)
     for value in ("1" + "0" * 4000, '"%s"' % ("9" * 4000)):
         path.write_text(
             '[{"label": "a", "p": 1e-6, "T_K": %s, "tau_s": 1e-6, "measured_erl_hbar": 5}]' % value
@@ -650,7 +685,7 @@ def test_any_numeric_input_exits_with_a_documented_code(data, run_main, tmp_path
     assert code in (0, 1, 2, 3)
     if code:
         assert out == ""
-        assert len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
         return
     assert err == ""
     if argv[argv.index("--format") + 1] == "json":

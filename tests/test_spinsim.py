@@ -1,8 +1,11 @@
 """Monte Carlo spin-noise transient and its closed-form oracle."""
 
+import errno
 import json
 import math
 import os
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -302,23 +305,43 @@ def test_a_large_affinity_set_starts_at_most_one_process_per_block(fake_cpus, re
     assert len(forks) == 1  # two processes in all
 
 
-@pytest.mark.parametrize("sends_results", [False, True])
-def test_a_failed_worker_raises_and_leaves_no_child(fake_cpus, record_forks, sends_results):
-    # a child that ends at once sends nothing; one whose exit status is
-    # forced to 3 sends every result and is caught by its status alone
-    real_exit = os._exit
-    if sends_results:
-        fail = lambda: setattr(os, "_exit", lambda code: real_exit(3))  # noqa: E731
-    else:
-        fail = lambda: real_exit(1)  # noqa: E731
+_REAL_EXIT = os._exit
+
+
+@pytest.mark.parametrize(
+    "fail, status",
+    [
+        (lambda: _REAL_EXIT(1), 1),  # ends at once, having run no block
+        # runs every block, but its exit status is forced to 3
+        (lambda: setattr(os, "_exit", lambda code: _REAL_EXIT(3)), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ],
+    ids=["at_once", "after_its_blocks", "by_a_signal"],
+)
+def test_a_failed_worker_raises_and_leaves_no_child(fake_cpus, record_forks, fail, status):
+    # a worker sends nothing back, so its exit status is all that shows it failed
     forks = record_forks(child=fail)
     fake_cpus(4)
     cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=6)  # three blocks
-    message = "exit status 3" if sends_results else "ended before sending its results"
-    with pytest.raises(ChildProcessError, match=message):
+    with pytest.raises(ChildProcessError, match=rf"ended with exit status {status}$"):
         simulate_transient(cfg, workers=4)
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_fork_kills_and_reaps_the_forked_workers(fake_cpus, record_forks):
+    # the first worker would sleep for a minute before its blocks
+    forks = record_forks(child=lambda: time.sleep(60), fail_at=2)
+    fake_cpus(4)
+    cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=6)  # three blocks
+    start = time.monotonic()
+    with pytest.raises(OSError) as failure:
+        simulate_transient(cfg, workers=3)
+    assert failure.value.errno == errno.EAGAIN
+    assert time.monotonic() - start < 30  # the sleeping worker was killed
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # and reaped
         os.waitpid(-1, os.WNOHANG)
 
 
