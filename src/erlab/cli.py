@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -72,7 +73,22 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to our taxonomy
-        raise _UsageError(message)
+        # argparse quotes a value by repr, in single quotes or, if it holds
+        # one, in double quotes, and lists unrecognized arguments bare
+        raise _UsageError(re.sub(r"'([^']*)'|\"([^\"]*)\"|(\S+)", _brief_value, message))
+
+
+def _brief_value(match: re.Match) -> str:
+    """The value ``match`` found in an argparse message, or if it is longer
+    than 20 characters its first 12 and its length, as ``units.brief`` quotes
+    a value; a shorter head than brief's 40 characters, as the list of
+    commands after an invalid one is itself about 120 bytes.  No option name
+    is that long, and ``units`` stays unloaded on the usage path."""
+    value = match[match.lastindex]
+    if len(value) <= 20:
+        return match[0]
+    quote = match[0][0] if match.lastindex < 3 else ""
+    return f"{quote}{value[:12]}... ({len(value)} characters){quote}"
 
 
 def _common_options(default_format: str = "text") -> _Parser:

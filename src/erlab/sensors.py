@@ -25,14 +25,13 @@ kappa_bare = sqrt(N_c) phi identically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .bounds import THEORETICAL_FLOOR_HBAR, erl_quantum, spin_temperature
-from .units import brief, constants, require
+from .units import brief, constants, read_json, require
 
 if TYPE_CHECKING:  # an annotation only; the CLI's squid and diamond need no species
     from .species import Species
@@ -343,11 +342,7 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
     """Load comparison records from a JSON array of
     ``{"label", "p", "T_K", "tau_s", "measured_erl_hbar"}`` objects."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, bytes not UTF-8, an integer past the digit limit
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a JSON array of records")
     records = []

@@ -17,7 +17,6 @@ ValueError.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
-from .units import brief, constants, require
+from .units import brief, constants, read_json, require
 
 __all__ = [
     "slowing_factor",
@@ -197,11 +196,7 @@ def load_catalog(path: str | Path) -> SpeciesCatalog:
     cm^2 in the file and converted to SI on load.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, bytes not UTF-8, an integer past the digit limit
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("species"), list):
         raise ValueError(f"{path}: expected an object with a 'species' list")
     amu = constants().atomic_mass

@@ -19,7 +19,7 @@ is 0.168091/N, i.e. an uncertainty of 0.410/sqrt(N).
 Determinism contract: trajectory i draws from a Philox counter block that
 depends only on (seed, i) -- the stream of Philox(key=seed,
 counter=i * 2^128) -- so results are bit-identical across runs, worker
-counts, block and buffer sizes, a missing ``os.fork``, and trajectory-count
+counts, buffer sizes, a missing ``os.fork``, and trajectory-count
 extensions (a longer run reproduces a shorter run's trajectories exactly).
 Its executable statement is the property test
 ``test_the_determinism_contract`` in ``tests/test_spinsim.py``: whatever
@@ -27,17 +27,17 @@ those are, the mean and variance at the horizon, and every sampled path,
 equal bit for bit those of a fresh Philox(key=seed, counter=i << 128) per
 trajectory.
 
-Each block of trajectories builds one Philox generator keyed by the seed
-and reaches trajectory i's substream by resetting its state.  The state is
-a dict of plain ints, because numpy's setter reads those about twice as
-fast as the ndarrays that ``bitgen.state`` returns: a reset took 0.75 us
-instead of 1.5-1.8 us (Intel Xeon, Python 3.11, numpy 2.4).  Draws fill
-the rows of a buffer of at most _ROW_BUFFER float64 values, which is
-weighted and reduced row by row in one call.  With ``workers`` > 1 the
-blocks are shared out among forked worker processes, which write their
-horizon values into one anonymous mapping shared with this process;
-processes, not threads, because each reset holds the GIL.  Sampled paths
-are redrawn afterwards from their own counters.
+Each worker builds one Philox generator keyed by the seed and reaches
+trajectory i's substream by resetting its state.  The state is a dict of
+plain ints, because numpy's setter reads those about twice as fast as the
+ndarrays that ``bitgen.state`` returns: a reset took 0.75 us instead of
+1.5-1.8 us (Intel Xeon, Python 3.11, numpy 2.4).  Draws fill the rows of a
+buffer of at most _ROW_BUFFER float64 values, which is weighted and reduced
+row by row in one call; the trajectories of one fill are the work unit.
+With ``workers`` > 1 the units are dealt round-robin to forked worker
+processes, which write their horizon values into one anonymous mapping
+shared with this process; processes, not threads, because each reset holds
+the GIL.  Sampled paths are redrawn afterwards from their own counters.
 A dump streams its rows straight to its file, so writing one needs a
 constant amount of memory beyond the sampled path itself.
 """
@@ -73,8 +73,7 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
-_CHUNK = 4096  # trajectories per work unit; results do not depend on this
-_ROW_BUFFER = 2**14  # float64 draws buffered per fill (128 KiB); nor on this
+_ROW_BUFFER = 2**14  # float64 draws per fill (128 KiB), one work unit; results do not depend on it
 # memory budget, checked before allocating: float64 values (128 MiB) in any one
 # array, of trajectory count, step count or sample count x step count values
 MAX_ARRAY_LENGTH = 2**24
@@ -250,15 +249,16 @@ def simulate_transient(
 ) -> SimResult:
     """Run the ensemble and return variance/mean statistics at the horizon.
 
-    ``workers`` runs trajectory blocks on that many processes, this one and
-    ``workers`` - 1 forked from it, without changing any output bit; it is
-    capped at the usable CPU count and the number of blocks, and blocks run
-    serially where ``os.fork`` is missing.  A worker that fails raises
-    ChildProcessError, and no worker outlives the call.  The default of 1
-    forks nothing, as a fork copies only the calling thread; ask for more
-    where no other thread of this process holds a lock.  ``sample_indices``
-    selects trajectories whose full time series is attached to the result
-    (for dumping/plotting), up to MAX_ARRAY_LENGTH values in all.
+    ``workers`` runs the work units, the trajectories of one row-buffer
+    fill, on that many processes, this one and ``workers`` - 1 forked from
+    it, without changing any output bit; it is capped at the usable CPU count
+    and the number of units, and units run serially where ``os.fork`` is
+    missing.  A worker that fails raises ChildProcessError, and no worker
+    outlives the call.  The default of 1 forks nothing, as a fork copies only
+    the calling thread; ask for more where no other thread of this process
+    holds a lock.  ``sample_indices`` selects trajectories whose full time
+    series is attached to the result (for dumping/plotting), up to
+    MAX_ARRAY_LENGTH values in all.
     """
     M = config.trajectory_count
     message = f"workers must be an integer >= 1, got {brief(workers, repr)}"
@@ -273,49 +273,51 @@ def simulate_transient(
 
     coeff, scale = _envelope(config)
     # one zero-filled anonymous mapping, shared with the workers forked below,
-    # which write their blocks' values straight into it
+    # which write their units' values straight into it
     horizon_values = np.frombuffer(mmap.mmap(-1, 8 * M), dtype=np.float64)
 
-    def run_block(start: int, stop: int) -> None:
-        # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
-        # under the master seed as key.  Resetting one generator's state to
-        # that counter with an empty output buffer yields exactly the stream
-        # of a fresh Philox(key=seed, counter=i << 128).  The state is
-        # bitgen.state with each array as a list of plain ints, which the
-        # setter reads faster (see the module docstring); the key is
-        # [seed, 0] as seed < 2^64.
-        bitgen = np.random.Philox(key=config.seed)
-        gen = np.random.Generator(bitgen)
-        counter = [0, 0, 0, 0]
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": [config.seed, 0]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # output buffer empty
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        fill = max(1, _ROW_BUFFER // steps)
-        buf = np.empty((min(fill, stop - start), steps))
-        for lo in range(start, stop, fill):
-            hi = min(lo + fill, stop)
-            rows = buf[: hi - lo]
-            for j, i in enumerate(range(lo, hi)):
-                # i < MAX_ARRAY_LENGTH = 2^24, so i fits counter word 2 and word 3 stays 0
-                counter[2] = i
-                bitgen.state = state
-                gen.standard_normal(out=rows[j])
-            np.multiply(rows, coeff, out=rows)
-            # a row-wise sum is the same pairwise summation as np.sum of each
-            # row alone, so the bits do not depend on how rows are grouped
-            horizon_values[lo:hi] = scale * np.sum(rows, axis=1)
-
     if steps:  # with no steps every horizon value is 0
-        blocks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+        # a work unit is the trajectories that fill the row buffer once
+        fill = max(1, _ROW_BUFFER // steps)
+        units = range(0, M, fill)
         # each reset holds the GIL, so workers are processes, and beyond the
         # usable cores they only contend
-        workers = min(workers, usable_cpus(), len(blocks)) if hasattr(os, "fork") else 1
-        _run_blocks(blocks, workers, run_block)
+        workers = min(workers, usable_cpus(), len(units)) if hasattr(os, "fork") else 1
+
+        def work(w: int) -> None:
+            # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
+            # under the master seed as key.  Resetting one generator's state to
+            # that counter with an empty output buffer yields exactly the stream
+            # of a fresh Philox(key=seed, counter=i << 128).  The state is
+            # bitgen.state with each array as a list of plain ints, which the
+            # setter reads faster (see the module docstring); the key is
+            # [seed, 0] as seed < 2^64.
+            bitgen = np.random.Philox(key=config.seed)
+            gen = np.random.Generator(bitgen)
+            counter = [0, 0, 0, 0]
+            state = {
+                "bit_generator": "Philox",
+                "state": {"counter": counter, "key": [config.seed, 0]},
+                "buffer": [0, 0, 0, 0],
+                "buffer_pos": 4,  # output buffer empty
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            buf = np.empty((min(fill, M), steps))
+            for lo in units[w::workers]:
+                hi = min(lo + fill, M)
+                rows = buf[: hi - lo]
+                for j, i in enumerate(range(lo, hi)):
+                    # i < MAX_ARRAY_LENGTH = 2^24, so i fits counter word 2 and word 3 stays 0
+                    counter[2] = i
+                    bitgen.state = state
+                    gen.standard_normal(out=rows[j])
+                np.multiply(rows, coeff, out=rows)
+                # a row-wise sum is the same pairwise summation as np.sum of each
+                # row alone, so the bits do not depend on how rows are grouped
+                horizon_values[lo:hi] = scale * np.sum(rows, axis=1)
+
+        _run_workers(workers, work)
 
     mean = float(horizon_values.mean())
     if M > 1:
@@ -328,7 +330,7 @@ def simulate_transient(
         variance_std_error = 0.0
 
     # each sampled path is redrawn here from its own counter block, the
-    # draws weighted and summed in the same order as in run_block
+    # draws weighted and summed in the same order as in work
     t = np.arange(steps + 1) * (config.horizon / steps) if steps else np.zeros(1)
     samples = []
     for i in sorted(set(sample_indices)):
@@ -345,22 +347,29 @@ def simulate_transient(
     )
 
 
-def _run_blocks(blocks, workers: int, run_block) -> None:
-    """Run block k on worker k mod ``workers``: this process is worker 0 and
-    forks the others; one worker forks nothing.  ``run_block`` writes into
-    memory shared with the forked workers, so a worker sends nothing back and
-    the parent learns its outcome from its exit status alone.  Every forked
-    worker is reaped before this returns or raises."""
+def _run_workers(workers: int, work) -> None:
+    """Call ``work(w)`` in worker w for each w in range(``workers``): this
+    process is worker 0 and forks the others; one worker forks nothing.
+    ``work`` writes into memory shared with the forked workers, so a worker
+    sends nothing back and the parent learns its outcome from its exit status
+    alone.  A forked worker leaves by ``os._exit``, with status 0 once ``work``
+    returns and 1 on an exception, never returning to the caller (nor flushing
+    the parent's buffers a second time).  Every forked worker is reaped before
+    this returns or raises."""
     children: list[int] = []
     done = False
     try:
         for w in range(1, workers):
             pid = os.fork()
             if pid == 0:
-                _serve(blocks[w::workers], run_block)
+                code = 1
+                try:
+                    work(w)
+                    code = 0
+                finally:
+                    os._exit(code)
             children.append(pid)
-        for block in blocks[::workers]:
-            run_block(*block)
+        work(0)
         done = True
     finally:
         if not done:  # stop the other workers rather than wait for them
@@ -371,19 +380,6 @@ def _run_blocks(blocks, workers: int, run_block) -> None:
         if status:
             code = os.waitstatus_to_exitcode(status)
             raise ChildProcessError(f"worker process {pid} ended with exit status {code}")
-
-
-def _serve(blocks, run_block) -> None:
-    """Body of a forked worker: run ``blocks`` and leave by ``os._exit``, with
-    status 0 once all have run and 1 on an exception, never returning to the
-    caller (nor flushing the parent's buffers a second time)."""
-    code = 1
-    try:
-        for block in blocks:
-            run_block(*block)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def result_to_json(result: SimResult, config: SimConfig) -> str:

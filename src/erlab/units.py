@@ -1,14 +1,15 @@
 """SI constants, the unit-suffix parser for inputs and the domain check.
 
 All model code in this package computes with plain SI floats.  This module
-owns three things:
+owns four things:
 
 * the frozen table of physical constants (CODATA 2018),
 * the boundary parser that turns unit-tagged inputs (``1e14/cm3``,
   ``10cm3``, ``300pT/rtHz``, ...) into finite SI values while checking
   their dimension, and
 * ``require``, the domain check of every float value, and ``brief``, which
-  keeps the value quoted in an error message short.
+  keeps the value quoted in an error message short, and
+* ``read_json``, the bounded read of the JSON input files.
 
 Dimensions are exponent vectors over the SI base (kg, m, s, A, K) with
 ``fractions.Fraction`` entries so that square roots of dimensioned
@@ -19,6 +20,7 @@ exact power of ten in tesla as well (1 G = 1e-4 T).
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -34,6 +36,7 @@ __all__ = [
     "parse_quantity",
     "require",
     "brief",
+    "read_json",
     "DIMENSIONLESS",
     "LENGTH",
     "TIME",
@@ -228,6 +231,8 @@ _DOMAINS = {
 
 # longest value text an error message quotes whole; a float's repr is at most 24
 _BRIEF_CHARS = 40
+# longest JSON input file read, in characters; the bundled ones are about 1 KiB
+_JSON_CHARS = 2**20
 
 
 def brief(value, text=str) -> str:
@@ -256,6 +261,21 @@ def _digits(n: int) -> int:
     n = abs(n)
     d = int(n.bit_length() * 0.30102999566398120)  # log10(2): d or d + 1 digits
     return max(1, d + (n >= 10**d))
+
+
+def read_json(path) -> object:
+    """The JSON document in the UTF-8 file at ``path``, of which at most
+    _JSON_CHARS characters are read, so a longer file (``/dev/zero``, say) is
+    refused before it fills memory.  A file that is longer, not UTF-8 or not
+    JSON raises ValueError("<path>: not valid JSON: <reason>")."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read(_JSON_CHARS + 1)
+            if len(text) > _JSON_CHARS:
+                raise ValueError(f"longer than {_JSON_CHARS} characters")
+            return json.loads(text)
+        except ValueError as exc:  # too long, bytes not UTF-8, JSONDecodeError, an integer past the digit limit
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def require(value: float, name: str, domain: str = "positive") -> float:

@@ -228,31 +228,33 @@ def test_env_var_pointing_nowhere_is_io_error():
     assert proc.stderr.startswith("erlab: error: io:")
 
 
-# argv -> modules its process must not load: each command imports only
-# what it runs, and only simulate loads numpy
+# argv -> modules its process must not load, and its exit code: each command
+# imports only what it runs, and only simulate loads numpy
 _NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.report"}
 _LAYERING = (
-    (("-c", "import erlab.cli"), {"numpy"}),
-    (("-m", "erlab", "table1"), {"numpy"}),
-    (("-m", "erlab", "--version"), _NO_COMMAND),
-    (("-m", "erlab", "--help"), _NO_COMMAND),
-    (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds"}),
-    (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"), {"numpy", "erlab.species"}),
-    (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"), {"numpy", "erlab.species"}),
+    (("-c", "import erlab.cli"), {"numpy"}, 0),
+    (("-m", "erlab", "table1"), {"numpy"}, 0),
+    (("-m", "erlab", "--version"), _NO_COMMAND, 0),
+    (("-m", "erlab", "--help"), _NO_COMMAND, 0),
+    # a usage error quoting a long value shortens it without the unit layer
+    (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 5000), _NO_COMMAND, 1),
+    (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds"}, 0),
+    (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"), {"numpy", "erlab.species"}, 0),
+    (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"), {"numpy", "erlab.species"}, 0),
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "100", "--seed", "1"),
-     {"erlab.sensors", "erlab.species", "erlab.bounds"}),
+     {"erlab.sensors", "erlab.species", "erlab.bounds"}, 0),
 )
 
 
 def test_only_simulate_imports_numpy():
-    for args, absent in _LAYERING:
+    for args, absent, code in _LAYERING:
         proc = _process("-X", "importtime", *args)
         modules = {
             line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")
         }
-        assert proc.returncode == 0, args
+        assert proc.returncode == code, args
         assert "erlab.cli" in modules and not modules & absent, (args, modules & absent)
     assert "numpy" in modules
     assert json.loads(proc.stdout)["config_echo"]["trajectory_count"] == 100
@@ -334,7 +336,7 @@ def test_digits_flag_controls_text_precision(run_main):
 # ---------------------------------------------------------------------------
 
 SIM_ARGS = ("simulate", "--atoms", "1e6", "--trajectories", "2000", "--seed", "42")
-WIDE_SIM_ARGS = ("simulate", "--atoms", "1e6", "--trajectories", "8193", "--seed", "43")  # 3 blocks
+WIDE_SIM_ARGS = ("simulate", "--atoms", "1e6", "--trajectories", "8193", "--seed", "43")  # 51 units
 
 
 def test_simulate_defaults_to_the_usable_cpus(run_main, fake_cpus, record_forks):
@@ -443,6 +445,14 @@ def _assert_fails(result, code, kind):
         ("table1", "--nonsense"),
         ("atomic", "--species", "Cs"),  # missing required flags
         ("simulate", "--atoms", "ten", "--trajectories", "5", "--seed", "0"),
+        # long values, each quoted by its head and length
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 5000),
+        ("table1", "--format", "x" * 500),
+        ("y" * 500,),  # invalid command
+        ("table1", "z" * 500),  # unrecognized argument
+        ("table1", "--digits", "q" * 500),
+        ("squid", "--p", "w" * 500, "--temp", "4.2K", "--tau", "5us"),
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "é" * 100),
     ],
 )
 def test_usage_errors_exit_1(run_main, args):
@@ -507,6 +517,12 @@ def test_validation_errors_exit_2(run_main, args):
     _assert_fails(run_main(*args), 2, "validation")
 
 
+def test_a_long_usage_value_is_quoted_by_its_head_and_length(run_main):
+    assert run_main("table1", "--format", "x" * 500) == (1, "", (
+        "erlab: error: usage: argument --format: invalid choice: 'xxxxxxxxxxxx... (500 characters)'"
+        " (choose from 'text', 'json', 'csv')\n"))
+
+
 def test_an_unknown_unit_is_quoted_by_its_head_and_length(run_main):
     # the list of known units that follows is about 250 bytes by itself
     code, out, err = run_main("atomic", "--species", "Cs", "--density", "1e14/" + "c" * 500, "--volume", "1cm3")
@@ -540,6 +556,7 @@ def test_bad_records_content_is_validation_error(run_main, tmp_path, monkeypatch
         # an integer past Python's digit limit, which json.load rejects
         '[{"label": "a", "p": 1e-6, "T_K": 1%s, "tau_s": 1e-6, "measured_erl_hbar": 5}]'
         % ("0" * 5000),
+        "[]".ljust(units._JSON_CHARS + 1),  # one character over the cap
     ):
         path.write_text(content)
         _assert_fails(run_main("table2", "--records", path.name), 2, "validation: records.json")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from erlab import units
 from erlab.species import (
     SPECIES_FILE_ENV_VAR,
     Species,
@@ -251,6 +252,7 @@ def test_load_catalog_names_the_file_for_unparseable_json(tmp_path):
         b"{",
         b'{"species": [{"mass_amu": 1%s}]}' % (b"0" * 5000),  # past Python's digit limit
         b"\xff\xfe",  # not UTF-8
+        b'{"species": []}'.ljust(units._JSON_CHARS + 1),  # one character over the cap
     ):
         path.write_bytes(content)
         with pytest.raises(ValueError) as info:

@@ -184,30 +184,30 @@ def _reference_path(config, index):
     horizon=st.sampled_from((0.3, 1.0, 1.3)),
     seed=st.one_of(st.sampled_from((0, 2**63 + 12345, 2**64 - 1)), st.integers(0, 2**64 - 1)),
     workers=st.integers(1, 3),
-    chunk=st.sampled_from((1, 3, 7, 64, 4096)),
     row_buffer=st.sampled_from((1, 3, 7, 2**14)),
     fork=st.booleans(),
     picks=st.lists(st.integers(0, 5000), max_size=4),
 )
-# block edges at 4096 at both ends of the seed range, without os.fork at one
+# unit edges at 1260 (2^14 buffered draws over 13 steps) at both ends of the
+# seed range, without os.fork at one
 @example(m=5000, growth=0, steps_per_tau=10, horizon=1.3, seed=0, workers=2,
-         chunk=4096, row_buffer=2**14, fork=True, picks=[0, 4095, 4096, 4999])
+         row_buffer=2**14, fork=True, picks=[0, 1259, 1260, 4999])
 @example(m=5000, growth=0, steps_per_tau=10, horizon=1.3, seed=2**64 - 1, workers=3,
-         chunk=4096, row_buffer=2**14, fork=False, picks=[4999, 4096, 4095, 0])
+         row_buffer=2**14, fork=False, picks=[4999, 1260, 1259, 0])
 # trajectory 7 of 10 is trajectory 7 of 1000
 @example(m=10, growth=990, steps_per_tau=10, horizon=1.0, seed=9, workers=3,
-         chunk=64, row_buffer=7, fork=True, picks=[7])
+         row_buffer=7, fork=True, picks=[7])
 @example(m=1, growth=0, steps_per_tau=10, horizon=1.0, seed=13, workers=1,
-         chunk=4096, row_buffer=2**14, fork=True, picks=[0])
+         row_buffer=2**14, fork=True, picks=[0])
 def test_the_determinism_contract(monkeypatch, fake_cpus, m, growth, steps_per_tau, horizon, seed,
-                                  workers, chunk, row_buffer, fork, picks):
+                                  workers, row_buffer, fork, picks):
     _check_contract(monkeypatch, fake_cpus, m, growth, steps_per_tau=steps_per_tau, horizon=horizon,
-                    seed=seed, workers=workers, chunk=chunk, row_buffer=row_buffer, fork=fork, picks=picks)
+                    seed=seed, workers=workers, row_buffer=row_buffer, fork=fork, picks=picks)
 
 
 def _check_contract(monkeypatch, fake_cpus, m, growth=0, *, steps_per_tau=10, horizon=1.0, seed,
-                    workers=1, chunk=4096, row_buffer=2**14, fork=True, picks=()):
-    # no run, worker count, block size, buffer size, missing os.fork or
+                    workers=1, row_buffer=2**14, fork=True, picks=()):
+    # no run, worker count, buffer size, missing os.fork or
     # ensemble growth changes a bit: the M and M + growth runs both give the
     # reference's statistics and paths, and leave no worker behind
     fake_cpus(3)
@@ -215,7 +215,6 @@ def _check_contract(monkeypatch, fake_cpus, m, growth=0, *, steps_per_tau=10, ho
     reference = [_reference_path(big, i) for i in range(m + growth)]
     indices = [p % m for p in picks]
     with monkeypatch.context() as patch:
-        patch.setattr(spinsim, "_CHUNK", chunk)
         patch.setattr(spinsim, "_ROW_BUFFER", row_buffer)
         if not fork:
             patch.delattr(os, "fork")
@@ -240,35 +239,35 @@ def test_same_seed_same_bytes(monkeypatch, fake_cpus):
 
 
 def test_workers_do_not_change_output(monkeypatch, fake_cpus):
-    _check_contract(monkeypatch, fake_cpus, 10_000, seed=77, workers=3)  # three forked blocks
+    _check_contract(monkeypatch, fake_cpus, 10_000, seed=77, workers=3)  # seven units on three workers
 
 
 def test_trajectories_are_stable_under_ensemble_growth(monkeypatch, fake_cpus):
     _check_contract(monkeypatch, fake_cpus, 10, 9_990, seed=9, picks=(7,))
 
 
-_BLOCK_EDGES = (0, 4095, 4096, 4999)
+_UNIT_EDGES = (0, 1259, 1260, 4999)  # units of 1260 trajectories at 13 steps
 
 
 def test_sampled_paths_follow_the_counter_contract(monkeypatch, fake_cpus):
-    _check_contract(monkeypatch, fake_cpus, 5_000, horizon=1.3, seed=2**63 + 12345, workers=2, picks=_BLOCK_EDGES)
+    _check_contract(monkeypatch, fake_cpus, 5_000, horizon=1.3, seed=2**63 + 12345, workers=2, picks=_UNIT_EDGES)
     _check_contract(monkeypatch, fake_cpus, 1, horizon=1.3, seed=2**63 + 12345, picks=(0,))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_counter_contract_at_the_seed_extremes(monkeypatch, fake_cpus, seed):
-    _check_contract(monkeypatch, fake_cpus, 5_000, horizon=1.3, seed=seed, workers=2, picks=_BLOCK_EDGES)
+    _check_contract(monkeypatch, fake_cpus, 5_000, horizon=1.3, seed=seed, workers=2, picks=_UNIT_EDGES)
 
 
-@pytest.mark.parametrize("chunk, row_buffer", [(3, 7), (7, 3)])
+@pytest.mark.parametrize("row_buffer", [3, 7])
 @pytest.mark.parametrize("steps_per_tau, horizon", [(10, 0.3), (10, 1.3)])
-def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, fake_cpus, chunk, row_buffer, steps_per_tau, horizon):
+def test_block_and_buffer_sizes_do_not_change_output(monkeypatch, fake_cpus, row_buffer, steps_per_tau, horizon):
     _check_contract(monkeypatch, fake_cpus, 500, steps_per_tau=steps_per_tau, horizon=horizon, seed=31,
-                    workers=2, chunk=chunk, row_buffer=row_buffer, picks=(0, 2, 3, 6, 7, 499))
+                    workers=2, row_buffer=row_buffer, picks=(0, 2, 3, 6, 7, 499))
 
 
 def test_without_fork_blocks_run_serially(monkeypatch, fake_cpus):
-    _check_contract(monkeypatch, fake_cpus, 12_000, seed=7, workers=3, fork=False)  # three blocks
+    _check_contract(monkeypatch, fake_cpus, 12_000, seed=7, workers=3, fork=False)  # eight units
 
 
 def test_sampled_trajectory_endpoint_consistency(monkeypatch, fake_cpus):
@@ -277,16 +276,19 @@ def test_sampled_trajectory_endpoint_consistency(monkeypatch, fake_cpus):
 
 def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, tmp_path, fake_cpus, record_forks):
     forks = record_forks()
-    monkeypatch.setattr(spinsim, "_CHUNK", 100)
-    cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=4)  # three blocks
+    monkeypatch.setattr(spinsim, "_ROW_BUFFER", 1000)  # units of 100 trajectories at 10 steps
+    cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=4)  # three units
     serial = result_to_json(simulate_transient(cfg), cfg)
     assert forks == []
     fake_cpus(1)
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
     assert forks == []
     fake_cpus(8)
+    one_unit = replace(cfg, trajectory_count=100)
+    assert simulate_transient(one_unit, workers=4) == simulate_transient(one_unit)
+    assert forks == []  # one worker, capped by the unit count
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
-    assert len(forks) == 2  # three workers, capped by the block count
+    assert len(forks) == 2  # three workers, capped by the unit count
     fake_cpus(2)
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
     assert len(forks) == 3  # two workers, capped by the CPU count
@@ -296,10 +298,11 @@ def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, tmp_path, fake_cpus
     assert len(forks) == 4  # two workers, capped by the CPU quota
 
 
-def test_a_large_affinity_set_starts_at_most_one_process_per_block(fake_cpus, record_forks):
+def test_a_large_affinity_set_starts_at_most_one_process_per_block(monkeypatch, fake_cpus, record_forks):
     forks = record_forks()
     fake_cpus(1024)
-    cfg = SimConfig(1e4, 1.0, 2 * spinsim._CHUNK, steps_per_tau=10, seed=5)  # two blocks
+    monkeypatch.setattr(spinsim, "_ROW_BUFFER", 1000)  # units of 100 trajectories at 10 steps
+    cfg = SimConfig(1e4, 1.0, 200, steps_per_tau=10, seed=5)  # two units
     serial = result_to_json(simulate_transient(cfg), cfg)
     assert result_to_json(simulate_transient(cfg, workers=1024), cfg) == serial
     assert len(forks) == 1  # two processes in all
@@ -311,18 +314,19 @@ _REAL_EXIT = os._exit
 @pytest.mark.parametrize(
     "fail, status",
     [
-        (lambda: _REAL_EXIT(1), 1),  # ends at once, having run no block
-        # runs every block, but its exit status is forced to 3
+        (lambda: _REAL_EXIT(1), 1),  # ends at once, having run no unit
+        # runs every unit, but its exit status is forced to 3
         (lambda: setattr(os, "_exit", lambda code: _REAL_EXIT(3)), 3),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
     ],
     ids=["at_once", "after_its_blocks", "by_a_signal"],
 )
-def test_a_failed_worker_raises_and_leaves_no_child(fake_cpus, record_forks, fail, status):
+def test_a_failed_worker_raises_and_leaves_no_child(monkeypatch, fake_cpus, record_forks, fail, status):
     # a worker sends nothing back, so its exit status is all that shows it failed
     forks = record_forks(child=fail)
     fake_cpus(4)
-    cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=6)  # three blocks
+    monkeypatch.setattr(spinsim, "_ROW_BUFFER", 1000)  # units of 100 trajectories at 10 steps
+    cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=6)  # three units
     with pytest.raises(ChildProcessError, match=rf"ended with exit status {status}$"):
         simulate_transient(cfg, workers=4)
     assert len(forks) == 2
@@ -331,10 +335,10 @@ def test_a_failed_worker_raises_and_leaves_no_child(fake_cpus, record_forks, fai
 
 
 def test_a_failed_fork_kills_and_reaps_the_forked_workers(fake_cpus, record_forks):
-    # the first worker would sleep for a minute before its blocks
+    # the first worker would sleep for a minute before its units
     forks = record_forks(child=lambda: time.sleep(60), fail_at=2)
     fake_cpus(4)
-    cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=6)  # three blocks
+    cfg = SimConfig(1e4, 1.0, 12_000, steps_per_tau=10, seed=6)  # eight units
     start = time.monotonic()
     with pytest.raises(OSError) as failure:
         simulate_transient(cfg, workers=3)
