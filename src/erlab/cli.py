@@ -79,16 +79,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _brief_value(match: re.Match) -> str:
-    """The value ``match`` found in an argparse message, or if it is longer
-    than 20 characters its first 12 and its length, as ``units.brief`` quotes
-    a value; a shorter head than brief's 40 characters, as the list of
-    commands after an invalid one is itself about 120 bytes.  No option name
-    is that long, and ``units`` stays unloaded on the usage path."""
+    """The value ``match`` found in an argparse message, or if it is over 20
+    bytes in UTF-8 its first 12, cut between characters, and its length, as
+    ``units.brief`` quotes a value; a shorter head than brief's 40 bytes, as
+    the list of commands after an invalid one is itself about 120 bytes.  No
+    option name is that long, and ``units`` stays unloaded on the usage path."""
     value = match[match.lastindex]
-    if len(value) <= 20:
+    encoded = value.encode(errors="surrogatepass")
+    if len(encoded) <= 20:
         return match[0]
     quote = match[0][0] if match.lastindex < 3 else ""
-    return f"{quote}{value[:12]}... ({len(value)} characters){quote}"
+    return f"{quote}{encoded[:12].decode(errors='ignore')}... ({len(value)} characters){quote}"
 
 
 def _common_options(default_format: str = "text") -> _Parser:

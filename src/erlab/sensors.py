@@ -76,10 +76,7 @@ class VaporCell:
     def __post_init__(self):
         require(self.number_density, "number density")
         require(self.volume, "volume")
-        if not math.isfinite(self.atom_count):
-            raise ValueError(
-                f"atom count N = density * volume must be finite, got N = {self.atom_count}"
-            )
+        require(self.atom_count, "atom count N = density * volume", "finite")
         if self.atom_count < 1:
             raise ValueError(
                 f"cell must contain at least one atom, got N = {self.atom_count}"
@@ -230,8 +227,8 @@ class SquidSpec:
 
     def __post_init__(self):
         p = self.flux_noise_fraction
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"flux noise fraction must lie in (0, 1), got {p}")
+        if not 0.0 < require(p, "flux noise fraction", "finite") < 1.0:
+            raise ValueError(f"flux noise fraction must lie in (0, 1), got {brief(p)}")
         require(self.bath_temperature, "bath temperature")
         require(self.measurement_time, "measurement time")
         if self.measured_erl_hbar is not None:
@@ -284,6 +281,9 @@ def measured_erl_from_psd(psd: float, volume: float) -> float:
 
 def erl_ratio(measured: float, predicted: float) -> float:
     """Measured over predicted energy resolution  [dimensionless]."""
+    require(measured, "measured energy resolution", "finite")
+    if predicted not in (math.inf, -math.inf):  # allowed, as 0 / inf is a valid ratio of 0
+        require(predicted, "predicted energy resolution", "finite")
     ratio = measured / predicted if predicted else math.inf
     return require(ratio, "measured-to-predicted ratio", "a normal float" if measured else "finite")
 
@@ -353,12 +353,10 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
         label = rec.get("label")
         if not isinstance(label, str) or not label:
             raise ValueError(f"{where}: missing or empty 'label'")
-        values = []  # in SquidSpec's field order
-        for key in ("p", "T_K", "tau_s", "measured_erl_hbar"):
-            value = rec.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{where}: field {key!r} must be a number, got {brief(value, repr)}")
-            values.append(float(require(value, f"{where}: field {key!r}", "finite")))
+        values = [  # in SquidSpec's field order
+            float(require(rec.get(key), f"{where}: field {key!r}", "finite"))
+            for key in ("p", "T_K", "tau_s", "measured_erl_hbar")
+        ]
         try:
             spec = SquidSpec(*values)
         except ValueError as exc:

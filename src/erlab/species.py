@@ -18,7 +18,6 @@ ValueError.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -34,10 +33,7 @@ __all__ = [
     "SpeciesCatalog",
     "load_catalog",
     "default_catalog",
-    "SPECIES_FILE_ENV_VAR",
 ]
-
-SPECIES_FILE_ENV_VAR = "ERLAB_SPECIES_FILE"
 
 
 def slowing_factor(nuclear_spin) -> float:
@@ -120,7 +116,8 @@ class Species:
                 f"species {self.name!r} has no spin-destruction cross section; "
                 "calibrate one with invert_sigma_v first"
             )
-        return self.sd_cross_section_m2 * self.mean_relative_velocity(temperature_K)
+        sigma = require(self.sd_cross_section_m2, "spin-destruction cross section")
+        return sigma * self.mean_relative_velocity(temperature_K)
 
 
 class SpeciesCatalog:
@@ -177,16 +174,6 @@ def _parse_spin(text, where: str) -> Fraction:
     return spin
 
 
-def _require_positive(record: dict, key: str, where: str) -> float:
-    try:
-        value = record[key]
-    except KeyError:
-        raise ValueError(f"{where}: missing field {key!r}") from None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{where}: field {key!r} must be a positive number, got {brief(value, repr)}")
-    return float(require(value, f"{where}: field {key!r}", "a positive number"))
-
-
 def load_catalog(path: str | Path) -> SpeciesCatalog:
     """Load a species catalog from a JSON file.
 
@@ -208,28 +195,24 @@ def load_catalog(path: str | Path) -> SpeciesCatalog:
         name = record.get("name")
         if not isinstance(name, str) or not name:
             raise ValueError(f"{where}: missing or empty 'name'")
-        # a null/absent cross section marks a species awaiting calibration
-        if record.get("sd_cross_section_cm2") is None:
-            sigma_m2 = None
-        else:
-            sigma_m2 = _require_positive(record, "sd_cross_section_cm2", where) * 1e-4
+
+        def positive(key):
+            return float(require(record.get(key), f"{where}: field {key!r}", "positive"))
+
+        sigma_cm2 = record.get("sd_cross_section_cm2")  # None marks a species awaiting calibration
+        sigma_m2 = None if sigma_cm2 is None else positive("sd_cross_section_cm2") * 1e-4
         out.append(
             Species(
                 name=name,
                 nuclear_spin=_parse_spin(record.get("nuclear_spin"), where),
-                mass_kg=_require_positive(record, "mass_amu", where) * amu,
+                mass_kg=positive("mass_amu") * amu,
                 sd_cross_section_m2=sigma_m2,
-                reference_temperature_K=_require_positive(
-                    record, "reference_temperature_K", where
-                ),
+                reference_temperature_K=positive("reference_temperature_K"),
             )
         )
     return SpeciesCatalog(out)
 
 
 def default_catalog() -> SpeciesCatalog:
-    """The bundled catalog, or the file named by ``ERLAB_SPECIES_FILE`` if set."""
-    override = os.environ.get(SPECIES_FILE_ENV_VAR)
-    if override:
-        return load_catalog(override)
+    """The bundled catalog, ``data/species.json``."""
     return load_catalog(Path(__file__).parent / "data" / "species.json")

@@ -98,6 +98,7 @@ class SimConfig:
     sets the finest time step dt = tau / steps_per_tau (the actual step is
     shrunk so the horizon is hit exactly).  ``trajectory_count`` and
     ``step_count`` are each at most MAX_ARRAY_LENGTH, the memory budget.
+    The integer fields take a numpy integer too, and store it as an int.
     """
 
     atom_count: float
@@ -110,18 +111,20 @@ class SimConfig:
     def __post_init__(self):
         require(self.atom_count, "atom count", ">= 1")
         require(self.relaxation_time, "relaxation time")
-        if type(self.trajectory_count) is not int or self.trajectory_count < 1:
-            raise ValueError(f"trajectory count must be an integer >= 1, got {brief(self.trajectory_count)}")
-        if type(self.steps_per_tau) is not int or self.steps_per_tau < 10:
-            raise ValueError(f"steps_per_tau must be an integer >= 10, got {brief(self.steps_per_tau)}")
+        self._set_int("trajectory_count", lambda n: n >= 1, "trajectory count must be an integer >= 1")
+        self._set_int("steps_per_tau", lambda n: n >= 10, "steps_per_tau must be an integer >= 10")
         require(self.horizon, "horizon", "non-negative")
-        if type(self.seed) is not int or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {brief(self.seed)}")
+        self._set_int("seed", lambda n: 0 <= n < _MAX_SEED, "seed must be a 64-bit unsigned integer")
         _within_budget("trajectory count", self.trajectory_count)
         try:
             _within_budget("step count", self.step_count)
         except OverflowError:  # horizon * steps_per_tau is past the float range
             _within_budget("step count", math.inf)
+
+    def _set_int(self, field: str, valid, message: str) -> None:
+        """Store ``field`` as ``_as_int`` gives it, a plain int for config_echo's JSON."""
+        value = getattr(self, field)
+        object.__setattr__(self, field, _as_int(value, valid, f"{message}, got {brief(value)}"))
 
     @property
     def step_count(self) -> int:

@@ -7,8 +7,8 @@ owns four things:
 * the boundary parser that turns unit-tagged inputs (``1e14/cm3``,
   ``10cm3``, ``300pT/rtHz``, ...) into finite SI values while checking
   their dimension, and
-* ``require``, the domain check of every float value, and ``brief``, which
-  keeps the value quoted in an error message short, and
+* ``require``, the one check of every number, and ``brief``, which keeps
+  the value quoted in an error message short, and
 * ``read_json``, the bounded read of the JSON input files.
 
 Dimensions are exponent vectors over the SI base (kg, m, s, A, K) with
@@ -114,22 +114,15 @@ FIELD_NOISE_DENSITY = MAGNETIC_FIELD * (TIME ** Fraction(1, 2))  # T/sqrt(Hz)
 _PREFIXES = {"m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12, "f": 1e-15}
 
 
-def _prefixed(base: str, dimension: Dimension, base_scale: float) -> dict:
-    # each scale is base_scale * factor, never a folded literal: 1e-4 * 1e-12
-    # is not the float 1e-16, and parsed values must keep their bits
-    units = {base: (dimension, base_scale)}
-    for prefix, factor in _PREFIXES.items():
-        units[prefix + base] = (dimension, base_scale * factor)
-    return units
-
-
-# unit name -> (dimension, SI scale)
-_UNITS: dict[str, tuple[Dimension, float]] = {
-    **_prefixed("T", MAGNETIC_FIELD, 1.0),
-    **_prefixed("G", MAGNETIC_FIELD, 1e-4),  # 1 G = 1e-4 T exactly
-    **_prefixed("s", TIME, 1.0),
-    **_prefixed("T/rtHz", FIELD_NOISE_DENSITY, 1.0),
-    **_prefixed("G/rtHz", FIELD_NOISE_DENSITY, 1e-4),
+# unit name -> (dimension, SI scale): the units that also take a prefix, and the others
+_PREFIXABLE: dict[str, tuple[Dimension, float]] = {
+    "T": (MAGNETIC_FIELD, 1.0),
+    "G": (MAGNETIC_FIELD, 1e-4),  # 1 G = 1e-4 T exactly
+    "s": (TIME, 1.0),
+    "T/rtHz": (FIELD_NOISE_DENSITY, 1.0),
+    "G/rtHz": (FIELD_NOISE_DENSITY, 1e-4),
+}
+_PLAIN: dict[str, tuple[Dimension, float]] = {
     "m": (LENGTH, 1.0),
     "cm": (LENGTH, 1e-2),
     "mm": (LENGTH, 1e-3),
@@ -148,6 +141,14 @@ _UNITS: dict[str, tuple[Dimension, float]] = {
     "J/T": (MAGNETIC_MOMENT, 1.0),
     "": (DIMENSIONLESS, 1.0),
 }
+# each scale is base_scale * factor, never a folded literal: 1e-4 * 1e-12
+# is not the float 1e-16, and parsed values must keep their bits
+_PREFIXED = {
+    prefix + base: (dimension, base_scale * factor)
+    for base, (dimension, base_scale) in _PREFIXABLE.items()
+    for prefix, factor in _PREFIXES.items()
+}
+_UNITS = {**_PREFIXABLE, **_PREFIXED, **_PLAIN}
 
 # accepted spellings for the same unit (CLI convenience); spellings that
 # start with a digit (like "1/cm3") are deliberately absent — after a
@@ -199,7 +200,7 @@ def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
     try:
         dimension, scale = _UNITS[_ALIASES.get(unit, unit)]
     except KeyError:
-        known = ", ".join(sorted(k for k in _UNITS if k))
+        known = _known_units(expect)
         raise DimensionError(f"unknown unit '{brief(unit)}' (known units: {known})") from None
     if expect is not None and dimension != expect:
         if unit == "":
@@ -217,43 +218,54 @@ def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
     return Quantity(si, dimension)
 
 
+def _known_units(expect: Dimension | None) -> str:
+    """The units of dimension ``expect`` (any, if None), a prefixed unit by its base."""
+    prefixable, plain = (
+        ", ".join(u for u, (dimension, _) in table.items() if u and expect in (None, dimension))
+        for table in (_PREFIXABLE, _PLAIN)
+    )
+    if prefixable:
+        prefixable += f", also prefixed by {', '.join(_PREFIXES)}"
+    return "; ".join(part for part in (prefixable, plain) if part) or "none"
+
+
 # domain -> test of a finite value; the key is also the error's wording.  "a normal
 # float" is for results, which finite inputs can underflow to 0 or to a subnormal.
 _DOMAINS = {
     "finite": lambda x: True,
     "positive": lambda x: x > 0,
-    "a positive number": lambda x: x > 0,
     "non-negative": lambda x: x >= 0,
     ">= 1": lambda x: x >= 1,
     "a normal float": lambda x: abs(x) >= sys.float_info.min,
 }
 
 
-# longest value text an error message quotes whole; a float's repr is at most 24
-_BRIEF_CHARS = 40
+# longest value text, in UTF-8 bytes, a message quotes whole; a float's repr is at most 24
+_BRIEF_BYTES = 40
 # longest JSON input file read, in characters; the bundled ones are about 1 KiB
 _JSON_CHARS = 2**20
 
 
 def brief(value, text=str) -> str:
-    """``text(value)``, or if it is longer than ``_BRIEF_CHARS`` its head and
-    its length, so that a message quoting a value (a 4000-digit integer, say)
-    stays one short line.  An integer too long for Python to convert to text
-    (``sys.get_int_max_str_digits()``), alone or as a term of a Fraction, is
-    quoted by its size instead: ``<integer of 5001 digits>``, or
-    ``<negative fraction of 1/5001 digits>`` for numerator and denominator."""
+    """``text(value)``, or if it is over ``_BRIEF_BYTES`` in UTF-8 its head,
+    cut between characters, and its length, so that a message quoting a value
+    (a 4000-digit integer, say) stays one short line.  An integer past Python's
+    digit limit (``sys.get_int_max_str_digits()``) is quoted by its size
+    (``<integer of 5001 digits>``, ``<negative fraction of 1/5001 digits>`` for
+    a Fraction's terms), and a value that holds one by its type."""
     try:
         quoted = text(value)
-    except ValueError:
+    except ValueError:  # such an integer, alone or inside ``value``
         if not isinstance(value, (int, Fraction)):
-            raise
+            return f"<{type(value).__name__} too long to print>"
         sign = "negative " if value < 0 else ""
         if isinstance(value, int):
             return f"<{sign}integer of {_digits(value)} digits>"
         return f"<{sign}fraction of {_digits(value.numerator)}/{_digits(value.denominator)} digits>"
-    if len(quoted) <= _BRIEF_CHARS:
+    encoded = quoted.encode(errors="surrogatepass")
+    if len(encoded) <= _BRIEF_BYTES:
         return quoted
-    return f"{quoted[:_BRIEF_CHARS]}... ({len(quoted)} characters)"
+    return f"{encoded[:_BRIEF_BYTES].decode(errors='ignore')}... ({len(quoted)} characters)"
 
 
 def _digits(n: int) -> int:
@@ -280,15 +292,17 @@ def read_json(path) -> object:
 
 def require(value: float, name: str, domain: str = "positive") -> float:
     """``value`` if it is a finite number in ``domain``, else ValueError:
-    "<name> must be a number, got True" for a bool, "<name> must be finite,
-    got nan" for NaN and +-inf, and "<name> must be <domain>, got <value>"
-    for a finite value, with the value shortened by ``brief``."""
+    "<name> must be a number, got 'a'" for a bool, str, None, list or the
+    like, "<name> must be finite, got nan" for NaN and +-inf, and "<name> must
+    be <domain>, got <value>" for a finite value, shortened by ``brief``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past the float range
         finite = False
+    except TypeError:  # not a real number
+        raise ValueError(f"{name} must be a number, got {brief(value, repr)}") from None
     if not finite:
         raise ValueError(f"{name} must be finite, got {brief(value)}")
     if not _DOMAINS[domain](value):
@@ -303,7 +317,7 @@ def require(value: float, name: str, domain: str = "positive") -> float:
 @dataclass(frozen=True)
 class PhysicalConstants:
     """CODATA 2018 values, SI.  Frozen in source so results are reproducible
-    independent of any constants library shipped with the environment."""
+    independent of any constants library installed alongside."""
 
     hbar: float = 1.0545718176461565e-34   # J*s, h/(2*pi) with h exact
     k_B: float = 1.380649e-23              # J/K, exact

@@ -26,10 +26,9 @@ def main_in_process(*argv) -> tuple[int, str, str]:
 
 
 @pytest.fixture
-def run_main(monkeypatch):
-    """``main_in_process`` with ``ERLAB_SPECIES_FILE`` unset, so the bundled
-    species file is read, as in a fresh ``python -m erlab`` with a clean environment."""
-    monkeypatch.delenv("ERLAB_SPECIES_FILE", raising=False)
+def run_main():
+    """``main_in_process``: erlab reads no environment variable, so an
+    in-process run prints what a fresh ``python -m erlab`` would."""
     return main_in_process
 
 

@@ -152,13 +152,24 @@ def test_polarization_small_argument_cubic_error():
 # domain validation
 # ---------------------------------------------------------------------------
 
-def _nonfinite_calls(*cases):
-    """One call per (function, valid args, position, non-finite value)."""
+# each function with valid arguments
+_VALID_CALLS = (
+    (measurement_work_bound, (300.0, 1.0)),
+    (ml_min_time, (1e-21,)),
+    (erl_quantum, (1e-15, 1e-6, 1.0)),
+    (field_fluctuation_from_work, (1e-21, 1e-6)),
+    (spin_temperature, (1e10, 1e-12, 1e-24)),
+    (spin_temp_polarization, (1.0, 1e-12, 1e-24)),
+)
+
+
+def _calls_with(*values):
+    """One call per (function and valid args of _VALID_CALLS, position, one of ``values``)."""
     return [
         functools.partial(fn, *args[:i], bad, *args[i + 1:])
-        for fn, args in cases
+        for fn, args in _VALID_CALLS
         for i in range(len(args))
-        for bad in (math.nan, math.inf, -math.inf)
+        for bad in values
     ]
 
 
@@ -185,14 +196,7 @@ def _negated_calls(fn, args, *positions):
         lambda: spin_temperature(1e10, 1e-12, 0.0),
         lambda: spin_temp_polarization(0.0, 1e-12, 1e-24),
         # NaN and +-inf in every float parameter, the others valid
-        *_nonfinite_calls(
-            (measurement_work_bound, (300.0, 1.0)),
-            (ml_min_time, (1e-21,)),
-            (erl_quantum, (1e-15, 1e-6, 1.0)),
-            (field_fluctuation_from_work, (1e-21, 1e-6)),
-            (spin_temperature, (1e10, 1e-12, 1e-24)),
-            (spin_temp_polarization, (1.0, 1e-12, 1e-24)),
-        ),
+        *_calls_with(math.nan, math.inf, -math.inf),
         # a negative value in each positive parameter that the first block
         # tries only at 0 (or, for the atom count, at 0.5)
         *_negated_calls(erl_quantum, (1e-15, 1e-6, 1.0), 1, 2),
@@ -216,8 +220,10 @@ def _negated_calls(fn, args, *positions):
         lambda: erl_quantum(1e-15, 1e-300, 1e-300),  # in the product, not the square
         lambda: measurement_work_bound(1e-280, 1e-10),  # subnormal, not 0
         lambda: spin_temp_polarization(1e20, 1e-290, 1e-24),  # subnormal, not 0
+        # values that are not numbers in every parameter, the others valid
+        *_calls_with("1", None, [1.0]),
     ],
 )
 def test_rejects_out_of_domain(call):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^[^\n]*$"):  # one line
         call()

@@ -1,12 +1,11 @@
 """CLI tests.  They call ``erlab.cli.main`` in-process through ``run_main``
-(``tests/conftest.py``), except the few that test what only a process
-shows: the ``python -m erlab`` entry point and its exit status, the
-``ERLAB_SPECIES_FILE`` variable, ``--output`` and the modules a command
-imports, which start one through ``_process``.  ``tests/test_golden.py``
-pins the bytes of every command's output at fixed argv; here
-``_check_against_library`` holds the values of the analytic commands to the
-library, over drawn inputs in the property test at the end and at
-hand-picked argv in the happy-path tests."""
+(``tests/conftest.py``), except the three that test what only a process
+shows: the ``python -m erlab`` entry point and its exit status, ``--output``
+and the modules a command imports, which start one through ``_process``.
+``tests/test_golden.py`` pins the bytes of every command's output at fixed
+argv; here ``_check_against_library`` holds the values of the analytic
+commands to the library, over drawn inputs in the property test at the end
+and at hand-picked argv in the happy-path tests."""
 
 import csv
 import errno
@@ -32,13 +31,9 @@ from erlab.units import FIELD_NOISE_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, 
 PKG_DATA = Path(__file__).resolve().parent.parent / "src" / "erlab" / "data"
 
 
-def _process(*args, env=None):
-    """A fresh ``python ARGS`` process, run to its end, with
-    ``ERLAB_SPECIES_FILE`` unset unless ``env`` sets it."""
-    environ = {k: v for k, v in os.environ.items() if k != "ERLAB_SPECIES_FILE"}
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env={**environ, **(env or {})}
-    )
+def _process(*args):
+    """A fresh ``python ARGS`` process, run to its end."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------------------
@@ -196,38 +191,6 @@ def test_output_file_equals_stdout(run_main, tmp_path):
     assert out.read_text() == run_main("table1", "--format", "json")[1]
 
 
-def _custom_species_file(tmp_path):
-    doc = json.loads((PKG_DATA / "species.json").read_text())
-    doc["species"] = [row for row in doc["species"] if row["name"] == "133Cs"]
-    path = tmp_path / "only_cs.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def test_env_var_selects_species_file(tmp_path):
-    path = _custom_species_file(tmp_path)
-    proc = _process("-m", "erlab", "table1", env={"ERLAB_SPECIES_FILE": str(path)})
-    assert proc.returncode == 0
-    assert "133Cs.erl" in proc.stdout
-    assert "41K" not in proc.stdout
-
-
-def test_flag_overrides_env_var(tmp_path):
-    path = _custom_species_file(tmp_path)
-    proc = _process(
-        "-m", "erlab", "table1", "--species-file", str(path),
-        env={"ERLAB_SPECIES_FILE": "/does/not/exist.json"},
-    )
-    assert proc.returncode == 0
-    assert "133Cs.erl" in proc.stdout
-
-
-def test_env_var_pointing_nowhere_is_io_error():
-    proc = _process("-m", "erlab", "table1", env={"ERLAB_SPECIES_FILE": "/does/not/exist.json"})
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("erlab: error: io:")
-
-
 # argv -> modules its process must not load, and its exit code: each command
 # imports only what it runs, and only simulate loads numpy
 _NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.report"}
@@ -270,6 +233,17 @@ def test_table1_text(run_main):
 
 def test_table1_matches_library(run_main):
     assert _check_against_library(run_main, "table1", "--format", "json")[0] == 0
+
+
+def test_table1_species_file_selects_the_catalog(run_main, tmp_path):
+    doc = json.loads((PKG_DATA / "species.json").read_text())
+    doc["species"] = [row for row in doc["species"] if row["name"] == "133Cs"]
+    path = tmp_path / "only_cs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main("table1", "--species-file", str(path))
+    assert (code, err) == (0, "")
+    assert "133Cs.erl" in out
+    assert "41K" not in out and "87Rb" not in out
 
 
 def test_atomic_matches_library(run_main):
@@ -453,6 +427,11 @@ def _assert_fails(result, code, kind):
         ("table1", "--digits", "q" * 500),
         ("squid", "--p", "w" * 500, "--temp", "4.2K", "--tau", "5us"),
         ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "é" * 100),
+        # non-ASCII invalid commands, measured and cut by their UTF-8 bytes
+        ("é" * 20,),
+        ("é" * 100,),
+        ("界" * 20,),
+        ("😀" * 30,),
     ],
 )
 def test_usage_errors_exit_1(run_main, args):
@@ -511,6 +490,13 @@ def test_usage_errors_exit_1(run_main, args):
         ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0",
          "--dump-trajectories", "a" * 500),
         ("squid", "--p", "0.1", "--temp", "4K", "--tau", "1s", "--digits", "1" * 500),
+        # a long unknown unit after each quantity flag, measured and cut by its UTF-8 bytes
+        ("atomic", "--species", "Cs", "--density", "1" + "😀" * 500, "--volume", "1cm3"),
+        ("atomic", "--species", "Cs", "--density", "1e14/cm3", "--volume", "1" + "😀" * 500),
+        ("atomic", "--species", "Cs", "--density", "1e14/cm3", "--volume", "1cm3", "--temp", "1" + "😀" * 500),
+        ("diamond", "--temp", "300K", "--tau", "1" + "😀" * 500),
+        ("diamond", "--temp", "300K", "--tau", "1us", "--psd", "1" + "😀" * 500, "--volume", "1cm3"),
+        ("atomic", "--species", "😀" * 41, "--density", "1e14/cm3", "--volume", "1cm3"),
     ],
 )
 def test_validation_errors_exit_2(run_main, args):
@@ -524,12 +510,12 @@ def test_a_long_usage_value_is_quoted_by_its_head_and_length(run_main):
 
 
 def test_an_unknown_unit_is_quoted_by_its_head_and_length(run_main):
-    # the list of known units that follows is about 250 bytes by itself
+    # the known units that follow are those of the expected dimension
     code, out, err = run_main("atomic", "--species", "Cs", "--density", "1e14/" + "c" * 500, "--volume", "1cm3")
     assert (code, out) == (2, "")
     unit, known = err.split(" (known units: ")
     assert unit == "erlab: error: validation: unknown unit '/%s... (501 characters)'" % ("c" * 39)
-    assert known.startswith("G, G/rtHz, ") and len(err.splitlines()) == 1
+    assert known == "m^-3, cm^-3, mm^-3)\n"
 
 
 @pytest.mark.parametrize(

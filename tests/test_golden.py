@@ -110,7 +110,6 @@ def test_cli_output_is_byte_identical(case, in_golden_dir, run_main):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    os.environ.pop("ERLAB_SPECIES_FILE", None)
     from conftest import main_in_process
 
     os.chdir(GOLDEN_DIR)

@@ -37,6 +37,10 @@ LN2 = math.log(2)
 # n = 1e14 cm^-3, V = 10 cm^3  ->  N = 1e15 atoms
 N_REF, V_REF = 1e20, 1e-5
 
+# values that are not numbers, and the one-line ValueError each public function gives for them
+NOT_NUMBERS = ("1", None, [1.0])
+NOT_A_NUMBER = r"^[^\n]* must be a number, got [^\n]*$"
+
 
 def _report(name, density=N_REF, volume=V_REF, temperature=None):
     sp = default_catalog().get(name)
@@ -209,6 +213,10 @@ def test_invert_sigma_v_rejects_nonpositive():
             args[i] = bad
             with pytest.raises(ValueError, match="must be finite"):
                 invert_sigma_v(*args)
+    for i in range(4):
+        for bad in NOT_NUMBERS:
+            with pytest.raises(ValueError, match=NOT_A_NUMBER):
+                invert_sigma_v(*valid[:i], bad, *valid[i + 1:])
 
 
 def test_uncalibrated_species_gets_actionable_error():
@@ -245,6 +253,13 @@ def test_vapor_cell_validation():
                 VaporCell(sp, *args)
     with pytest.raises(ValueError):
         VaporCell(sp, N_REF, V_REF, math.nan)
+    for bad in NOT_NUMBERS:
+        calls = [(bad, V_REF), (N_REF, bad)]
+        if bad is not None:  # a None temperature is the species' calibration temperature
+            calls.append((N_REF, V_REF, bad))
+        for args in calls:
+            with pytest.raises(ValueError, match=NOT_A_NUMBER):
+                VaporCell(sp, *args)
 
 
 def test_vapor_cell_default_temperature():
@@ -321,6 +336,13 @@ def test_squid_spec_validation():
                 SquidSpec(*args)
         with pytest.raises(ValueError, match="must be finite"):
             SquidSpec(1e-6, 4.2, 5e-6, bad)
+    for bad in NOT_NUMBERS:
+        calls = [(bad, 4.2, 5e-6), (1e-6, bad, 5e-6), (1e-6, 4.2, bad)]
+        if bad is not None:  # a None measured resolution is no measurement
+            calls.append((1e-6, 4.2, 5e-6, bad))
+        for args in calls:
+            with pytest.raises(ValueError, match=NOT_A_NUMBER):
+                SquidSpec(*args)
 
 
 def test_flagged_rows_are_warnings_not_errors():
@@ -432,6 +454,17 @@ def test_diamond_validation():
         ):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
+    for bad in NOT_NUMBERS:
+        for call in (
+            lambda: diamond_erl(bad, 1e-6),
+            lambda: diamond_erl(300.0, bad),
+            lambda: measured_erl_from_psd(bad, 1e-12),
+            lambda: measured_erl_from_psd(3e-10, bad),
+            lambda: erl_ratio(bad, 2.0),
+            lambda: erl_ratio(1.0, bad),
+        ):
+            with pytest.raises(ValueError, match=NOT_A_NUMBER):
+                call()
     # finite inputs whose result leaves the float range; an exact 0 stays
     for call in (
         lambda: diamond_erl(300.0, 1e300),
@@ -449,6 +482,7 @@ def test_diamond_validation():
     assert diamond_erl(300.0, 0.0) == 0.0
     assert measured_erl_from_psd(0.0, 1e-12) == 0.0
     assert erl_ratio(0.0, 2.0) == 0.0
+    assert erl_ratio(0.0, math.inf) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from erlab import units
 from erlab.species import (
-    SPECIES_FILE_ENV_VAR,
     Species,
     default_catalog,
     load_catalog,
@@ -106,6 +105,19 @@ def test_helpers_reject_non_finite_and_out_of_range():
         ):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
+    # values that are not numbers
+    for bad in ("1", None, [1.0]):
+        for call in (
+            lambda: mean_relative_velocity(bad, 373.0),
+            lambda: mean_relative_velocity(1e-25, bad),
+            lambda: magnetic_moment(bad),
+            lambda: slowing_factor(bad),
+        ):
+            with pytest.raises(ValueError, match=r"^[^\n]* must be a number, got [^\n]*$"):
+                call()
+    for bad in ("1", [1.0]):  # a None cross section marks an uncalibrated species
+        with pytest.raises(ValueError, match=r"^spin-destruction cross section must be a number, got [^\n]*$"):
+            Species("X", Fraction(3, 2), 1e-25, bad, 400.0).sigma_v()
     # finite inputs whose result overflows or underflows the float range
     for call in (
         lambda: mean_relative_velocity(1e-320, 1e300),
@@ -285,15 +297,7 @@ def test_null_cross_section_loads_as_uncalibrated(tmp_path):
     assert sp.sd_cross_section_m2 is None
 
 
-def test_env_var_overrides_default_catalog(tmp_path, monkeypatch):
-    row = dict(_GOOD_ROW)
-    row["name"] = "39K"
-    path = _write(tmp_path, {"species": [row]})
-    monkeypatch.setenv(SPECIES_FILE_ENV_VAR, str(path))
-    cat = default_catalog()
-    assert [sp.name for sp in cat] == ["39K"]
-
-
-def test_env_var_unset_gives_bundled_catalog(monkeypatch):
-    monkeypatch.delenv(SPECIES_FILE_ENV_VAR, raising=False)
+def test_default_catalog_reads_no_environment_variable(monkeypatch):
+    # the catalog comes from --species-file, load_catalog or the bundled file
+    monkeypatch.setenv("ERLAB_SPECIES_FILE", "/does/not/exist.json")
     assert [sp.name for sp in default_catalog()] == ["41K", "87Rb", "133Cs"]

@@ -84,6 +84,10 @@ def test_analytic_variance_domain():
             analytic_variance(bad, 1.0)
         with pytest.raises(ValueError, match="must be finite"):
             analytic_variance(1e6, bad)
+    for bad in ("1", None, [1.0]):
+        for args in ((bad, 1.0), (1e6, bad)):
+            with pytest.raises(ValueError, match=r"^[^\n]* must be a number, got [^\n]*$"):
+                analytic_variance(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +390,9 @@ def test_result_json_is_canonical():
     assert doc["config_echo"]["seed"] == 21
     # canonical form: sorted keys, no whitespace
     assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # numpy integers are stored as ints, so they echo as the same JSON
+    numpy_cfg = SimConfig(1e4, 1.0, np.int64(100), steps_per_tau=np.int32(100), seed=np.uint64(21))
+    assert result_to_json(simulate_transient(numpy_cfg), numpy_cfg) == text
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +487,12 @@ def test_a_dump_streams_to_its_file_in_constant_memory(tmp_path):
         # True is an int to Python, but a valid value of no field
         *({field: True} for field in ("atom_count", "relaxation_time", "trajectory_count",
                                        "steps_per_tau", "horizon", "seed")),
+        # values that are not numbers, and numpy integers out of range
+        *({field: bad} for field in ("atom_count", "relaxation_time", "trajectory_count",
+                                      "steps_per_tau", "horizon", "seed") for bad in ("1", None, [1.0])),
+        dict(trajectory_count=np.int64(0)),
+        dict(steps_per_tau=np.int32(5)),
+        dict(seed=np.int64(-1)),
     ],
 )
 def test_config_validation(kwargs):

@@ -189,6 +189,13 @@ def test_require_quotes_an_integer_too_long_to_print_by_its_size():
         (10**5000, "positive", "x must be finite, got <integer of 5001 digits>"),
         (-(10**5000), "finite", "x must be finite, got <negative integer of 5001 digits>"),
         (Fraction(-1, 10**5000), "positive", "x must be positive, got <negative fraction of 1/5001 digits>"),
+        # ... and inside a value that is not a number
+        ([10**5000], "positive", "x must be a number, got <list too long to print>"),
+        # values that are not numbers, quoted by repr
+        ("1", "positive", "x must be a number, got '1'"),
+        (None, "finite", "x must be a number, got None"),
+        ([1.0], "finite", "x must be a number, got [1.0]"),
+        ("9" * 500, "finite", "x must be a number, got '%s... (502 characters)" % ("9" * 39)),
     ):
         with pytest.raises(ValueError) as info:
             require(value, "x", domain)
