@@ -394,6 +394,10 @@ def _render(content, args) -> str:
 # ---------------------------------------------------------------------------
 
 def _fail(code: int, category: str, message) -> int:
+    if isinstance(message, OSError) and message.filename is not None:
+        from .units import brief
+
+        message = f"[Errno {message.errno}] {message.strerror}: {brief(message.filename, repr)}"
     text = str(message).replace("\n", " ")
     print(f"erlab: error: {category}: {text}", file=sys.stderr)
     return code

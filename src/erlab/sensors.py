@@ -319,7 +319,7 @@ def compare_published(records: list[PublishedRecord]) -> list[ComparisonRow]:
     rows = []
     for rec in records:
         if rec.spec.measured_erl_hbar is None:
-            raise ValueError(f"record {rec.label!r} has no measured ERL to compare against")
+            raise ValueError(f"record {brief(rec.label, repr)} has no measured ERL to compare against")
         predicted = squid_erl(rec.spec)
         measured = rec.spec.measured_erl_hbar
         ratio = erl_ratio(measured, predicted)
@@ -343,11 +343,12 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
     ``{"label", "p", "T_K", "tau_s", "measured_erl_hbar"}`` objects."""
     path = Path(path)
     doc = read_json(path)
+    quoted = brief(path)
     if not isinstance(doc, list):
-        raise ValueError(f"{path}: expected a JSON array of records")
+        raise ValueError(f"{quoted}: expected a JSON array of records")
     records = []
     for idx, rec in enumerate(doc):
-        where = f"{path}: record {idx}"
+        where = f"{quoted}: record {idx}"
         if not isinstance(rec, dict):
             raise ValueError(f"{where}: expected an object")
         label = rec.get("label")

@@ -113,7 +113,7 @@ class Species:
         """Rate coefficient sigma_sd * v_bar  [m^3/s] at the cell temperature."""
         if self.sd_cross_section_m2 is None:
             raise ValueError(
-                f"species {self.name!r} has no spin-destruction cross section; "
+                f"species {brief(self.name, repr)} has no spin-destruction cross section; "
                 "calibrate one with invert_sigma_v first"
             )
         sigma = require(self.sd_cross_section_m2, "spin-destruction cross section")
@@ -127,7 +127,7 @@ class SpeciesCatalog:
         self._by_name: dict[str, Species] = {}
         for sp in species:
             if sp.name in self._by_name:
-                raise ValueError(f"duplicate species name {sp.name!r}")
+                raise ValueError(f"duplicate species name {brief(sp.name, repr)}")
             self._by_name[sp.name] = sp
         # '41K' is also reachable as 'K' when unambiguous
         self._aliases: dict[str, str] = {}
@@ -143,13 +143,15 @@ class SpeciesCatalog:
         return iter(self._by_name.values())
 
     def get(self, name: str) -> Species:
-        key = name.strip()
-        key = self._aliases.get(key, key)
-        try:
-            return self._by_name[key]
-        except KeyError:
-            known = ", ".join(self._by_name)
-            raise KeyError(f"unknown species {brief(name, repr)} (catalog has: {known})") from None
+        """The species named ``name``, or by the alias ``name``; KeyError for
+        any other name, one that is not a str too."""
+        if isinstance(name, str):
+            key = name.strip()
+            species = self._by_name.get(self._aliases.get(key, key))
+            if species is not None:
+                return species
+        known = brief(", ".join(self._by_name))
+        raise KeyError(f"unknown species {brief(name, repr)} (catalog has: {known})")
 
 
 def _parse_spin(text, where: str) -> Fraction:
@@ -184,12 +186,13 @@ def load_catalog(path: str | Path) -> SpeciesCatalog:
     """
     path = Path(path)
     doc = read_json(path)
+    quoted = brief(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("species"), list):
-        raise ValueError(f"{path}: expected an object with a 'species' list")
+        raise ValueError(f"{quoted}: expected an object with a 'species' list")
     amu = constants().atomic_mass
     out = []
     for idx, record in enumerate(doc["species"]):
-        where = f"{path}: species[{idx}]"
+        where = f"{quoted}: species[{idx}]"
         if not isinstance(record, dict):
             raise ValueError(f"{where}: expected an object")
         name = record.get("name")

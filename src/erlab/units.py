@@ -6,16 +6,15 @@ owns four things:
 * the frozen table of physical constants (CODATA 2018),
 * the boundary parser that turns unit-tagged inputs (``1e14/cm3``,
   ``10cm3``, ``300pT/rtHz``, ...) into finite SI values while checking
-  their dimension, and
+  their dimension,
 * ``require``, the one check of every number, and ``brief``, which keeps
   the value quoted in an error message short, and
 * ``read_json``, the bounded read of the JSON input files.
 
-Dimensions are exponent vectors over the SI base (kg, m, s, A, K) with
-``fractions.Fraction`` entries so that square roots of dimensioned
-quantities (e.g. field noise densities, T*sqrt(s)) stay exact.  Unit
-scales are exact powers of ten; the only non-metric unit, the gauss, is an
-exact power of ten in tesla as well (1 G = 1e-4 T).
+A dimension is the string a message prints for it, one for each of the
+five dimensioned inputs the CLI reads and one for a bare number.  Unit
+scales are exact powers of ten; the only non-metric unit, the gauss of
+``G/rtHz``, is an exact power of ten in tesla as well (1 G = 1e-4 T).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from fractions import Fraction
 
 __all__ = [
     "DimensionError",
-    "Dimension",
     "Quantity",
     "PhysicalConstants",
     "constants",
@@ -38,73 +36,25 @@ __all__ = [
     "brief",
     "read_json",
     "DIMENSIONLESS",
-    "LENGTH",
     "TIME",
     "TEMPERATURE",
-    "MAGNETIC_FIELD",
-    "ENERGY",
-    "ACTION",
     "VOLUME",
-    "AREA",
     "NUMBER_DENSITY",
-    "VELOCITY",
-    "MAGNETIC_MOMENT",
-    "PERMEABILITY",
     "FIELD_NOISE_DENSITY",
 ]
-
-_BASE_SYMBOLS = ("kg", "m", "s", "A", "K")
 
 
 class DimensionError(ValueError):
     """Raised when an input has an unknown unit or the wrong dimension."""
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """Exponent vector over the SI base (kg, m, s, A, K)."""
-
-    exponents: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-
-    @staticmethod
-    def of(kg=0, m=0, s=0, A=0, K=0) -> "Dimension":
-        return Dimension((Fraction(kg), Fraction(m), Fraction(s), Fraction(A), Fraction(K)))
-
-    def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def __pow__(self, power) -> "Dimension":
-        p = Fraction(power)
-        return Dimension(tuple(a * p for a in self.exponents))
-
-    def __str__(self) -> str:
-        if not any(self.exponents):
-            return "dimensionless"
-        parts = []
-        for sym, e in zip(_BASE_SYMBOLS, self.exponents):
-            if e == 0:
-                continue
-            parts.append(sym if e == 1 else f"{sym}^{e}")
-        return "*".join(parts)
-
-
-DIMENSIONLESS = Dimension.of()
-LENGTH = Dimension.of(m=1)
-TIME = Dimension.of(s=1)
-TEMPERATURE = Dimension.of(K=1)
-MAGNETIC_FIELD = Dimension.of(kg=1, s=-2, A=-1)          # tesla
-ENERGY = Dimension.of(kg=1, m=2, s=-2)                   # joule
-ACTION = Dimension.of(kg=1, m=2, s=-1)                   # J*s
-VOLUME = Dimension.of(m=3)
-AREA = Dimension.of(m=2)
-NUMBER_DENSITY = Dimension.of(m=-3)
-VELOCITY = Dimension.of(m=1, s=-1)
-MAGNETIC_MOMENT = Dimension.of(m=2, A=1)                 # J/T
-PERMEABILITY = Dimension.of(kg=1, m=1, s=-2, A=-2)       # N/A^2
-FIELD_NOISE_DENSITY = MAGNETIC_FIELD * (TIME ** Fraction(1, 2))  # T/sqrt(Hz)
+# each dimension in SI base units (kg, m, s, A, K), as a message prints it
+DIMENSIONLESS = "dimensionless"
+TIME = "s"
+TEMPERATURE = "K"
+VOLUME = "m^3"
+NUMBER_DENSITY = "m^-3"
+FIELD_NOISE_DENSITY = "kg*s^-3/2*A^-1"  # T/sqrt(Hz)
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +65,19 @@ _PREFIXES = {"m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12, "f": 1e-15}
 
 
 # unit name -> (dimension, SI scale): the units that also take a prefix, and the others
-_PREFIXABLE: dict[str, tuple[Dimension, float]] = {
-    "T": (MAGNETIC_FIELD, 1.0),
-    "G": (MAGNETIC_FIELD, 1e-4),  # 1 G = 1e-4 T exactly
+_PREFIXABLE: dict[str, tuple[str, float]] = {
     "s": (TIME, 1.0),
     "T/rtHz": (FIELD_NOISE_DENSITY, 1.0),
-    "G/rtHz": (FIELD_NOISE_DENSITY, 1e-4),
+    "G/rtHz": (FIELD_NOISE_DENSITY, 1e-4),  # 1 G = 1e-4 T exactly
 }
-_PLAIN: dict[str, tuple[Dimension, float]] = {
-    "m": (LENGTH, 1.0),
-    "cm": (LENGTH, 1e-2),
-    "mm": (LENGTH, 1e-3),
-    "um": (LENGTH, 1e-6),
+_PLAIN: dict[str, tuple[str, float]] = {
     "K": (TEMPERATURE, 1.0),
-    "J": (ENERGY, 1.0),
     "m3": (VOLUME, 1.0),
     "cm3": (VOLUME, 1e-6),
     "mm3": (VOLUME, 1e-9),
-    "m2": (AREA, 1.0),
-    "cm2": (AREA, 1e-4),
     "m^-3": (NUMBER_DENSITY, 1.0),
     "cm^-3": (NUMBER_DENSITY, 1e6),
     "mm^-3": (NUMBER_DENSITY, 1e9),
-    "m/s": (VELOCITY, 1.0),
-    "J/T": (MAGNETIC_MOMENT, 1.0),
     "": (DIMENSIONLESS, 1.0),
 }
 # each scale is base_scale * factor, never a folded literal: 1e-4 * 1e-12
@@ -162,8 +101,6 @@ _ALIASES = {
     "m^3": "m3",
     "cm^3": "cm3",
     "mm^3": "mm3",
-    "m^2": "m2",
-    "cm^2": "cm2",
     "T/sqrtHz": "T/rtHz",
     "pT/sqrtHz": "pT/rtHz",
     "fT/sqrtHz": "fT/rtHz",
@@ -181,10 +118,10 @@ class Quantity:
     """A parsed input: its magnitude in SI base units and its dimension."""
 
     si: float
-    dimension: Dimension
+    dimension: str
 
 
-def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
+def parse_quantity(text: str, expect: str | None = None) -> Quantity:
     """Parse ``<number><unit>`` (e.g. ``2e13/cm3``, ``0.5e-5s``, ``300pT/rtHz``).
 
     A bare number parses as dimensionless.  If ``expect`` is given, the
@@ -218,7 +155,7 @@ def parse_quantity(text: str, expect: Dimension | None = None) -> Quantity:
     return Quantity(si, dimension)
 
 
-def _known_units(expect: Dimension | None) -> str:
+def _known_units(expect: str | None) -> str:
     """The units of dimension ``expect`` (any, if None), a prefixed unit by its base."""
     prefixable, plain = (
         ", ".join(u for u, (dimension, _) in table.items() if u and expect in (None, dimension))
@@ -279,7 +216,8 @@ def read_json(path) -> object:
     """The JSON document in the UTF-8 file at ``path``, of which at most
     _JSON_CHARS characters are read, so a longer file (``/dev/zero``, say) is
     refused before it fills memory.  A file that is longer, not UTF-8 or not
-    JSON raises ValueError("<path>: not valid JSON: <reason>")."""
+    JSON raises ValueError("<path>: not valid JSON: <reason>"), the path
+    shortened by ``brief``."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read(_JSON_CHARS + 1)
@@ -287,7 +225,7 @@ def read_json(path) -> object:
                 raise ValueError(f"longer than {_JSON_CHARS} characters")
             return json.loads(text)
         except ValueError as exc:  # too long, bytes not UTF-8, JSONDecodeError, an integer past the digit limit
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+            raise ValueError(f"{brief(path)}: not valid JSON: {exc}") from None
 
 
 def require(value: float, name: str, domain: str = "positive") -> float:

@@ -29,6 +29,8 @@ from erlab.species import default_catalog
 from erlab.units import FIELD_NOISE_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, VOLUME, parse_quantity
 
 PKG_DATA = Path(__file__).resolve().parent.parent / "src" / "erlab" / "data"
+# a relative directory path of 302 bytes, each of its three names under the 255-byte limit
+_DEEP = "/".join(["d" * 100] * 3)
 
 
 def _process(*args):
@@ -403,6 +405,27 @@ def test_simulate_matches_analytic_from_cli(run_main):
 # failure taxonomy: 1 usage, 2 validation, 3 io
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def input_files(tmp_path, monkeypatch):
+    """Work in ``tmp_path``, where the inputs of ``test_validation_errors_exit_2``
+    name these files: under ``_DEEP``, a records file that is not JSON and a
+    catalog that is not an object; a catalog of one uncalibrated species of
+    300 characters, one of two species of the same 300-character name, and
+    one of 40 species."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / _DEEP).mkdir(parents=True)
+    row = json.loads((PKG_DATA / "species.json").read_text())["species"][0]
+    for name, content in (
+        (f"{_DEEP}/records.json", "not json"),
+        (f"{_DEEP}/species.json", "[]"),
+        ("uncalibrated.json", [dict(row, name="U" * 300, sd_cross_section_cm2=None)]),
+        ("duplicates.json", [dict(row, name="D" * 300)] * 2),
+        ("forty.json", [dict(row, name=f"{100 + i}Xx") for i in range(40)]),
+    ):
+        text = content if isinstance(content, str) else json.dumps({"species": content})
+        (tmp_path / name).write_text(text)
+
+
 def _assert_fails(result, code, kind):
     """``result``, an in-process run, exited with ``code``, printed nothing
     and wrote one ``erlab: error: KIND:`` line of under 200 bytes to stderr."""
@@ -497,9 +520,16 @@ def test_usage_errors_exit_1(run_main, args):
         ("diamond", "--temp", "300K", "--tau", "1" + "😀" * 500),
         ("diamond", "--temp", "300K", "--tau", "1us", "--psd", "1" + "😀" * 500, "--volume", "1cm3"),
         ("atomic", "--species", "😀" * 41, "--density", "1e14/cm3", "--volume", "1cm3"),
+        # the files of ``input_files``: a long path, long species names, a long catalog
+        ("compare", "--records", f"{_DEEP}/records.json"),
+        ("table1", "--species-file", f"{_DEEP}/species.json"),
+        ("atomic", "--species-file", "uncalibrated.json", "--species", "U" * 300,
+         "--density", "1e14/cm3", "--volume", "1cm3"),
+        ("table1", "--species-file", "duplicates.json"),
+        ("atomic", "--species-file", "forty.json", "--species", "Cs", "--density", "1e14/cm3", "--volume", "1cm3"),
     ],
 )
-def test_validation_errors_exit_2(run_main, args):
+def test_validation_errors_exit_2(run_main, args, input_files):
     _assert_fails(run_main(*args), 2, "validation")
 
 
@@ -524,6 +554,10 @@ def test_an_unknown_unit_is_quoted_by_its_head_and_length(run_main):
         ("table2", "--records", "/no/such/file.json"),
         ("table1", "--species-file", "/no/such/species.json"),
         ("table1", "--output", "/no/such/dir/out.txt"),
+        # a directory path past 200 bytes, quoted by its head and length
+        ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0",
+         "--dump-trajectories", "0", "--dump-dir", f"/no/such/{_DEEP}"),
+        ("table1", "--output", f"/no/such/{_DEEP}/out.txt"),
     ],
 )
 def test_io_errors_exit_3(run_main, args):
@@ -618,7 +652,11 @@ def _argv(draw, tmp_dir):
         ("atomic", "squid", "diamond", "table1", "table2", "compare", "species-list", "simulate")
     ))
     if command == "atomic":
-        argv = ["atomic", "--species", draw(st.sampled_from(("Cs", "133Cs", "K", "41K", "Rb", "Xe"))),
+        species = st.one_of(  # a catalog name, or one that is long or not ASCII
+            st.sampled_from(("Cs", "133Cs", "K", "41K", "Rb", "Xe", "X" * 300)),
+            st.text(st.sampled_from("Xé界😀"), min_size=1, max_size=300),
+        )
+        argv = ["atomic", "--species", draw(species),
                 "--density", quantity(NUMBER_DENSITY, 1e16, 1e24), "--volume", quantity(VOLUME, 1e-10, 1e-2)]
         if draw(st.booleans()):
             argv += ["--temp", quantity(TEMPERATURE, 1e2, 2e3)]
@@ -633,7 +671,9 @@ def _argv(draw, tmp_dir):
             argv += ["--psd", quantity(FIELD_NOISE_DENSITY, 1e-16, 1e-8),
                      "--volume", quantity(VOLUME, 1e-18, 1e-3)]
     elif command == "compare":
-        path = tmp_dir / "records.json"
+        directory = draw(st.sampled_from((tmp_dir, tmp_dir / _DEEP)))  # a path past 200 bytes, or not
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / "records.json"
         path.write_text(json.dumps(draw(_records(anything))))
         argv = ["compare", "--records", str(path)]
     elif command == "simulate":
@@ -648,7 +688,7 @@ def _argv(draw, tmp_dir):
             "--horizon", draw(horizon),
             "--workers", draw(st.sampled_from(("1", "2", "0", "-1", "inf"))),
             "--dump-trajectories", draw(st.sampled_from(("0", "0,3", "-1", "4", "nan"))),
-            "--dump-dir", str(tmp_dir),
+            "--dump-dir", draw(st.sampled_from((str(tmp_dir), f"{tmp_dir}/missing/{_DEEP}"))),
         ]
     else:
         argv = [command]

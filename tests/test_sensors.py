@@ -356,6 +356,10 @@ def test_compare_requires_measured_value():
     rec = PublishedRecord("X2020", SquidSpec(1e-6, 4.2, 5e-6, None))
     with pytest.raises(ValueError, match="measured"):
         compare_published([rec])
+    # a long label is quoted by its head and length
+    rec = PublishedRecord("X" * 300, SquidSpec(1e-6, 4.2, 5e-6, None))
+    with pytest.raises(ValueError, match=r"^record 'X{39}\.\.\. \(302 characters\) has no measured ERL"):
+        compare_published([rec])
 
 
 def _table2_csv(capsys, digits):

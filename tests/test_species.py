@@ -16,7 +16,7 @@ from erlab.species import (
     mean_relative_velocity,
     slowing_factor,
 )
-from erlab.units import constants
+from erlab.units import brief, constants
 
 C = constants()
 AMU = C.atomic_mass
@@ -153,6 +153,11 @@ def test_catalog_aliases_strip_mass_number():
 def test_catalog_unknown_species_lists_known():
     with pytest.raises(KeyError, match="41K"):
         default_catalog().get("Xe")
+    # a name that is not a str is unknown too, on one line
+    for name in (None, 5, ["Cs"]):
+        with pytest.raises(KeyError) as info:
+            default_catalog().get(name)
+        assert info.value.args[0] == f"unknown species {name!r} (catalog has: 41K, 87Rb, 133Cs)"
 
 
 def test_shipped_calibration_sigma_v_values():
@@ -269,7 +274,7 @@ def test_load_catalog_names_the_file_for_unparseable_json(tmp_path):
         path.write_bytes(content)
         with pytest.raises(ValueError) as info:
             load_catalog(path)
-        assert str(info.value).startswith(f"{path}: not valid JSON: ")
+        assert str(info.value).startswith(f"{brief(path)}: not valid JSON: ")
 
 
 def test_load_catalog_accepts_a_large_spin_with_a_normal_moment(tmp_path):
