@@ -92,28 +92,6 @@ def _brief_value(match: re.Match) -> str:
     return f"{quote}{encoded[:12].decode(errors='ignore')}... ({len(value)} characters){quote}"
 
 
-def _common_options(default_format: str = "text") -> _Parser:
-    p = _Parser(add_help=False)
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default=default_format,
-        help=f"output format (default: {default_format})",
-    )
-    p.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
-    p.add_argument(
-        "--digits",
-        type=int,
-        default=6,
-        metavar="N",
-        help=(
-            "significant digits for text/csv floats, as Python's g format: 0 prints one "
-            "(default: 6; simulate --format csv ignores it and prints each float in full)"
-        ),
-    )
-    return p
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="erlab",
@@ -122,11 +100,27 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"erlab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-    common = {fmt: _common_options(fmt) for fmt in ("text", "json")}
 
     def command(name, handler, help_text, default_format="text"):
-        p = sub.add_parser(name, parents=[common[default_format]], help=help_text)
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        p.add_argument(
+            "--format",
+            choices=("text", "json", "csv"),
+            default=default_format,
+            help=f"output format (default: {default_format})",
+        )
+        p.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
+        p.add_argument(
+            "--digits",
+            type=int,
+            default=6,
+            metavar="N",
+            help=(
+                "significant digits for text/csv floats, as Python's g format: 0 prints one "
+                "(default: 6; simulate --format csv ignores it and prints each float in full)"
+            ),
+        )
         return p
 
     p = command("species-list", _cmd_species_list, "list the species catalog with derived quantities")
@@ -404,33 +398,25 @@ def _fail(code: int, category: str, message) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return _fail(EXIT_USAGE, "usage", exc)
-    if getattr(args, "handler", None) is None:
-        return _fail(EXIT_USAGE, "usage", "a command is required (try --help)")
-    if not 0 <= args.digits <= _MAX_DIGITS:
-        from .units import brief
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "handler", None) is None:
+            raise _UsageError("a command is required (try --help)")
+        if not 0 <= args.digits <= _MAX_DIGITS:
+            from .units import brief
 
-        message = f"--digits must be from 0 to {_MAX_DIGITS}, got {brief(args.digits)}"
-        return _fail(EXIT_VALIDATION, "validation", message)
-    try:
+            raise ValueError(f"--digits must be from 0 to {_MAX_DIGITS}, got {brief(args.digits)}")
         content = _render(args.handler(args), args)
-    except _UsageError as exc:
-        return _fail(EXIT_USAGE, "usage", exc)
-    except KeyError as exc:
-        return _fail(EXIT_VALIDATION, "validation", exc.args[0] if exc.args else exc)
-    except ValueError as exc:  # includes DimensionError
-        return _fail(EXIT_VALIDATION, "validation", exc)
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", exc)
-    try:
         if args.output:
             Path(args.output).write_text(content, encoding="utf-8")
         else:
             sys.stdout.write(content)
-    except OSError as exc:
+    except _UsageError as exc:
+        return _fail(EXIT_USAGE, "usage", exc)
+    except (UnicodeEncodeError, OSError) as exc:  # before ValueError: an output the stream cannot encode
         return _fail(EXIT_IO, "io", exc)
+    except KeyError as exc:
+        return _fail(EXIT_VALIDATION, "validation", exc.args[0] if exc.args else exc)
+    except ValueError as exc:  # includes DimensionError
+        return _fail(EXIT_VALIDATION, "validation", exc)
     return EXIT_OK

@@ -171,8 +171,8 @@ def _parse_spin(text, where: str) -> Fraction:
         raise ValueError(f"{prefix} is not a fraction") from None
     try:
         magnetic_moment(slowing_factor(spin))
-    except ValueError as exc:
-        raise ValueError(f"{prefix}: {exc}") from None
+    except ValueError as exc:  # it quotes the spin, or the factor or moment, itself
+        raise ValueError(f"{where}: nuclear_spin: {exc}") from None
     return spin
 
 

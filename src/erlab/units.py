@@ -181,10 +181,13 @@ _DOMAINS = {
 _BRIEF_BYTES = 40
 # longest JSON input file read, in characters; the bundled ones are about 1 KiB
 _JSON_CHARS = 2**20
+# longest "<path>: not valid JSON: <reason>" before brief's suffix on the reason,
+# which with the CLI's "erlab: error: validation: " keeps the line under 200 bytes
+_JSON_MESSAGE_BYTES = 150
 
 
-def brief(value, text=str) -> str:
-    """``text(value)``, or if it is over ``_BRIEF_BYTES`` in UTF-8 its head,
+def brief(value, text=str, limit: int = _BRIEF_BYTES) -> str:
+    """``text(value)``, or if it is over ``limit`` bytes in UTF-8 its head,
     cut between characters, and its length, so that a message quoting a value
     (a 4000-digit integer, say) stays one short line.  An integer past Python's
     digit limit (``sys.get_int_max_str_digits()``) is quoted by its size
@@ -200,9 +203,9 @@ def brief(value, text=str) -> str:
             return f"<{sign}integer of {_digits(value)} digits>"
         return f"<{sign}fraction of {_digits(value.numerator)}/{_digits(value.denominator)} digits>"
     encoded = quoted.encode(errors="surrogatepass")
-    if len(encoded) <= _BRIEF_BYTES:
+    if len(encoded) <= limit:
         return quoted
-    return f"{encoded[:_BRIEF_BYTES].decode(errors='ignore')}... ({len(quoted)} characters)"
+    return f"{encoded[:limit].decode(errors='ignore')}... ({len(quoted)} characters)"
 
 
 def _digits(n: int) -> int:
@@ -215,17 +218,28 @@ def _digits(n: int) -> int:
 def read_json(path) -> object:
     """The JSON document in the UTF-8 file at ``path``, of which at most
     _JSON_CHARS characters are read, so a longer file (``/dev/zero``, say) is
-    refused before it fills memory.  A file that is longer, not UTF-8 or not
-    JSON raises ValueError("<path>: not valid JSON: <reason>"), the path
-    shortened by ``brief``."""
+    refused before it fills memory.  A file that is longer, not UTF-8, not
+    JSON, nested past the recursion limit, or holding a string UTF-8 cannot
+    encode (a lone surrogate escape such as ``"\\ud800"``; a pair such as
+    ``"\\ud83d\\ude00"`` is one character) raises
+    ValueError("<path>: not valid JSON: <reason>"), the path and the reason
+    shortened by ``brief``, the two at most ``_JSON_MESSAGE_BYTES`` before
+    the reason's suffix."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read(_JSON_CHARS + 1)
             if len(text) > _JSON_CHARS:
                 raise ValueError(f"longer than {_JSON_CHARS} characters")
-            return json.loads(text)
-        except ValueError as exc:  # too long, bytes not UTF-8, JSONDecodeError, an integer past the digit limit
-            raise ValueError(f"{brief(path)}: not valid JSON: {exc}") from None
+            doc = json.loads(text)
+            try:
+                json.dumps(doc, ensure_ascii=False).encode()
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"a string holds the lone surrogate {exc.object[exc.start]!r}") from None
+            return doc
+        # too long, not UTF-8, JSONDecodeError, an integer past the digit limit, nested too deep
+        except (ValueError, RecursionError) as exc:
+            head = f"{brief(path)}: not valid JSON: "
+            raise ValueError(head + brief(exc, limit=_JSON_MESSAGE_BYTES - len(head.encode()))) from None
 
 
 def require(value: float, name: str, domain: str = "positive") -> float:

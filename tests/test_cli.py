@@ -1,7 +1,8 @@
 """CLI tests.  They call ``erlab.cli.main`` in-process through ``run_main``
-(``tests/conftest.py``), except the three that test what only a process
-shows: the ``python -m erlab`` entry point and its exit status, ``--output``
-and the modules a command imports, which start one through ``_process``.
+(``tests/conftest.py``), except the four that test what only a process
+shows: the ``python -m erlab`` entry point and its exit status, ``--output``,
+the modules a command imports and an output its stream cannot encode, which
+start one through ``_process``.
 ``tests/test_golden.py`` pins the bytes of every command's output at fixed
 argv; here ``_check_against_library`` holds the values of the analytic
 commands to the library, over drawn inputs in the property test at the end
@@ -33,9 +34,10 @@ PKG_DATA = Path(__file__).resolve().parent.parent / "src" / "erlab" / "data"
 _DEEP = "/".join(["d" * 100] * 3)
 
 
-def _process(*args):
-    """A fresh ``python ARGS`` process, run to its end."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+def _process(*args, env=None):
+    """A fresh ``python ARGS`` process, run to its end, in the environment
+    ``env`` if given, else in this one."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,17 @@ def test_output_file_equals_stdout(run_main, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert out.read_text() == run_main("table1", "--format", "json")[1]
+
+
+def test_an_output_the_stream_cannot_encode_exits_3(tmp_path):
+    doc = json.loads((PKG_DATA / "species.json").read_text())
+    doc["species"] = [dict(doc["species"][0], name="é")]
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    proc = _process("-m", "erlab", "species-list", "--species-file", str(path), env=env)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert re.fullmatch(r"erlab: error: io: 'ascii' codec can't encode character '\\xe9' [^\n]+\n", proc.stderr)
 
 
 # argv -> modules its process must not load, and its exit code: each command
@@ -408,19 +421,27 @@ def test_simulate_matches_analytic_from_cli(run_main):
 @pytest.fixture
 def input_files(tmp_path, monkeypatch):
     """Work in ``tmp_path``, where the inputs of ``test_validation_errors_exit_2``
-    name these files: under ``_DEEP``, a records file that is not JSON and a
-    catalog that is not an object; a catalog of one uncalibrated species of
-    300 characters, one of two species of the same 300-character name, and
-    one of 40 species."""
+    name these files: under ``_DEEP``, a records file that is not JSON, one
+    holding a 5,001-digit integer and a catalog that is not an object; a
+    catalog of one uncalibrated species of 300 characters, one of two species
+    of the same 300-character name, one of 40 species and one of a spin of
+    4,003 characters; a records file and a catalog, each holding a name with
+    a lone surrogate; and a records file nested 2,000 deep."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / _DEEP).mkdir(parents=True)
     row = json.loads((PKG_DATA / "species.json").read_text())["species"][0]
+    record = {"label": "A\ud800", "p": 1e-6, "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 100.0}
     for name, content in (
         (f"{_DEEP}/records.json", "not json"),
+        (f"{_DEEP}/digits.json", '[{"label": "a", "p": 1%s}]' % ("0" * 5000)),
         (f"{_DEEP}/species.json", "[]"),
         ("uncalibrated.json", [dict(row, name="U" * 300, sd_cross_section_cm2=None)]),
         ("duplicates.json", [dict(row, name="D" * 300)] * 2),
         ("forty.json", [dict(row, name=f"{100 + i}Xx") for i in range(40)]),
+        ("spin.json", [dict(row, nuclear_spin="0.5" + "0" * 4000 + "1")]),
+        ("surrogate_records.json", json.dumps([record])),
+        ("surrogate_species.json", [dict(row, name="A\ud800")]),
+        ("nested.json", "[" * 2000 + "]" * 2000),
     ):
         text = content if isinstance(content, str) else json.dumps({"species": content})
         (tmp_path / name).write_text(text)
@@ -527,6 +548,13 @@ def test_usage_errors_exit_1(run_main, args):
          "--density", "1e14/cm3", "--volume", "1cm3"),
         ("table1", "--species-file", "duplicates.json"),
         ("atomic", "--species-file", "forty.json", "--species", "Cs", "--density", "1e14/cm3", "--volume", "1cm3"),
+        # a long JSON reason after a long path, and a long spin, each quoted once
+        ("compare", "--records", f"{_DEEP}/digits.json"),
+        ("table1", "--species-file", "spin.json"),
+        # a name UTF-8 cannot encode, in every format
+        *(("compare", "--records", "surrogate_records.json", "--format", fmt) for fmt in ("text", "csv", "json")),
+        *(("table1", "--species-file", "surrogate_species.json", "--format", fmt) for fmt in ("text", "csv", "json")),
+        ("compare", "--records", "nested.json"),
     ],
 )
 def test_validation_errors_exit_2(run_main, args, input_files):
@@ -618,13 +646,13 @@ def _spellings(dimension):
 
 def _records(anything):
     """Record lists for compare: each field in its valid range, or, if
-    ``anything``, possibly any float."""
+    ``anything``, possibly any float; a label may hold a lone surrogate."""
 
     def field(low, high):
         return st.one_of(_in_range(low, high), st.floats()) if anything else _in_range(low, high)
 
     return st.lists(st.fixed_dictionaries({
-        "label": st.sampled_from(("lab", "a,b")),
+        "label": st.sampled_from(("lab", "a,b", "A\ud800")),
         "p": field(1e-12, 0.9),
         "T_K": field(1e-3, 1e3),
         "tau_s": field(1e-12, 1e3),
@@ -731,6 +759,7 @@ def test_any_numeric_input_exits_with_a_documented_code(data, run_main, tmp_path
         assert len(err.splitlines()) == 1 and len(err.encode()) < 200
         return
     assert err == ""
+    out.encode()  # a terminal or file in UTF-8 can take every output
     if argv[argv.index("--format") + 1] == "json":
         json.loads(out, parse_constant=_reject_constant)
     else:

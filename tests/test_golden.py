@@ -3,9 +3,10 @@
 ``golden/cli.json`` holds, for each argv that ``_cases`` builds, the stdout, stderr
 and exit code that ``erlab.cli.main`` produced when the file was captured.
 Every case must reproduce them exactly: refactors of the unit layer, the
-sensors or the renderers may not change a single byte of what the tool
-prints.  Cases run in-process with ``golden/`` as the working directory,
-so the input files below are named by relative path.
+sensors, the renderers or the parser may not change a single byte of what
+the tool prints, ``--help`` included.  Cases run in-process with
+``golden/`` as the working directory, so the input files below are named
+by relative path, and with ``COLUMNS=80``, the width argparse wraps help to.
 
 Re-capture (only for an intended, documented output change)::
 
@@ -84,6 +85,9 @@ def _cases() -> dict[str, list[str]]:
             for digits in _DIGITS:
                 cases[f"{name}-{fmt}-d{digits}"] = [*argv, "--format", fmt, "--digits", digits]
     cases.update({f"error-{name}": argv for name, argv in _ERRORS.items()})
+    cases["help"] = ["--help"]
+    for name in ("species-list", "atomic", "squid", "diamond", "table1", "table2", "compare", "simulate"):
+        cases[f"help-{name}"] = [name, "--help"]
     return cases
 
 
@@ -95,6 +99,7 @@ def _load() -> dict:
 @pytest.fixture
 def in_golden_dir(monkeypatch):
     monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.setenv("COLUMNS", "80")
 
 
 def test_golden_file_covers_every_case():
@@ -113,6 +118,7 @@ if __name__ == "__main__":
     from conftest import main_in_process
 
     os.chdir(GOLDEN_DIR)
+    os.environ["COLUMNS"] = "80"
     captured = {}
     for name, argv in _cases().items():
         code, stdout, stderr = main_in_process(*argv)

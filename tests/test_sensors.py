@@ -402,6 +402,8 @@ def test_load_published_records(tmp_path):
         [{"p": 1e-6, "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 1.0}],  # no label
         [{"label": "A", "p": "tiny", "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 1.0}],
         [{"label": "A", "p": 2.0, "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 1.0}],
+        ["A"],  # a record that is not an object
+        [None],
     ],
 )
 def test_load_published_records_rejects_bad_docs(tmp_path, doc):

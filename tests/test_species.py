@@ -249,18 +249,22 @@ def test_load_catalog_rejects_duplicate_names(tmp_path):
         {"nuclear_spin": "1e-400"},  # Fraction(1, 10**400)
         {"nuclear_spin": "0.5" + "0" * 4000 + "1"},
         {"mass_amu": "9" * 4000},
+        # a row that is not an object
+        "41K",
+        None,
     ],
 )
 def test_load_catalog_rejects_bad_rows(tmp_path, patch):
-    row = dict(_GOOD_ROW)
-    row.update(patch)
+    row = dict(_GOOD_ROW, **patch) if isinstance(patch, dict) else patch
     path = _write(tmp_path, {"species": [row]})
     with pytest.raises(ValueError, match=r"species\[0\]") as info:
         load_catalog(path)
     message = str(info.value)
-    assert next(iter(patch)) in message  # names the bad field
+    # names the bad field, or says the row is not an object
+    assert (next(iter(patch)) if isinstance(patch, dict) else "expected an object") in message
     assert "\n" not in message and "set_int_max_str_digits" not in message
-    assert len(message.encode()) < 200 + len(str(path).encode())  # a long value is cut
+    # a long value is cut, and so is the path, so the bound holds whatever the path
+    assert len(message.encode()) < 200
 
 
 def test_load_catalog_names_the_file_for_unparseable_json(tmp_path):

@@ -197,6 +197,32 @@ def test_brief_counts_the_digits_at_powers_of_ten():
     assert brief("abc", repr) == "'abc'"
 
 
+def test_read_json_refuses_a_lone_surrogate(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(r'["A\ud83d\ude00"]')  # a surrogate pair is one character
+    assert units.read_json(path) == ["A😀"]
+    for text, surrogate in ((r'["A\ud800"]', r"\ud800"), (r'{"\udc00": 1}', r"\udc00")):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            units.read_json(path)
+        assert str(info.value) == f"{brief(path)}: not valid JSON: a string holds the lone surrogate '{surrogate}'"
+
+
+def test_read_json_bounds_its_reason_whatever_the_path(tmp_path):
+    directory = tmp_path.joinpath(*["d" * 100] * 3)
+    directory.mkdir(parents=True)
+    for path in (tmp_path / "doc.json", directory / "doc.json"):
+        path.write_text("")  # a syntax reason is quoted whole
+        with pytest.raises(ValueError) as info:
+            units.read_json(path)
+        assert str(info.value) == f"{brief(path)}: not valid JSON: Expecting value: line 1 column 1 (char 0)"
+        path.write_text("[1%s]" % ("0" * 5000))  # the digit limit's reason is 140 characters
+        with pytest.raises(ValueError) as info:
+            units.read_json(path)
+        assert str(info.value).startswith(f"{brief(path)}: not valid JSON: Exceeds the limit")
+        assert len(f"erlab: error: validation: {info.value}\n".encode()) < 200
+
+
 def test_gauss_conversion_power_of_ten():
     assert parse_quantity("5G/rtHz", FIELD_NOISE_DENSITY).si == 5e-4
     assert parse_quantity("0.5mT/rtHz", FIELD_NOISE_DENSITY).si == 5e-4
