@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -32,6 +31,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+# longest error line written, in UTF-8 bytes without its newline, and the tail a
+# longer one keeps: the list of commands after an invalid one is 101 bytes
+_LINE_BYTES = 198
+_TAIL_BYTES = 110
+# every character str.splitlines breaks a line at
+_LINE_BREAKS = str.maketrans(dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
 
 # --digits cap: no float has more than 767 significant decimal digits, so it changes no output
 _MAX_DIGITS = 1000
@@ -73,23 +79,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to our taxonomy
-        # argparse quotes a value by repr, in single quotes or, if it holds
-        # one, in double quotes, and lists unrecognized arguments bare
-        raise _UsageError(re.sub(r"'([^']*)'|\"([^\"]*)\"|(\S+)", _brief_value, message))
-
-
-def _brief_value(match: re.Match) -> str:
-    """The value ``match`` found in an argparse message, or if it is over 20
-    bytes in UTF-8 its first 12, cut between characters, and its length, as
-    ``units.brief`` quotes a value; a shorter head than brief's 40 bytes, as
-    the list of commands after an invalid one is itself about 120 bytes.  No
-    option name is that long, and ``units`` stays unloaded on the usage path."""
-    value = match[match.lastindex]
-    encoded = value.encode(errors="surrogatepass")
-    if len(encoded) <= 20:
-        return match[0]
-    quote = match[0][0] if match.lastindex < 3 else ""
-    return f"{quote}{encoded[:12].decode(errors='ignore')}... ({len(value)} characters){quote}"
+        raise _UsageError(message)
 
 
 def _build_parser() -> _Parser:
@@ -326,7 +316,7 @@ def _cmd_simulate(args):
         usable_cpus,
         write_trajectory_csv,
     )
-    from .units import TIME, brief, parse_quantity
+    from .units import TIME, parse_quantity
 
     tau = parse_quantity(args.tau, TIME).si
     atoms = int(args.atoms) if float(args.atoms).is_integer() else args.atoms
@@ -344,8 +334,7 @@ def _cmd_simulate(args):
             indices = tuple(int(tok) for tok in args.dump_trajectories.split(","))
         except ValueError:
             raise ValueError(
-                "--dump-trajectories must be comma-separated integers, "
-                f"got {brief(args.dump_trajectories, repr)}"
+                f"--dump-trajectories must be comma-separated integers, got {args.dump_trajectories!r}"
             ) from None
     workers = usable_cpus() if args.workers is None else args.workers
     result = simulate_transient(config, workers=workers, sample_indices=indices)
@@ -388,12 +377,16 @@ def _render(content, args) -> str:
 # ---------------------------------------------------------------------------
 
 def _fail(code: int, category: str, message) -> int:
-    if isinstance(message, OSError) and message.filename is not None:
-        from .units import brief
-
-        message = f"[Errno {message.errno}] {message.strerror}: {brief(message.filename, repr)}"
-    text = str(message).replace("\n", " ")
-    print(f"erlab: error: {category}: {text}", file=sys.stderr)
+    """Write ``erlab: error: <category>: <message>`` to stderr as one line of
+    under 200 bytes in UTF-8, and return ``code``.  Each line break becomes a
+    space and each lone surrogate its ``\\udcXX`` escape, as stderr would
+    write it; a line still over _LINE_BYTES is cut to its head, `` ... `` and
+    its last _TAIL_BYTES, each cut between characters."""
+    line = f"erlab: error: {category}: {message}".translate(_LINE_BREAKS)
+    encoded = line.encode(errors="backslashreplace")
+    if len(encoded) > _LINE_BYTES:
+        encoded = encoded[: _LINE_BYTES - _TAIL_BYTES - 5] + b" ... " + encoded[-_TAIL_BYTES:]
+    print(encoded.decode(errors="ignore"), file=sys.stderr)
     return code
 
 
@@ -403,9 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "handler", None) is None:
             raise _UsageError("a command is required (try --help)")
         if not 0 <= args.digits <= _MAX_DIGITS:
-            from .units import brief
-
-            raise ValueError(f"--digits must be from 0 to {_MAX_DIGITS}, got {brief(args.digits)}")
+            raise ValueError(f"--digits must be from 0 to {_MAX_DIGITS}, got {args.digits}")
         content = _render(args.handler(args), args)
         if args.output:
             Path(args.output).write_text(content, encoding="utf-8")

@@ -8,7 +8,8 @@ owns four things:
   ``10cm3``, ``300pT/rtHz``, ...) into finite SI values while checking
   their dimension,
 * ``require``, the one check of every number, and ``brief``, which keeps
-  the value quoted in an error message short, and
+  the value quoted in a library error message short (the CLI bounds its
+  whole error line in ``cli._fail``), and
 * ``read_json``, the bounded read of the JSON input files.
 
 A dimension is the string a message prints for it, one for each of the
@@ -181,15 +182,12 @@ _DOMAINS = {
 _BRIEF_BYTES = 40
 # longest JSON input file read, in characters; the bundled ones are about 1 KiB
 _JSON_CHARS = 2**20
-# longest "<path>: not valid JSON: <reason>" before brief's suffix on the reason,
-# which with the CLI's "erlab: error: validation: " keeps the line under 200 bytes
-_JSON_MESSAGE_BYTES = 150
 
 
-def brief(value, text=str, limit: int = _BRIEF_BYTES) -> str:
-    """``text(value)``, or if it is over ``limit`` bytes in UTF-8 its head,
+def brief(value, text=str) -> str:
+    """``text(value)``, or if it is over _BRIEF_BYTES bytes in UTF-8 its head,
     cut between characters, and its length, so that a message quoting a value
-    (a 4000-digit integer, say) stays one short line.  An integer past Python's
+    (a 4000-digit integer, say) stays short.  An integer past Python's
     digit limit (``sys.get_int_max_str_digits()``) is quoted by its size
     (``<integer of 5001 digits>``, ``<negative fraction of 1/5001 digits>`` for
     a Fraction's terms), and a value that holds one by its type."""
@@ -203,9 +201,9 @@ def brief(value, text=str, limit: int = _BRIEF_BYTES) -> str:
             return f"<{sign}integer of {_digits(value)} digits>"
         return f"<{sign}fraction of {_digits(value.numerator)}/{_digits(value.denominator)} digits>"
     encoded = quoted.encode(errors="surrogatepass")
-    if len(encoded) <= limit:
+    if len(encoded) <= _BRIEF_BYTES:
         return quoted
-    return f"{encoded[:limit].decode(errors='ignore')}... ({len(quoted)} characters)"
+    return f"{encoded[:_BRIEF_BYTES].decode(errors='ignore')}... ({len(quoted)} characters)"
 
 
 def _digits(n: int) -> int:
@@ -222,9 +220,8 @@ def read_json(path) -> object:
     JSON, nested past the recursion limit, or holding a string UTF-8 cannot
     encode (a lone surrogate escape such as ``"\\ud800"``; a pair such as
     ``"\\ud83d\\ude00"`` is one character) raises
-    ValueError("<path>: not valid JSON: <reason>"), the path and the reason
-    shortened by ``brief``, the two at most ``_JSON_MESSAGE_BYTES`` before
-    the reason's suffix."""
+    ValueError("<path>: not valid JSON: <reason>"), the path shortened by
+    ``brief`` and the reason whole, which is short whatever the file holds."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read(_JSON_CHARS + 1)
@@ -238,8 +235,7 @@ def read_json(path) -> object:
             return doc
         # too long, not UTF-8, JSONDecodeError, an integer past the digit limit, nested too deep
         except (ValueError, RecursionError) as exc:
-            head = f"{brief(path)}: not valid JSON: "
-            raise ValueError(head + brief(exc, limit=_JSON_MESSAGE_BYTES - len(head.encode()))) from None
+            raise ValueError(f"{brief(path)}: not valid JSON: {exc}") from None
 
 
 def require(value: float, name: str, domain: str = "positive") -> float:

@@ -8,6 +8,7 @@ argv; here ``_check_against_library`` holds the values of the analytic
 commands to the library, over drawn inputs in the property test at the end
 and at hand-picked argv in the happy-path tests."""
 
+import contextlib
 import csv
 import errno
 import hashlib
@@ -22,9 +23,9 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from erlab import sensors, units
+from erlab import cli, sensors, units
 from erlab.report import Report, format_value, render_json, render_text
 from erlab.species import default_catalog
 from erlab.units import FIELD_NOISE_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, VOLUME, parse_quantity
@@ -206,6 +207,15 @@ def test_an_output_the_stream_cannot_encode_exits_3(tmp_path):
     assert re.fullmatch(r"erlab: error: io: 'ascii' codec can't encode character '\\xe9' [^\n]+\n", proc.stderr)
 
 
+def test_an_argv_that_is_not_utf8_is_written_as_escapes():
+    # Python decodes each byte of such an argument to a lone surrogate,
+    # which stderr writes as a 6-byte escape such as \udcff
+    proc = _process("-m", "erlab", "table1", *[b"\xff\xfe\xfd\xfc"] * 20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("erlab: error: usage: unrecognized arguments: \\udcff\\udcfe\\udcfd\\udcfc ")
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr.encode()) < 200
+
+
 # argv -> modules its process must not load, and its exit code: each command
 # imports only what it runs, and only simulate loads numpy
 _NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.report"}
@@ -214,7 +224,7 @@ _LAYERING = (
     (("-m", "erlab", "table1"), {"numpy"}, 0),
     (("-m", "erlab", "--version"), _NO_COMMAND, 0),
     (("-m", "erlab", "--help"), _NO_COMMAND, 0),
-    # a usage error quoting a long value shortens it without the unit layer
+    # a usage error's line, however long, is cut without the unit layer
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 5000), _NO_COMMAND, 1),
     (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds"}, 0),
     (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"), {"numpy", "erlab.species"}, 0),
@@ -422,11 +432,13 @@ def test_simulate_matches_analytic_from_cli(run_main):
 def input_files(tmp_path, monkeypatch):
     """Work in ``tmp_path``, where the inputs of ``test_validation_errors_exit_2``
     name these files: under ``_DEEP``, a records file that is not JSON, one
-    holding a 5,001-digit integer and a catalog that is not an object; a
-    catalog of one uncalibrated species of 300 characters, one of two species
-    of the same 300-character name, one of 40 species and one of a spin of
-    4,003 characters; a records file and a catalog, each holding a name with
-    a lone surrogate; and a records file nested 2,000 deep."""
+    holding a 5,001-digit integer, a catalog that is not an object, one of a
+    mass of 4,000 nines and one of a spin of 4,003 characters; a records file
+    that is not JSON, named with a carriage return; a catalog of one
+    uncalibrated species of 300 characters, one of two species of the same
+    300-character name, one of 40 species and one of a spin of 4,003
+    characters; a records file and a catalog, each holding a name with a lone
+    surrogate; and a records file nested 2,000 deep."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / _DEEP).mkdir(parents=True)
     row = json.loads((PKG_DATA / "species.json").read_text())["species"][0]
@@ -435,6 +447,9 @@ def input_files(tmp_path, monkeypatch):
         (f"{_DEEP}/records.json", "not json"),
         (f"{_DEEP}/digits.json", '[{"label": "a", "p": 1%s}]' % ("0" * 5000)),
         (f"{_DEEP}/species.json", "[]"),
+        (f"{_DEEP}/mass.json", [dict(row, mass_amu="9" * 4000)]),
+        (f"{_DEEP}/spin.json", [dict(row, nuclear_spin="0.5" + "0" * 4000 + "1")]),
+        ("records\r.json", "not json"),
         ("uncalibrated.json", [dict(row, name="U" * 300, sd_cross_section_cm2=None)]),
         ("duplicates.json", [dict(row, name="D" * 300)] * 2),
         ("forty.json", [dict(row, name=f"{100 + i}Xx") for i in range(40)]),
@@ -463,7 +478,7 @@ def _assert_fails(result, code, kind):
         ("table1", "--nonsense"),
         ("atomic", "--species", "Cs"),  # missing required flags
         ("simulate", "--atoms", "ten", "--trajectories", "5", "--seed", "0"),
-        # long values, each quoted by its head and length
+        # long values, in a line cut to its head and its tail
         ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 5000),
         ("table1", "--format", "x" * 500),
         ("y" * 500,),  # invalid command
@@ -476,6 +491,11 @@ def _assert_fails(result, code, kind):
         ("é" * 100,),
         ("界" * 20,),
         ("😀" * 30,),
+        # many short values, and argv that is not UTF-8, as Python decodes it
+        ("table1", *["ab"] * 60),
+        ("table1", *["\udcff\udcfe\udcfd\udcfc"] * 20),
+        # every line break becomes a space
+        *(("table1", f"x{c}y") for c in ("\r", "\x85", "\u2028")),
     ],
 )
 def test_usage_errors_exit_1(run_main, args):
@@ -555,16 +575,26 @@ def test_usage_errors_exit_1(run_main, args):
         *(("compare", "--records", "surrogate_records.json", "--format", fmt) for fmt in ("text", "csv", "json")),
         *(("table1", "--species-file", "surrogate_species.json", "--format", fmt) for fmt in ("text", "csv", "json")),
         ("compare", "--records", "nested.json"),
+        # a long path and a long value in one line
+        ("table1", "--species-file", f"{_DEEP}/mass.json"),
+        ("table1", "--species-file", f"{_DEEP}/spin.json"),
+        # a path holding a line break
+        ("compare", "--records", "records\r.json"),
     ],
 )
 def test_validation_errors_exit_2(run_main, args, input_files):
     _assert_fails(run_main(*args), 2, "validation")
 
 
-def test_a_long_usage_value_is_quoted_by_its_head_and_length(run_main):
+def test_a_long_usage_line_keeps_its_head_and_its_tail(run_main):
     assert run_main("table1", "--format", "x" * 500) == (1, "", (
-        "erlab: error: usage: argument --format: invalid choice: 'xxxxxxxxxxxx... (500 characters)'"
-        " (choose from 'text', 'json', 'csv')\n"))
+        "erlab: error: usage: argument --format: invalid choice: '%s ... %s'"
+        " (choose from 'text', 'json', 'csv')\n" % ("x" * 26, "x" * 73)))
+    # the tail holds the longest list of choices, the commands', whole
+    code, out, err = run_main("y" * 500)
+    assert (code, out) == (1, "")
+    assert err.endswith(" ... yyyyyyy' (choose from 'species-list', 'atomic', 'squid', 'diamond', "
+                        "'table1', 'table2', 'compare', 'simulate')\n")
 
 
 def test_an_unknown_unit_is_quoted_by_its_head_and_length(run_main):
@@ -576,13 +606,46 @@ def test_an_unknown_unit_is_quoted_by_its_head_and_length(run_main):
     assert known == "m^-3, cm^-3, mm^-3)\n"
 
 
+# every character str.splitlines breaks a line at, found by asking it
+_SPLITLINES = "".join(c for c in map(chr, range(0x2030)) if len(f"a{c}b".splitlines()) == 2)
+# any text, lone surrogates included, often holding line breaks; repeated to run past the bound
+_any_text = st.tuples(
+    st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_SPLITLINES))),
+    st.integers(1, 40),
+).map(lambda drawn: drawn[0] * drawn[1])
+
+
+@given(category=st.sampled_from(("usage", "validation", "io")), message=_any_text)
+@example(category="usage", message="x" * 177)  # a 198-byte line, the longest written whole
+@example(category="usage", message="x" * 178)  # a 199-byte line, 200 with its newline
+def test_fail_writes_one_line_under_200_bytes(category, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli._fail(3, category, message) == 3
+    line = err.getvalue()
+    written = line.encode()  # strict: no lone surrogate reaches the stream
+    assert len(line.splitlines()) == 1 and line.endswith("\n") and len(written) < 200
+    # the line, each break a space and each lone surrogate its escape, as stderr writes it
+    whole = "".join(" " if c in _SPLITLINES else c for c in f"erlab: error: {category}: {message}")
+    whole = whole.encode(errors="backslashreplace")
+    if len(whole) < 199:
+        event("fits")
+        assert written == whole + b"\n"
+    else:  # its head and its tail, joined by " ... ", each losing at most a partial character
+        event("cut")
+        assert len(written) > 190 and any(
+            written[i:i + 5] == b" ... " and whole.startswith(written[:i]) and whole.endswith(written[i + 5:-1])
+            for i in range(len(written))
+        )
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ("table2", "--records", "/no/such/file.json"),
         ("table1", "--species-file", "/no/such/species.json"),
         ("table1", "--output", "/no/such/dir/out.txt"),
-        # a directory path past 200 bytes, quoted by its head and length
+        # a directory path past 200 bytes, in a line cut to its head and its tail
         ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0",
          "--dump-trajectories", "0", "--dump-dir", f"/no/such/{_DEEP}"),
         ("table1", "--output", f"/no/such/{_DEEP}/out.txt"),
@@ -701,9 +764,10 @@ def _argv(draw, tmp_dir):
     elif command == "compare":
         directory = draw(st.sampled_from((tmp_dir, tmp_dir / _DEEP)))  # a path past 200 bytes, or not
         directory.mkdir(parents=True, exist_ok=True)
-        path = directory / "records.json"
+        path = directory / draw(st.sampled_from(("records.json", "records\r\x85\u2028.json")))
         path.write_text(json.dumps(draw(_records(anything))))
-        argv = ["compare", "--records", str(path)]
+        # relative to the working directory, ``tmp_dir``: a short path is quoted whole, line breaks too
+        argv = ["compare", "--records", str(path.relative_to(tmp_dir))]
     elif command == "simulate":
         # at most 4 trajectories and 1e5 steps, or a step count past the budget
         horizon = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats(-10, 100).map(repr))
@@ -716,7 +780,8 @@ def _argv(draw, tmp_dir):
             "--horizon", draw(horizon),
             "--workers", draw(st.sampled_from(("1", "2", "0", "-1", "inf"))),
             "--dump-trajectories", draw(st.sampled_from(("0", "0,3", "-1", "4", "nan"))),
-            "--dump-dir", draw(st.sampled_from((str(tmp_dir), f"{tmp_dir}/missing/{_DEEP}"))),
+            "--dump-dir", draw(st.sampled_from(
+                (str(tmp_dir), f"{tmp_dir}/missing/{_DEEP}", f"{tmp_dir}/missing\n\x1e\u2029"))),
         ]
     else:
         argv = [command]
@@ -746,7 +811,8 @@ def _reject_constant(name):
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_numeric_input_exits_with_a_documented_code(data, run_main, tmp_path):
+def test_any_numeric_input_exits_with_a_documented_code(data, run_main, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     argv = data.draw(_argv(tmp_path))
     if argv[0] == "simulate":
         code, out, err = run_main(*argv)
