@@ -15,7 +15,11 @@ Each command imports only what it runs: every ``_cmd_*`` handler, and
 ``_catalog`` and ``_render``, imports its own ``sensors``, ``species``,
 ``report``, ``spinsim`` and ``units`` names, so ``--version`` loads none
 of them and only ``simulate`` loads numpy.  Nothing of erlab but
-``__version__`` is imported at the top.
+``__version__`` is imported at the top.  The standard library's modules
+follow the same rule, each imported in the function or branch that runs
+it: ``simulate`` with JSON output and no dumps loads neither
+``erlab.report`` nor ``csv``, and only the commands that read the species
+catalog load ``fractions`` and ``decimal``.
 """
 
 from __future__ import annotations
@@ -308,7 +312,6 @@ def _cmd_table2(args):
 
 
 def _cmd_simulate(args):
-    from .report import csv_text
     from .spinsim import (
         SimConfig,
         result_to_json,
@@ -343,6 +346,8 @@ def _cmd_simulate(args):
     if args.format == "json":
         return result_to_json(result, config)
     if args.format == "csv":
+        from .report import csv_text
+
         return csv_text(
             ("variance", "std_error", "mean"),
             [(result.variance_at_horizon, result.standard_error, result.mean_over_trajectories)],
@@ -378,15 +383,18 @@ def _render(content, args) -> str:
 
 def _fail(code: int, category: str, message) -> int:
     """Write ``erlab: error: <category>: <message>`` to stderr as one line of
-    under 200 bytes in UTF-8, and return ``code``.  Each line break becomes a
-    space and each lone surrogate its ``\\udcXX`` escape, as stderr would
-    write it; a line still over _LINE_BYTES is cut to its head, `` ... `` and
-    its last _TAIL_BYTES, each cut between characters."""
+    under 200 bytes in stderr's encoding (UTF-8 for a stream without one),
+    and return ``code``.  Each line break becomes a space, and each character
+    the encoding lacks, a lone surrogate too, its backslash escape
+    (``\\udcXX``, ``\\xe9`` in ASCII), as stderr would write it; a line
+    still over _LINE_BYTES is cut to its head, `` ... `` and its last
+    _TAIL_BYTES, each cut between characters."""
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
     line = f"erlab: error: {category}: {message}".translate(_LINE_BREAKS)
-    encoded = line.encode(errors="backslashreplace")
+    encoded = line.encode(encoding, errors="backslashreplace")
     if len(encoded) > _LINE_BYTES:
         encoded = encoded[: _LINE_BYTES - _TAIL_BYTES - 5] + b" ... " + encoded[-_TAIL_BYTES:]
-    print(encoded.decode(errors="ignore"), file=sys.stderr)
+    print(encoded.decode(encoding, errors="ignore"), file=sys.stderr)
     return code
 
 

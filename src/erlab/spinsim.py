@@ -37,9 +37,11 @@ row by row in one call; the trajectories of one fill are the work unit.
 With ``workers`` > 1 the units are dealt round-robin to forked worker
 processes, which write their horizon values into one anonymous mapping
 shared with this process; processes, not threads, because each reset holds
-the GIL.  Sampled paths are redrawn afterwards from their own counters.
-A dump streams its rows straight to its file, so writing one needs a
-constant amount of memory beyond the sampled path itself.
+the GIL.  The statistics are computed in that mapping in place, so a run's
+peak memory is one array of horizon values plus the 128 KiB row buffer,
+and the sampled paths, which are redrawn afterwards from their own
+counters.  A dump streams its rows straight to its file, so writing one
+needs a constant amount of memory beyond the sampled path itself.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import write_csv
 from .units import brief, require
 
 __all__ = [
@@ -75,7 +76,8 @@ __all__ = [
 _MAX_SEED = 2**64
 _ROW_BUFFER = 2**14  # float64 draws per fill (128 KiB), one work unit; results do not depend on it
 # memory budget, checked before allocating: float64 values (128 MiB) in any one
-# array, of trajectory count, step count or sample count x step count values
+# array, of trajectory count, step count or sample count x step count values; the
+# peak of a run is one array of horizon values plus the 128 KiB row buffer
 MAX_ARRAY_LENGTH = 2**24
 # a cgroup CPU quota caps usable_cpus: each entry is the files whose text, joined,
 # reads "<quota> <period>"; cgroup v2 has one file, v1 two
@@ -324,7 +326,12 @@ def simulate_transient(
 
     mean = float(horizon_values.mean())
     if M > 1:
-        variance = float(horizon_values.var(ddof=1))
+        # np.var(ddof=1)'s own operations, so the same bits, but on the horizon
+        # values themselves: nothing reads them again, and no second array of
+        # M values is allocated
+        np.subtract(horizon_values, mean, out=horizon_values)
+        np.square(horizon_values, out=horizon_values)
+        variance = float(np.add.reduce(horizon_values) / (M - 1))
         std_error = math.sqrt(variance / M)
         variance_std_error = variance * math.sqrt(2.0 / (M - 1))
     else:
@@ -403,6 +410,8 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
 def write_trajectory_csv(sample: TrajectorySample, path: str | Path) -> None:
     """One trajectory as CSV with columns t_over_tau,value, streamed to
     ``path`` row by row, so the extra memory does not grow with the step count."""
+    from .report import write_csv
+
     # Python floats, so csv writes their repr; lazily, as lists would raise peak
     # memory.  Text mode with the default newline handling, as for every output.
     rows = zip(map(float, sample.t_over_tau), map(float, sample.values))

@@ -25,7 +25,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "DimensionError",
@@ -194,6 +193,8 @@ def brief(value, text=str) -> str:
     try:
         quoted = text(value)
     except ValueError:  # such an integer, alone or inside ``value``
+        from fractions import Fraction
+
         if not isinstance(value, (int, Fraction)):
             return f"<{type(value).__name__} too long to print>"
         sign = "negative " if value < 0 else ""

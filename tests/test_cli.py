@@ -1,8 +1,9 @@
 """CLI tests.  They call ``erlab.cli.main`` in-process through ``run_main``
-(``tests/conftest.py``), except the four that test what only a process
+(``tests/conftest.py``), except the six that test what only a process
 shows: the ``python -m erlab`` entry point and its exit status, ``--output``,
-the modules a command imports and an output its stream cannot encode, which
-start one through ``_process``.
+the modules a command imports, an output its stream cannot encode, and the
+error line of an argv that is not UTF-8 and of a stderr that is not UTF-8,
+which start one through ``_process``.
 ``tests/test_golden.py`` pins the bytes of every command's output at fixed
 argv; here ``_check_against_library`` holds the values of the analytic
 commands to the library, over drawn inputs in the property test at the end
@@ -216,9 +217,22 @@ def test_an_argv_that_is_not_utf8_is_written_as_escapes():
     assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr.encode()) < 200
 
 
+def test_a_stderr_that_is_not_utf8_gets_a_line_under_200_bytes_in_its_encoding():
+    # ASCII writes each é as the 4-byte escape \xe9, where UTF-8 takes 2
+    # bytes: counted in UTF-8, this line was cut to 197 bytes and written as 229
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    proc = _process("-m", "erlab", "é" * 300, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("erlab: error: usage: argument COMMAND: invalid choice: '\\xe9\\xe9")
+    assert proc.stderr.endswith(" 'compare', 'simulate')\n")
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr.encode()) < 200
+
+
 # argv -> modules its process must not load, and its exit code: each command
-# imports only what it runs, and only simulate loads numpy
+# imports only what it runs, the standard library's modules too, and only
+# simulate loads numpy
 _NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.report"}
+_NO_FRACTIONS = {"fractions", "decimal"}
 _LAYERING = (
     (("-c", "import erlab.cli"), {"numpy"}, 0),
     (("-m", "erlab", "table1"), {"numpy"}, 0),
@@ -227,10 +241,12 @@ _LAYERING = (
     # a usage error's line, however long, is cut without the unit layer
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 5000), _NO_COMMAND, 1),
     (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds"}, 0),
-    (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"), {"numpy", "erlab.species"}, 0),
-    (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"), {"numpy", "erlab.species"}, 0),
+    (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"),
+     {"numpy", "erlab.species", *_NO_FRACTIONS}, 0),
+    (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"), {"numpy", "erlab.species", *_NO_FRACTIONS}, 0),
+    # JSON output and no dumps: nothing of report or csv runs
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "100", "--seed", "1"),
-     {"erlab.sensors", "erlab.species", "erlab.bounds"}, 0),
+     {"erlab.sensors", "erlab.species", "erlab.bounds", "erlab.report", "csv", *_NO_FRACTIONS}, 0),
 )
 
 

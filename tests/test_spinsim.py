@@ -458,6 +458,25 @@ def test_a_dump_streams_to_its_file_in_constant_memory(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 2**16
 
 
+def test_the_statistics_need_no_memory_that_grows_with_the_ensemble():
+    # traced peaks at two ensemble sizes: np.var's copy of the horizon values
+    # grew with them (195 KiB at 2^12, 514 KiB at 2^16); computed in place,
+    # the peak is the row buffer's 128 KiB and a little more at both.  Each
+    # run is traced the second time, so numpy's one-time set-up is not counted.
+    peaks = []
+    for trajectories in (2**12, 2**16):
+        config = SimConfig(atom_count=1e6, relaxation_time=1.0, trajectory_count=trajectories, steps_per_tau=10)
+        simulate_transient(config)
+        tracemalloc.start()
+        try:
+            simulate_transient(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2**18
+    assert abs(peaks[1] - peaks[0]) < 2**16
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
