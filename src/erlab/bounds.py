@@ -99,6 +99,7 @@ def spin_temp_polarization(T_s_K: float, field_T: float, moment_J_per_T: float) 
     require(T_s_K, "spin temperature")
     require(field_T, "field", "finite")
     require(moment_J_per_T, "moment", "finite")
-    polarization = math.tanh(moment_J_per_T * field_T / (2.0 * constants().k_B * T_s_K))
+    thermal_energy = require(2.0 * constants().k_B * T_s_K, "thermal energy 2 k_B T_s")
+    polarization = math.tanh(moment_J_per_T * field_T / thermal_energy)
     domain = "a normal float" if field_T and moment_J_per_T else "finite"
     return require(polarization, "polarization", domain)

@@ -339,10 +339,13 @@ def _cmd_simulate(args):
             raise ValueError(
                 f"--dump-trajectories must be comma-separated integers, got {args.dump_trajectories!r}"
             ) from None
+    # a dump draws its path alone from its own counter block and needs nothing
+    # of the run, so it is written first: an invalid index or directory fails
+    # before any compute
+    for i in sorted(set(indices)):
+        write_trajectory_csv(config, i, Path(args.dump_dir) / f"trajectory_{i}.csv")
     workers = usable_cpus() if args.workers is None else args.workers
-    result = simulate_transient(config, workers=workers, sample_indices=indices)
-    for sample in result.trajectory_sample:
-        write_trajectory_csv(sample, Path(args.dump_dir) / f"trajectory_{sample.index}.csv")
+    result = simulate_transient(config, workers=workers)
     if args.format == "json":
         return result_to_json(result, config)
     if args.format == "csv":

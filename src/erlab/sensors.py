@@ -126,9 +126,8 @@ def invert_sigma_v(delta_B: float, mu: float, volume: float, atom_count: float) 
     require(mu, "mu")
     require(volume, "volume")
     require(atom_count, "atom_count")
-    return (
-        delta_B * mu * volume * 2.0 * _LN2 / (math.pi * constants().hbar * math.sqrt(atom_count))
-    )
+    sigma_v = delta_B * mu * volume * 2.0 * _LN2 / (math.pi * constants().hbar * math.sqrt(atom_count))
+    return require(sigma_v, "rate coefficient sigma_v", "a normal float")
 
 
 def atomic_psd(delta_B: float, tau: float) -> float:
@@ -139,7 +138,7 @@ def atomic_psd(delta_B: float, tau: float) -> float:
     """
     require(tau, "relaxation time")
     require(delta_B, "field floor", "non-negative")
-    return delta_B * math.sqrt(tau)
+    return require(delta_B * math.sqrt(tau), "psd", "a normal float" if delta_B else "finite")
 
 
 def atomic_floor(cell: VaporCell) -> AtomicErlReport:
@@ -150,13 +149,14 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     Raises ValueError where finite inputs take a result out of the float range.
     """
     sp = cell.species
-    sigma_v = sp.sigma_v(cell.temperature)  # rejects an uncalibrated species
+    sigma = sp.calibrated_cross_section  # rejects an uncalibrated species
+    v_bar = sp.mean_relative_velocity(cell.temperature)
+    sigma_v = sigma * v_bar  # the product Species.sigma_v forms, so the same bits
     c = constants()
     n = cell.number_density
     N = cell.atom_count
     V = cell.volume
     mu = sp.magnetic_moment
-    v_bar = sp.mean_relative_velocity(cell.temperature)
 
     kappa_bare = c.hbar * sigma_v / (c.mu_0 * mu * mu)
     kappa = 3.0 * math.pi / (4.0 * _LN2) * kappa_bare
@@ -183,7 +183,7 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
             )
 
         correlation_atoms = (
-            (c.hbar * v_bar / (c.mu_0 * mu * mu)) ** 2 * sp.sd_cross_section_m2 * n ** (-2.0 / 3.0)
+            (c.hbar * v_bar / (c.mu_0 * mu * mu)) ** 2 * sigma * n ** (-2.0 / 3.0)
         )
         correlation_volume = correlation_atoms / n
         collision_time = n ** (-1.0 / 3.0) / v_bar

@@ -75,7 +75,7 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     """
     require(mass_kg, "mass")
     require(temperature_K, "temperature", "non-negative")
-    reduced_mass = mass_kg / 2.0
+    reduced_mass = require(mass_kg / 2.0, "reduced mass m/2")
     v_bar = math.sqrt(8.0 * constants().k_B * temperature_K / (math.pi * reduced_mass))
     return require(v_bar, "mean relative velocity", "a normal float" if temperature_K else "finite")
 
@@ -109,15 +109,19 @@ class Species:
         T = self.reference_temperature_K if temperature_K is None else temperature_K
         return mean_relative_velocity(self.mass_kg, T)
 
-    def sigma_v(self, temperature_K: float | None = None) -> float:
-        """Rate coefficient sigma_sd * v_bar  [m^3/s] at the cell temperature."""
+    @property
+    def calibrated_cross_section(self) -> float:
+        """sigma_sd  [m^2]; ValueError for a species not calibrated yet."""
         if self.sd_cross_section_m2 is None:
             raise ValueError(
                 f"species {brief(self.name, repr)} has no spin-destruction cross section; "
                 "calibrate one with invert_sigma_v first"
             )
-        sigma = require(self.sd_cross_section_m2, "spin-destruction cross section")
-        return sigma * self.mean_relative_velocity(temperature_K)
+        return require(self.sd_cross_section_m2, "spin-destruction cross section")
+
+    def sigma_v(self, temperature_K: float | None = None) -> float:
+        """Rate coefficient sigma_sd * v_bar  [m^3/s] at the cell temperature."""
+        return self.calibrated_cross_section * self.mean_relative_velocity(temperature_K)
 
 
 class SpeciesCatalog:

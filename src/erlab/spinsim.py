@@ -23,9 +23,9 @@ counts, buffer sizes, a missing ``os.fork``, and trajectory-count
 extensions (a longer run reproduces a shorter run's trajectories exactly).
 Its executable statement is the property test
 ``test_the_determinism_contract`` in ``tests/test_spinsim.py``: whatever
-those are, the mean and variance at the horizon, and every sampled path,
-equal bit for bit those of a fresh Philox(key=seed, counter=i << 128) per
-trajectory.
+those are, the mean and variance at the horizon, and every path that
+``trajectory_path`` draws, equal bit for bit those of a fresh
+Philox(key=seed, counter=i << 128) per trajectory.
 
 Each worker builds one Philox generator keyed by the seed and reaches
 trajectory i's substream by resetting its state.  The state is a dict of
@@ -38,10 +38,11 @@ With ``workers`` > 1 the units are dealt round-robin to forked worker
 processes, which write their horizon values into one anonymous mapping
 shared with this process; processes, not threads, because each reset holds
 the GIL.  The statistics are computed in that mapping in place, so a run's
-peak memory is one array of horizon values plus the 128 KiB row buffer,
-and the sampled paths, which are redrawn afterwards from their own
-counters.  A dump streams its rows straight to its file, so writing one
-needs a constant amount of memory beyond the sampled path itself.
+peak memory is one array of horizon values plus the 128 KiB row buffer.
+The run keeps no path: ``trajectory_path`` draws one trajectory's path
+alone from its own counter block, and ``write_trajectory_csv`` streams it
+row by row to its file, so a dump needs a constant amount of memory beyond
+that one path.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from .units import brief, require
 __all__ = [
     "SimConfig",
     "SimResult",
-    "TrajectorySample",
     "simulate_transient",
+    "trajectory_path",
     "analytic_variance",
     "scheme_variance",
     "uncertainty_estimate",
@@ -76,8 +77,8 @@ __all__ = [
 _MAX_SEED = 2**64
 _ROW_BUFFER = 2**14  # float64 draws per fill (128 KiB), one work unit; results do not depend on it
 # memory budget, checked before allocating: float64 values (128 MiB) in any one
-# array, of trajectory count, step count or sample count x step count values; the
-# peak of a run is one array of horizon values plus the 128 KiB row buffer
+# array, of trajectory count or step count values; the peak of a run is one array
+# of horizon values plus the 128 KiB row buffer
 MAX_ARRAY_LENGTH = 2**24
 # a cgroup CPU quota caps usable_cpus: each entry is the files whose text, joined,
 # reads "<quota> <period>"; cgroup v2 has one file, v1 two
@@ -146,19 +147,11 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    index: int
-    t_over_tau: np.ndarray  # includes t = 0
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimResult:
     variance_at_horizon: float
     mean_over_trajectories: float
     standard_error: float           # of the mean: sample std / sqrt(M)
     variance_standard_error: float  # of the variance: var * sqrt(2/(M-1))
-    trajectory_sample: tuple[TrajectorySample, ...] = ()
 
 
 def analytic_variance(atom_count: float, horizon_in_tau: float) -> float:
@@ -247,11 +240,7 @@ def _as_int(value, valid, message: str) -> int:
     return n
 
 
-def simulate_transient(
-    config: SimConfig,
-    workers: int = 1,
-    sample_indices: tuple[int, ...] = (),
-) -> SimResult:
+def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
     """Run the ensemble and return variance/mean statistics at the horizon.
 
     ``workers`` runs the work units, the trajectories of one row-buffer
@@ -261,20 +250,13 @@ def simulate_transient(
     missing.  A worker that fails raises ChildProcessError, and no worker
     outlives the call.  The default of 1 forks nothing, as a fork copies only
     the calling thread; ask for more where no other thread of this process
-    holds a lock.  ``sample_indices`` selects trajectories whose full time
-    series is attached to the result (for dumping/plotting), up to
-    MAX_ARRAY_LENGTH values in all.
+    holds a lock.  The run keeps no trajectory's path; ``trajectory_path``
+    draws one.
     """
     M = config.trajectory_count
     message = f"workers must be an integer >= 1, got {brief(workers, repr)}"
     workers = _as_int(workers, lambda n: n >= 1, message)
-    # plain ints, as the counter i << 128 below needs one
-    sample_indices = [
-        _as_int(idx, lambda i: 0 <= i < M, f"sample index {brief(idx, repr)} is not an integer in [0, {M})")
-        for idx in sample_indices
-    ]
     steps = config.step_count
-    _within_budget("sample count x step count", len(sample_indices) * steps)
 
     coeff, scale = _envelope(config)
     # one zero-filled anonymous mapping, shared with the workers forked below,
@@ -339,22 +321,26 @@ def simulate_transient(
         std_error = 0.0
         variance_std_error = 0.0
 
-    # each sampled path is redrawn here from its own counter block, the
-    # draws weighted and summed in the same order as in work
-    t = np.arange(steps + 1) * (config.horizon / steps) if steps else np.zeros(1)
-    samples = []
-    for i in sorted(set(sample_indices)):
-        draws = np.random.Generator(np.random.Philox(key=config.seed, counter=i << 128))
-        path = scale * np.cumsum(draws.standard_normal(steps) * coeff)
-        samples.append(TrajectorySample(i, t, np.concatenate([[0.0], path])))
-
     return SimResult(
         variance_at_horizon=variance,
         mean_over_trajectories=mean,
         standard_error=std_error,
         variance_standard_error=variance_std_error,
-        trajectory_sample=tuple(samples),
     )
+
+
+def trajectory_path(config: SimConfig, index: int) -> np.ndarray:
+    """Trajectory ``index``'s values at t/tau = 0, du, ..., horizon: 0.0, then
+    the running sum of its weighted draws, which come from its own Philox
+    counter block in the order ``simulate_transient`` draws them.  ``index``
+    is an integer in [0, trajectory_count), a numpy integer too."""
+    M = config.trajectory_count
+    message = f"sample index {brief(index, repr)} is not an integer in [0, {M})"
+    i = _as_int(index, lambda n: 0 <= n < M, message)  # a plain int, as the counter i << 128 needs one
+    coeff, scale = _envelope(config)
+    draws = np.random.Generator(np.random.Philox(key=config.seed, counter=i << 128))
+    path = scale * np.cumsum(draws.standard_normal(config.step_count) * coeff)
+    return np.concatenate([[0.0], path])
 
 
 def _run_workers(workers: int, work) -> None:
@@ -396,7 +382,7 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
     """Canonical JSON emission (sorted keys, no whitespace, newline-terminated).
 
     The canonical form makes determinism testable byte-for-byte; trajectory
-    samples are dumped separately as CSV, not embedded here.
+    paths are dumped separately as CSV, not embedded here.
     """
     doc = {
         "variance": result.variance_at_horizon,
@@ -407,13 +393,18 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def write_trajectory_csv(sample: TrajectorySample, path: str | Path) -> None:
-    """One trajectory as CSV with columns t_over_tau,value, streamed to
-    ``path`` row by row, so the extra memory does not grow with the step count."""
+def write_trajectory_csv(config: SimConfig, index: int, path: str | Path) -> None:
+    """Trajectory ``index`` of ``config`` as CSV with columns t_over_tau,value,
+    streamed to ``path`` row by row, so the memory beyond the trajectory's own
+    path does not grow with the step count.  An invalid ``index`` raises
+    ValueError before ``path`` is opened."""
     from .report import write_csv
 
+    values = trajectory_path(config, index)
+    steps = config.step_count
+    t = np.arange(steps + 1) * (config.horizon / steps) if steps else np.zeros(1)
     # Python floats, so csv writes their repr; lazily, as lists would raise peak
     # memory.  Text mode with the default newline handling, as for every output.
-    rows = zip(map(float, sample.t_over_tau), map(float, sample.values))
+    rows = zip(map(float, t), map(float, values))
     with open(path, "w", encoding="utf-8") as stream:
         write_csv(stream, ("t_over_tau", "value"), rows)

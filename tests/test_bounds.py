@@ -222,6 +222,8 @@ def _negated_calls(fn, args, *positions):
         lambda: spin_temp_polarization(1e20, 1e-290, 1e-24),  # subnormal, not 0
         # values that are not numbers in every parameter, the others valid
         *_calls_with("1", None, [1.0]),
+        # a finite temperature whose 2 k_B T_s underflows to 0
+        lambda: spin_temp_polarization(1e-320, 1e-30, 1.5),
     ],
 )
 def test_rejects_out_of_domain(call):

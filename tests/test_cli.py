@@ -20,13 +20,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from erlab import cli, sensors, units
+from erlab import cli, sensors, spinsim, units
 from erlab.report import Report, format_value, render_json, render_text
 from erlab.species import default_catalog
 from erlab.units import FIELD_NOISE_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, VOLUME, parse_quantity
@@ -433,6 +434,51 @@ def test_trajectory_dump_bytes_are_pinned(run_main, tmp_path):
             assert hashlib.sha256(data).hexdigest() == DUMP_DIGESTS[seed, idx], (seed, idx)
 
 
+def test_the_peak_does_not_grow_with_the_dump_count(run_main, tmp_path):
+    # traced peaks of simulate with 1 and with 8 dumps of 2^14 steps: each
+    # dump is drawn and written alone, before the run; holding every dumped
+    # path at once grew the peak by 128 KiB a dump.  The first run is not
+    # traced, so numpy's and csv's one-time set-up is not counted.
+    args = ("simulate", "--atoms", "100", "--trajectories", "8", "--seed", "3",
+            "--steps-per-tau", str(2**14), "--workers", "1", "--dump-dir", str(tmp_path))
+    run_main(*args, "--dump-trajectories", "0")
+    peaks = []
+    for dumps in ("0", "0,1,2,3,4,5,6,7"):
+        tracemalloc.start()
+        try:
+            assert run_main(*args, "--dump-trajectories", dumps)[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**16
+
+
+def test_a_dump_set_past_the_old_product_budget_runs(run_main, tmp_path, monkeypatch):
+    # three dumps of 50 steps are 150 values, which a budget of 100 once
+    # refused when it counted dumps times steps; it now bounds one array
+    monkeypatch.setattr(spinsim, "MAX_ARRAY_LENGTH", 100)
+    code, _, err = run_main(
+        "simulate", "--atoms", "1e4", "--trajectories", "3", "--seed", "0", "--steps-per-tau", "25",
+        "--horizon", "2", "--dump-trajectories", "0,1,2", "--dump-dir", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    for i in range(3):
+        assert len((tmp_path / f"trajectory_{i}.csv").read_text().splitlines()) == 52
+
+
+def test_an_invalid_dump_fails_before_the_run(run_main, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate_transient ran")
+
+    monkeypatch.setattr(spinsim, "simulate_transient", no_run)
+    monkeypatch.chdir(tmp_path)
+    args = ("simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "0")
+    assert run_main(*args, "--dump-trajectories", "99") == (
+        2, "", "erlab: error: validation: sample index 99 is not an integer in [0, 5)\n")
+    assert run_main(*args, "--dump-trajectories", "0", "--dump-dir", "missing") == (
+        3, "", "erlab: error: io: [Errno 2] No such file or directory: 'missing/trajectory_0.csv'\n")
+
+
 def test_simulate_matches_analytic_from_cli(run_main):
     doc = json.loads(run_main("simulate", "--atoms", "1e6", "--trajectories", "20000", "--seed", "5")[1])
     target = 0.16809124072457832e-6
@@ -454,7 +500,8 @@ def input_files(tmp_path, monkeypatch):
     uncalibrated species of 300 characters, one of two species of the same
     300-character name, one of 40 species and one of a spin of 4,003
     characters; a records file and a catalog, each holding a name with a lone
-    surrogate; and a records file nested 2,000 deep."""
+    surrogate; a records file nested 2,000 deep; and a catalog of one species
+    of a subnormal mass, 3e-297 amu, whose reduced mass rounds to 0."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / _DEEP).mkdir(parents=True)
     row = json.loads((PKG_DATA / "species.json").read_text())["species"][0]
@@ -473,6 +520,7 @@ def input_files(tmp_path, monkeypatch):
         ("surrogate_records.json", json.dumps([record])),
         ("surrogate_species.json", [dict(row, name="A\ud800")]),
         ("nested.json", "[" * 2000 + "]" * 2000),
+        ("subnormal.json", [dict(row, name="Sb", mass_amu=3e-297)]),
     ):
         text = content if isinstance(content, str) else json.dumps({"species": content})
         (tmp_path / name).write_text(text)
@@ -596,6 +644,10 @@ def test_usage_errors_exit_1(run_main, args):
         ("table1", "--species-file", f"{_DEEP}/spin.json"),
         # a path holding a line break
         ("compare", "--records", "records\r.json"),
+        # a subnormal mass, in every command that reads it
+        ("species-list", "--species-file", "subnormal.json"),
+        ("table1", "--species-file", "subnormal.json"),
+        ("atomic", "--species-file", "subnormal.json", "--species", "Sb", "--density", "1e14/cm3", "--volume", "1cm3"),
     ],
 )
 def test_validation_errors_exit_2(run_main, args, input_files):

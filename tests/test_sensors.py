@@ -168,6 +168,8 @@ def test_atomic_psd_definition():
             atomic_psd(bad, 0.25)
         with pytest.raises(ValueError, match="must be finite"):
             atomic_psd(2e-17, bad)
+    with pytest.raises(ValueError, match=r"^psd must be finite, got inf$"):  # finite inputs
+        atomic_psd(1e308, 2**63)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +208,8 @@ def test_invert_sigma_v_round_trip_through_report():
 def test_invert_sigma_v_rejects_nonpositive():
     with pytest.raises(ValueError):
         invert_sigma_v(0.0, 1e-24, 1e-5, 1e15)
+    with pytest.raises(ValueError, match=r"^rate coefficient sigma_v must be finite, got inf$"):
+        invert_sigma_v(1e300, 1e300, 1e300, 1.0)  # finite inputs
     valid = (1e-15, 1e-24, 1e-5, 1e15)
     for i in range(4):
         for bad in (math.nan, math.inf, -math.inf):

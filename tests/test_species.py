@@ -127,6 +127,9 @@ def test_helpers_reject_non_finite_and_out_of_range():
     ):
         with pytest.raises(ValueError, match="must be (finite|a normal float)"):
             call()
+    # a subnormal mass whose half rounds to 0
+    with pytest.raises(ValueError, match=r"^reduced mass m/2 must be positive, got 0\.0$"):
+        mean_relative_velocity(5e-324, 0.5)
 
 
 # ---------------------------------------------------------------------------

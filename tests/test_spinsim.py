@@ -16,11 +16,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from erlab import spinsim
 from erlab.spinsim import (
     SimConfig,
-    TrajectorySample,
     analytic_variance,
     result_to_json,
     scheme_variance,
     simulate_transient,
+    trajectory_path,
     uncertainty_estimate,
     write_trajectory_csv,
 )
@@ -213,7 +213,8 @@ def _check_contract(monkeypatch, fake_cpus, m, growth=0, *, steps_per_tau=10, ho
                     workers=1, row_buffer=2**14, fork=True, picks=()):
     # no run, worker count, buffer size, missing os.fork or
     # ensemble growth changes a bit: the M and M + growth runs both give the
-    # reference's statistics and paths, and leave no worker behind
+    # reference's statistics, trajectory_path gives the reference's paths, and
+    # no worker is left behind
     fake_cpus(3)
     big = SimConfig(1e4, 1.0, m + growth, steps_per_tau=steps_per_tau, horizon=horizon, seed=seed)
     reference = [_reference_path(big, i) for i in range(m + growth)]
@@ -224,15 +225,15 @@ def _check_contract(monkeypatch, fake_cpus, m, growth=0, *, steps_per_tau=10, ho
             patch.delattr(os, "fork")
         for count in (m, m + growth):
             config = replace(big, trajectory_count=count)
-            res = simulate_transient(config, workers=workers, sample_indices=indices)
+            res = simulate_transient(config, workers=workers)
             endpoints = np.array([end for _, end in reference[:count]])
             assert res.mean_over_trajectories == float(np.mean(endpoints))
             assert res.variance_at_horizon == (float(np.var(endpoints, ddof=1)) if count > 1 else 0.0)
-            assert [sample.index for sample in res.trajectory_sample] == sorted(set(indices))
-            for sample in res.trajectory_sample:
-                path, end = reference[sample.index]
-                assert sample.values.tobytes() == path.tobytes()
-                assert sample.values[-1] == pytest.approx(end, rel=1e-12)
+            for i in indices:
+                path, end = reference[i]
+                values = trajectory_path(config, i)
+                assert values.tobytes() == path.tobytes()
+                assert values[-1] == pytest.approx(end, rel=1e-12)
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -401,10 +402,10 @@ def test_result_json_is_canonical():
 
 def test_zero_horizon():
     cfg = SimConfig(1e4, 1.0, 50, horizon=0.0, seed=2)
-    res = simulate_transient(cfg, sample_indices=(4,))
+    res = simulate_transient(cfg)
     assert res.variance_at_horizon == 0.0
     assert res.mean_over_trajectories == 0.0
-    assert list(res.trajectory_sample[0].values) == [0.0]
+    assert list(trajectory_path(cfg, 4)) == [0.0]
     assert analytic_variance(1e4, 0.0) == 0.0
 
 
@@ -414,48 +415,48 @@ def test_single_trajectory_has_no_spread_estimate():
     assert res.standard_error == 0.0
 
 
-def test_trajectory_sample_time_axis():
+def test_trajectory_sample_time_axis(tmp_path):
     cfg = SimConfig(1e4, 1.0, 3, steps_per_tau=10, horizon=1.0, seed=1)
-    res = simulate_transient(cfg, sample_indices=(1,))
-    t = res.trajectory_sample[0].t_over_tau
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(cfg, 1, path)
+    t = [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
     assert t[0] == 0.0
     assert t[-1] == pytest.approx(1.0)
-    assert len(t) == cfg.step_count + 1
+    assert len(t) == cfg.step_count + 1 == len(trajectory_path(cfg, 1))
 
 
 def test_trajectory_csv_format(tmp_path):
     cfg = SimConfig(1e4, 1.0, 2, steps_per_tau=10, seed=6)
-    res = simulate_transient(cfg, sample_indices=(0,))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(res.trajectory_sample[0], path)
+    write_trajectory_csv(cfg, 0, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t_over_tau,value"
     assert len(lines) == 12
     t, v = lines[1].split(",")
     assert float(t) == 0.0 and float(v) == 0.0
     # full-precision round trip
-    assert float(lines[-1].split(",")[1]) == res.trajectory_sample[0].values[-1]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == list(trajectory_path(cfg, 0))
 
 
 def test_a_dump_streams_to_its_file_in_constant_memory(tmp_path):
-    # traced peaks at two step counts: building the whole text first grew
-    # with the step count (8.4 MiB at 2^16 steps); streaming takes a
-    # constant 0.16 MiB, the same at 2^20 steps, which is left out here as
-    # it takes about 10 s under tracemalloc
-    peaks = []
+    # traced peaks at two step counts: the path grows with the step count,
+    # but writing it takes at most a constant 0.13 MiB more than drawing it,
+    # the file's buffers, as the rows stream to the file; building the whole
+    # text first took 8.4 MiB more at 2^16 steps.  2^20 steps is left out, as
+    # it takes about 10 s under tracemalloc.
     for steps in (2**12, 2**16):
-        values = np.random.default_rng(1).standard_normal(steps + 1)
-        sample = TrajectorySample(0, np.arange(steps + 1) / steps, values)
+        cfg = SimConfig(1e4, 1.0, 1, steps_per_tau=steps)
         path = tmp_path / f"traj_{steps}.csv"
-        tracemalloc.start()
-        try:
-            write_trajectory_csv(sample, path)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for call in (lambda: trajectory_path(cfg, 0), lambda: write_trajectory_csv(cfg, 0, path)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         assert path.stat().st_size > 30 * steps
-    assert peaks[1] < 2**20
-    assert abs(peaks[1] - peaks[0]) < 2**16
+        assert peaks[1] - peaks[0] < 2**18
 
 
 def test_the_statistics_need_no_memory_that_grows_with_the_ensemble():
@@ -525,28 +526,26 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
     budget = spinsim.MAX_ARRAY_LENGTH
     # a configuration at the budget is accepted; constructing it allocates nothing
     assert SimConfig(1e4, 1.0, budget, steps_per_tau=budget).step_count == budget
-    # the benchmark runs (1e5 x 100, 8192 x 1e4 with two sampled paths) and
-    # the acceptance runs (at most 1e5 trajectories) sit 100x inside it
-    for trajectories, steps, samples in ((100_000, 100, 0), (8192, 10_000, 2)):
-        assert 100 * max(trajectories, steps, samples * steps) <= budget
-    # sampled paths count against it too; a small budget keeps this cheap
+    # the benchmark runs (1e5 x 100, 8192 x 1e4) and the acceptance runs (at
+    # most 1e5 trajectories) sit 100x inside it
+    for trajectories, steps in ((100_000, 100), (8192, 10_000)):
+        assert 100 * max(trajectories, steps) <= budget
+    # the budget is read at each check; a small one keeps this cheap
     monkeypatch.setattr(spinsim, "MAX_ARRAY_LENGTH", 100)
-    cfg = SimConfig(1e4, 1.0, 3, steps_per_tau=25, horizon=2.0)
-    assert len(simulate_transient(cfg, sample_indices=(0, 1)).trajectory_sample) == 2
-    with pytest.raises(ValueError, match="memory budget"):
-        simulate_transient(cfg, sample_indices=(0, 1, 2))
     with pytest.raises(ValueError, match="memory budget"):
         SimConfig(1e4, 1.0, 101)
 
 
-def test_sample_index_bounds():
+def test_sample_index_bounds(tmp_path):
     cfg = SimConfig(1e4, 1.0, 10, seed=0)
+    path = tmp_path / "traj.csv"
     for index in (10, -1, 1.5, "1", None, 1.0, True):
-        with pytest.raises(ValueError, match=r"^sample index .* is not an integer in \[0, 10\)$"):
-            simulate_transient(cfg, sample_indices=(index,))
+        for call in (lambda: trajectory_path(cfg, index), lambda: write_trajectory_csv(cfg, index, path)):
+            with pytest.raises(ValueError, match=r"^sample index .* is not an integer in \[0, 10\)$"):
+                call()
+    assert not path.exists()  # refused before the file is opened
     # numpy integers are integers
-    (sample,) = simulate_transient(cfg, sample_indices=(np.int64(1),)).trajectory_sample
-    assert type(sample.index) is int and sample.index == 1
+    assert trajectory_path(cfg, np.int64(1)).tobytes() == trajectory_path(cfg, 1).tobytes()
 
 
 def test_worker_count_validated():
