@@ -314,6 +314,8 @@ def _cmd_table2(args):
 def _cmd_simulate(args):
     from .spinsim import (
         SimConfig,
+        _sample_index,
+        _worker_count,
         result_to_json,
         simulate_transient,
         usable_cpus,
@@ -341,10 +343,12 @@ def _cmd_simulate(args):
             ) from None
     # a dump draws its path alone from its own counter block and needs nothing
     # of the run, so it is written first: an invalid index or directory fails
-    # before any compute
-    for i in sorted(set(indices)):
+    # before any compute; every index and the worker count are checked before
+    # the first dump, so refusing either leaves no dump behind
+    dumps = [_sample_index(config, i) for i in sorted(set(indices))]
+    workers = _worker_count(usable_cpus() if args.workers is None else args.workers)
+    for i in dumps:
         write_trajectory_csv(config, i, Path(args.dump_dir) / f"trajectory_{i}.csv")
-    workers = usable_cpus() if args.workers is None else args.workers
     result = simulate_transient(config, workers=workers)
     if args.format == "json":
         return result_to_json(result, config)

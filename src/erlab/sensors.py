@@ -304,31 +304,25 @@ class ComparisonRow:
     flagged: bool       # ratio < 1 would undercut the thermodynamic bound
 
 
-@dataclass(frozen=True)
-class PublishedRecord:
-    label: str
-    spec: SquidSpec
-
-
-def compare_published(records: list[PublishedRecord]) -> list[ComparisonRow]:
-    """Predicted-vs-measured table, in input order.
+def compare_published(records: list[tuple[str, SquidSpec]]) -> list[ComparisonRow]:
+    """Predicted-vs-measured table of ``(label, spec)`` records, in input order.
 
     A ratio below 1 (measurement better than the thermodynamic prediction)
     is flagged as a warning, not an error.
     """
     rows = []
-    for rec in records:
-        if rec.spec.measured_erl_hbar is None:
-            raise ValueError(f"record {brief(rec.label, repr)} has no measured ERL to compare against")
-        predicted = squid_erl(rec.spec)
-        measured = rec.spec.measured_erl_hbar
+    for label, spec in records:
+        measured = spec.measured_erl_hbar
+        if measured is None:
+            raise ValueError(f"record {brief(label, repr)} has no measured ERL to compare against")
+        predicted = squid_erl(spec)
         ratio = erl_ratio(measured, predicted)
         rows.append(
             ComparisonRow(
-                label=rec.label,
-                p=rec.spec.flux_noise_fraction,
-                T_K=rec.spec.bath_temperature,
-                tau_s=rec.spec.measurement_time,
+                label=label,
+                p=spec.flux_noise_fraction,
+                T_K=spec.bath_temperature,
+                tau_s=spec.measurement_time,
                 predicted_erl_hbar=predicted,
                 measured_erl_hbar=measured,
                 ratio=ratio,
@@ -338,9 +332,10 @@ def compare_published(records: list[PublishedRecord]) -> list[ComparisonRow]:
     return rows
 
 
-def load_published_records(path: str | Path) -> list[PublishedRecord]:
+def load_published_records(path: str | Path) -> list[tuple[str, SquidSpec]]:
     """Load comparison records from a JSON array of
-    ``{"label", "p", "T_K", "tau_s", "measured_erl_hbar"}`` objects."""
+    ``{"label", "p", "T_K", "tau_s", "measured_erl_hbar"}`` objects, as
+    ``(label, spec)`` pairs in file order."""
     path = Path(path)
     doc = read_json(path)
     quoted = brief(path)
@@ -359,13 +354,12 @@ def load_published_records(path: str | Path) -> list[PublishedRecord]:
             for key in ("p", "T_K", "tau_s", "measured_erl_hbar")
         ]
         try:
-            spec = SquidSpec(*values)
+            records.append((label, SquidSpec(*values)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        records.append(PublishedRecord(label=label, spec=spec))
     return records
 
 
-def default_published_records() -> list[PublishedRecord]:
-    """The five bundled SQUID comparison records."""
+def default_published_records() -> list[tuple[str, SquidSpec]]:
+    """The five bundled SQUID comparison records, as ``(label, spec)`` pairs."""
     return load_published_records(Path(__file__).parent / "data" / "squid_records.json")

@@ -240,6 +240,19 @@ def _as_int(value, valid, message: str) -> int:
     return n
 
 
+def _worker_count(workers) -> int:
+    """``workers`` as a plain int if it is an integer >= 1, else ValueError."""
+    return _as_int(workers, lambda n: n >= 1, f"workers must be an integer >= 1, got {brief(workers, repr)}")
+
+
+def _sample_index(config: SimConfig, index) -> int:
+    """``index`` as a plain int if it is an integer in [0, trajectory_count),
+    else ValueError."""
+    M = config.trajectory_count
+    message = f"sample index {brief(index, repr)} is not an integer in [0, {M})"
+    return _as_int(index, lambda n: 0 <= n < M, message)
+
+
 def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
     """Run the ensemble and return variance/mean statistics at the horizon.
 
@@ -254,8 +267,7 @@ def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
     draws one.
     """
     M = config.trajectory_count
-    message = f"workers must be an integer >= 1, got {brief(workers, repr)}"
-    workers = _as_int(workers, lambda n: n >= 1, message)
+    workers = _worker_count(workers)
     steps = config.step_count
 
     coeff, scale = _envelope(config)
@@ -334,9 +346,7 @@ def trajectory_path(config: SimConfig, index: int) -> np.ndarray:
     the running sum of its weighted draws, which come from its own Philox
     counter block in the order ``simulate_transient`` draws them.  ``index``
     is an integer in [0, trajectory_count), a numpy integer too."""
-    M = config.trajectory_count
-    message = f"sample index {brief(index, repr)} is not an integer in [0, {M})"
-    i = _as_int(index, lambda n: 0 <= n < M, message)  # a plain int, as the counter i << 128 needs one
+    i = _sample_index(config, index)  # a plain int, as the counter i << 128 needs one
     coeff, scale = _envelope(config)
     draws = np.random.Generator(np.random.Philox(key=config.seed, counter=i << 128))
     path = scale * np.cumsum(draws.standard_normal(config.step_count) * coeff)
@@ -382,7 +392,8 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
     """Canonical JSON emission (sorted keys, no whitespace, newline-terminated).
 
     The canonical form makes determinism testable byte-for-byte; trajectory
-    paths are dumped separately as CSV, not embedded here.
+    paths are dumped separately as CSV, not embedded here.  A config number
+    JSON has no type for (a Fraction, say) is written as its float.
     """
     doc = {
         "variance": result.variance_at_horizon,
@@ -390,7 +401,7 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
         "mean": result.mean_over_trajectories,
         "config_echo": config.config_echo(),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False, default=float) + "\n"
 
 
 def write_trajectory_csv(config: SimConfig, index: int, path: str | Path) -> None:

@@ -241,13 +241,15 @@ def read_json(path) -> object:
 
 def require(value: float, name: str, domain: str = "positive") -> float:
     """``value`` if it is a finite number in ``domain``, else ValueError:
-    "<name> must be a number, got 'a'" for a bool, str, None, list or the
-    like, "<name> must be finite, got nan" for NaN and +-inf, and "<name> must
-    be <domain>, got <value>" for a finite value, shortened by ``brief``."""
+    "<name> must be a number, got 'a'" for a bool, str, None, list, Decimal
+    or the like, "<name> must be finite, got nan" for NaN and +-inf, and
+    "<name> must be <domain>, got <value>" for a finite value, shortened by
+    ``brief``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value}")
     try:
-        finite = math.isfinite(value)
+        # + 0.0, as a value the formulas cannot multiply by a float (a Decimal) is not a number here
+        finite = math.isfinite(value + 0.0)
     except OverflowError:  # an int past the float range
         finite = False
     except TypeError:  # not a real number

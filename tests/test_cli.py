@@ -1,9 +1,10 @@
 """CLI tests.  They call ``erlab.cli.main`` in-process through ``run_main``
-(``tests/conftest.py``), except the six that test what only a process
+(``tests/conftest.py``), except the seven that test what only a process
 shows: the ``python -m erlab`` entry point and its exit status, ``--output``,
-the modules a command imports, an output its stream cannot encode, and the
+the modules a command imports, an output its stream cannot encode, the
 error line of an argv that is not UTF-8 and of a stderr that is not UTF-8,
-which start one through ``_process``.
+and runs under ``python -X dev -W error``, which start one through
+``_process``.
 ``tests/test_golden.py`` pins the bytes of every command's output at fixed
 argv; here ``_check_against_library`` holds the values of the analytic
 commands to the library, over drawn inputs in the property test at the end
@@ -20,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
@@ -29,10 +31,11 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from erlab import cli, sensors, spinsim, units
 from erlab.report import Report, format_value, render_json, render_text
-from erlab.species import default_catalog
+from erlab.species import default_catalog, load_catalog
 from erlab.units import FIELD_NOISE_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, VOLUME, parse_quantity
 
 PKG_DATA = Path(__file__).resolve().parent.parent / "src" / "erlab" / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # a relative directory path of 302 bytes, each of its three names under the 255-byte limit
 _DEEP = "/".join(["d" * 100] * 3)
 
@@ -96,9 +99,12 @@ def _library_values(command, opts):
     def si(flag, dimension):
         return parse_quantity(opts[flag], dimension).si
 
+    def catalog():
+        return load_catalog(opts["--species-file"]) if "--species-file" in opts else default_catalog()
+
     if command == "atomic":
         temperature = si("--temp", TEMPERATURE) if "--temp" in opts else None
-        species = default_catalog().get(opts["--species"])
+        species = catalog().get(opts["--species"])
         cell = sensors.VaporCell(species, si("--density", NUMBER_DENSITY), si("--volume", VOLUME), temperature)
         return [("", astuple(sensors.atomic_floor(cell)))]
     if command == "squid":
@@ -120,11 +126,11 @@ def _library_values(command, opts):
             values += [psd, volume, measured, sensors.erl_ratio(measured, optimal)]
         return [("", values)]
     if command == "table1":
-        reports = [(sp.name, sensors.atomic_floor(sensors.VaporCell(sp, 1e20, 1e-5))) for sp in default_catalog()]
+        reports = [(sp.name, sensors.atomic_floor(sensors.VaporCell(sp, 1e20, 1e-5))) for sp in catalog()]
         return [(f"{name}.", (rep.delta_B_floor / 1e-17, rep.erl_hbar)) for name, rep in reports]
     groups = []
     if command == "species-list":
-        for sp in default_catalog():
+        for sp in catalog():
             sigma = sp.sd_cross_section_m2
             values = (str(sp.nuclear_spin), sp.mass_kg / units.constants().atomic_mass,
                       None if sigma is None else sigma * 1e4, sp.reference_temperature_K,
@@ -227,6 +233,19 @@ def test_a_stderr_that_is_not_utf8_gets_a_line_under_200_bytes_in_its_encoding()
     assert proc.stderr.startswith("erlab: error: usage: argument COMMAND: invalid choice: '\\xe9\\xe9")
     assert proc.stderr.endswith(" 'compare', 'simulate')\n")
     assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr.encode()) < 200
+
+
+def test_a_forked_run_with_dumps_and_a_records_file_warn_nothing_in_dev_mode(tmp_path):
+    # -X dev turns on ResourceWarning, among others, and -W error makes any
+    # warning an error; one left at exit, an unclosed file say, is written to stderr
+    for args in (
+        ("simulate", "--atoms", "1e6", "--trajectories", "1000", "--seed", "1", "--workers", "2",
+         "--dump-trajectories", "0,5", "--dump-dir", str(tmp_path)),
+        ("compare", "--records", str(GOLDEN / "records_comma.json")),
+    ):
+        proc = _process("-X", "dev", "-W", "error", "-m", "erlab", *args)
+        assert (proc.returncode, proc.stderr) == (0, ""), args
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["trajectory_0.csv", "trajectory_5.csv"]
 
 
 # argv -> modules its process must not load, and its exit code: each command
@@ -477,6 +496,14 @@ def test_an_invalid_dump_fails_before_the_run(run_main, tmp_path, monkeypatch):
         2, "", "erlab: error: validation: sample index 99 is not an integer in [0, 5)\n")
     assert run_main(*args, "--dump-trajectories", "0", "--dump-dir", "missing") == (
         3, "", "erlab: error: io: [Errno 2] No such file or directory: 'missing/trajectory_0.csv'\n")
+    # a refused index or worker count writes no dump, not even of a valid index
+    (tmp_path / "D").mkdir()
+    for dump, message in (
+        (("--dump-trajectories", "0,99"), "sample index 99 is not an integer in [0, 5)"),
+        (("--dump-trajectories", "1", "--workers", "0"), "workers must be an integer >= 1, got 0"),
+    ):
+        assert run_main(*args, *dump, "--dump-dir", "D") == (2, "", f"erlab: error: validation: {message}\n")
+        assert list((tmp_path / "D").iterdir()) == []
 
 
 def test_simulate_matches_analytic_from_cli(run_main):
@@ -791,12 +818,34 @@ def _records(anything):
     }), max_size=3)
 
 
-@st.composite
-def _argv(draw, tmp_dir):
-    anything = draw(st.booleans())  # else each number of an analytic command is in its valid range
+_SPECIES_ROWS = json.loads((PKG_DATA / "species.json").read_text())["species"]
 
-    def num(unit=""):
-        return draw(_numbers) + unit
+
+def _species_file(anything):
+    """A catalog JSON of one bundled species: each numeric field as bundled
+    or, if ``anything``, possibly an edge value, the spin as its text."""
+
+    def row(bundled):
+        def field(key, edge):
+            return st.one_of(st.just(bundled[key]), edge) if anything else st.just(bundled[key])
+
+        edge = st.sampled_from(_EDGE_NUMBERS)
+        return st.fixed_dictionaries({
+            "name": st.just(bundled["name"]),
+            "nuclear_spin": field("nuclear_spin", edge),
+            **{key: field(key, edge.map(float))
+               for key in ("mass_amu", "sd_cross_section_cm2", "reference_temperature_K")},
+        })
+
+    return st.sampled_from(_SPECIES_ROWS).flatmap(row).map(lambda r: json.dumps({"species": [r]}))
+
+
+@st.composite
+def _argv_and_files(draw):
+    """An argv and the input files it names, ``{path: text}``, each path
+    relative to the working directory the run starts in."""
+    anything = draw(st.booleans())  # else each number is in its valid range
+    files = {}
 
     def bare(low, high):
         valid = _in_range(low, high).map(repr)
@@ -830,33 +879,38 @@ def _argv(draw, tmp_dir):
             argv += ["--psd", quantity(FIELD_NOISE_DENSITY, 1e-16, 1e-8),
                      "--volume", quantity(VOLUME, 1e-18, 1e-3)]
     elif command == "compare":
-        directory = draw(st.sampled_from((tmp_dir, tmp_dir / _DEEP)))  # a path past 200 bytes, or not
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / draw(st.sampled_from(("records.json", "records\r\x85\u2028.json")))
-        path.write_text(json.dumps(draw(_records(anything))))
-        # relative to the working directory, ``tmp_dir``: a short path is quoted whole, line breaks too
-        argv = ["compare", "--records", str(path.relative_to(tmp_dir))]
+        directory = draw(st.sampled_from(("", f"{_DEEP}/")))  # a path past 200 bytes, or not
+        # relative, so a short path is quoted whole, line breaks too
+        path = directory + draw(st.sampled_from(("records.json", "records\r\x85\u2028.json")))
+        files[path] = json.dumps(draw(_records(anything)))
+        argv = ["compare", "--records", path]
     elif command == "simulate":
-        # at most 4 trajectories and 1e5 steps, or a step count past the budget
-        horizon = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats(-10, 100).map(repr))
+        # at most 4 trajectories and 1e5 steps, or a step count past the budget; unless
+        # ``anything``, a valid run, but for its workers and dumps
+        def pick(valid, invalid):
+            return draw(st.sampled_from(valid + invalid if anything else valid))
+
+        horizon = st.floats(0, 100).map(repr)
+        seed = st.integers(0, 2**64 - 1).map(str)
         argv = [
-            "simulate", "--atoms", num(), "--tau", num("s"),
-            "--trajectories", draw(st.sampled_from(("1", "4", "0", "-1", "nan", "1e400", "2.5"))),
-            "--seed", draw(st.one_of(_numbers, st.integers(-1, 2**64).map(str))),
-            "--steps-per-tau", draw(st.sampled_from(("10", "1000", "5", "-0", "nan", "1e3",
-                                                     "1000000000000"))),
-            "--horizon", draw(horizon),
+            "simulate", "--atoms", bare(1, 1e12), "--tau", quantity(TIME, 1e-9, 1e3),
+            "--trajectories", pick(("1", "4"), ("0", "-1", "nan", "1e400", "2.5")),
+            "--seed", draw(st.one_of(_numbers, st.integers(-1, 2**64).map(str)) if anything else seed),
+            "--steps-per-tau", pick(("10", "1000"), ("5", "-0", "nan", "1e3", "1000000000000")),
+            "--horizon", draw(st.one_of(st.sampled_from(_EDGE_NUMBERS), horizon) if anything else horizon),
             "--workers", draw(st.sampled_from(("1", "2", "0", "-1", "inf"))),
             "--dump-trajectories", draw(st.sampled_from(("0", "0,3", "-1", "4", "nan"))),
-            "--dump-dir", draw(st.sampled_from(
-                (str(tmp_dir), f"{tmp_dir}/missing/{_DEEP}", f"{tmp_dir}/missing\n\x1e\u2029"))),
+            "--dump-dir", draw(st.sampled_from((".", f"missing/{_DEEP}", "missing\n\x1e\u2029"))),
         ]
     else:
         argv = [command]
+    if command in ("atomic", "table1", "species-list") and draw(st.booleans()):
+        files["species.json"] = draw(_species_file(anything))
+        argv += ["--species-file", "species.json"]
     fmt = draw(st.sampled_from(("text", "json", "csv")))
     bad_digits = draw(st.integers(0, 9)) == 0
     digits = draw(st.sampled_from(("-1", "1001", "nan", "1e400") if bad_digits else ("6", "0", "3", "12", "17")))
-    return argv + ["--format", fmt, "--digits", digits]
+    return argv + ["--format", fmt, "--digits", digits], files
 
 
 def test_json_is_strict_and_a_missing_value_is_null():
@@ -876,14 +930,36 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _subnormal_mass(*argv):
+    """``argv`` with a catalog of 133Cs at 3e-297 amu, whose mass in kg is
+    subnormal and its half 0, the input of a ZeroDivisionError traceback once."""
+    row = dict(_SPECIES_ROWS[2], mass_amu=3e-297)
+    return [*argv, "--species-file", "species.json", "--format", "text", "--digits", "6"], {
+        "species.json": json.dumps({"species": [row]})}
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_any_numeric_input_exits_with_a_documented_code(data, run_main, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    argv = data.draw(_argv(tmp_path))
+@given(case=_argv_and_files())
+@example(case=_subnormal_mass("species-list"))
+@example(case=_subnormal_mass("table1"))
+@example(case=_subnormal_mass("atomic", "--species", "Cs", "--density", "1e14/cm3", "--volume", "1cm3"))
+@example(case=(["simulate", "--atoms", "1e6", "--trajectories", "1", "--seed", "0", "--workers", "0",
+                "--dump-trajectories", "0", "--dump-dir", ".", "--format", "json", "--digits", "6"], {}))
+@example(case=(["simulate", "--atoms", "1e6", "--trajectories", "1", "--seed", "0", "--workers", "1",
+                "--dump-trajectories", "0,3", "--dump-dir", ".", "--format", "json", "--digits", "6"], {}))
+def test_any_numeric_input_exits_with_a_documented_code(case, run_main, tmp_path, monkeypatch):
+    argv, files = case
+    # a working directory of its own, empty but for the input files, which also takes the dumps
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    for name, text in files.items():
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_text(text)
     if argv[0] == "simulate":
         code, out, err = run_main(*argv)
+        event(f"simulate, exit {code}")
+        if code:  # a refused run writes no dump
+            assert list(Path().glob("trajectory_*.csv")) == []
     else:
         code, out, err = _check_against_library(run_main, *argv)
         event(f"analytic command, exit {code}")

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from erlab.cli import main as cli_main
 from erlab.sensors import (
-    PublishedRecord,
     SquidSpec,
     VaporCell,
     atomic_floor,
@@ -357,13 +356,12 @@ def test_flagged_rows_are_warnings_not_errors():
 
 
 def test_compare_requires_measured_value():
-    rec = PublishedRecord("X2020", SquidSpec(1e-6, 4.2, 5e-6, None))
-    with pytest.raises(ValueError, match="measured"):
-        compare_published([rec])
+    spec = SquidSpec(1e-6, 4.2, 5e-6, None)
+    with pytest.raises(ValueError, match="^record 'X2020' has no measured ERL to compare against$"):
+        compare_published([("X2020", spec)])
     # a long label is quoted by its head and length
-    rec = PublishedRecord("X" * 300, SquidSpec(1e-6, 4.2, 5e-6, None))
     with pytest.raises(ValueError, match=r"^record 'X{39}\.\.\. \(302 characters\) has no measured ERL"):
-        compare_published([rec])
+        compare_published([("X" * 300, spec)])
 
 
 def _table2_csv(capsys, digits):
@@ -392,10 +390,9 @@ def test_load_published_records(tmp_path):
     doc = [{"label": "A", "p": 1e-6, "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 10.0}]
     path.write_text(json.dumps(doc), encoding="utf-8")
     records = load_published_records(path)
-    assert len(records) == 1
-    assert records[0].label == "A"
+    assert records == [("A", SquidSpec(1e-6, 4.2, 5e-6, 10.0))]
     assert compare_published(records)[0].ratio == pytest.approx(
-        10.0 / squid_erl(records[0].spec), rel=1e-12
+        10.0 / squid_erl(records[0][1]), rel=1e-12
     )
 
 

@@ -2,6 +2,7 @@
 and unit table, parsing, and the exactness of parsed SI values."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,8 @@ def test_require_quotes_an_integer_too_long_to_print_by_its_size():
         ("1", "positive", "x must be a number, got '1'"),
         (None, "finite", "x must be a number, got None"),
         ([1.0], "finite", "x must be a number, got [1.0]"),
+        # float arithmetic cannot take a Decimal, so it is not a number either
+        (Decimal("1"), "positive", "x must be a number, got Decimal('1')"),
         ("9" * 500, "finite", "x must be a number, got '%s... (502 characters)" % ("9" * 39)),
     ):
         with pytest.raises(ValueError) as info:
