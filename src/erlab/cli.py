@@ -17,7 +17,8 @@ Each command imports only what it runs: every ``_cmd_*`` handler, and
 of them and only ``simulate`` loads numpy.  Nothing of erlab but
 ``__version__`` is imported at the top.  The standard library's modules
 follow the same rule, each imported in the function or branch that runs
-it: ``simulate`` with JSON output and no dumps loads neither
+it: ``squid`` and ``diamond`` with text output load neither ``json`` nor
+``csv``, ``simulate`` with JSON output and no dumps loads neither
 ``erlab.report`` nor ``csv``, and only the commands that read the species
 catalog load ``fractions`` and ``decimal``.
 """
@@ -373,15 +374,15 @@ def _render(content, args) -> str:
     one report in ``--format``, its header the tool and then the inputs."""
     if isinstance(content, str):
         return content
-    from .report import Report, render_csv, render_json, render_text
+    from .report import render_csv, render_json, render_text
 
     title, inputs, rows = content
-    report = Report(title, {"tool": f"erlab {__version__}", **inputs}, tuple(rows))
+    header = {"tool": f"erlab {__version__}", **inputs}
     if args.format == "json":
-        return render_json(report)
+        return render_json(title, header, rows)
     if args.format == "csv":
-        return render_csv(report, args.digits)
-    return render_text(report, args.digits)
+        return render_csv(rows, args.digits)
+    return render_text(title, header, rows, args.digits)
 
 
 # ---------------------------------------------------------------------------

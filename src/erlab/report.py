@@ -1,7 +1,8 @@
-"""Uniform report model for CLI output.
+"""Renderers of the CLI's reports.
 
-A report is a header (tool version plus an echo of the parsed inputs) and
-a flat list of ``(label, value, unit, provenance)`` rows.  The provenance
+A report is a title, a header (tool version plus an echo of the parsed
+inputs) and a flat list of ``(label, value, unit, provenance)`` rows, which
+the renderers take as plain arguments.  The provenance
 tag is ``predicted`` (model output), ``measured`` (taken from published
 data), or ``derived`` (intermediate quantity).  Rows in hbar units are
 labeled ``hbar``.  A missing value is ``None``: ``null`` in JSON, ``nan`` elsewhere.
@@ -15,28 +16,10 @@ simulator streams its trajectory dumps through it.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass
 
-PROVENANCE_TAGS = ("predicted", "measured", "derived")
 # the fields of a row, which are also the columns of its CSV and the keys of its JSON
 _COLUMNS = ("label", "value", "unit", "provenance")
-
-
-@dataclass(frozen=True)
-class Report:
-    title: str
-    header: dict
-    rows: tuple[tuple[str, float | int | str | None, str, str], ...]
-
-    def __post_init__(self):
-        for label, _, _, provenance in self.rows:
-            if provenance not in PROVENANCE_TAGS:
-                raise ValueError(
-                    f"row {label!r}: provenance must be one of {PROVENANCE_TAGS}, got {provenance!r}"
-                )
 
 
 def format_value(value, digits: int = 6) -> str:
@@ -49,19 +32,19 @@ def format_value(value, digits: int = 6) -> str:
     return f"{value:.{digits}g}"
 
 
-def _formatted(report: Report, digits: int) -> list[tuple[str, str, str, str]]:
+def _formatted(rows, digits: int) -> list[tuple[str, str, str, str]]:
     return [
         (label, format_value(value, digits), unit, provenance)
-        for label, value, unit, provenance in report.rows
+        for label, value, unit, provenance in rows
     ]
 
 
-def render_text(report: Report, digits: int = 6) -> str:
-    lines = [f"# {report.title}"]
-    for key, value in report.header.items():
+def render_text(title: str, header: dict, rows, digits: int = 6) -> str:
+    lines = [f"# {title}"]
+    for key, value in header.items():
         lines.append(f"# {key}: {format_value(value, digits)}")
-    if report.rows:
-        table = _formatted(report, digits)
+    if rows:
+        table = _formatted(rows, digits)
         widths = [max(len(entry[i]) for entry in table) for i in range(3)]
         for label, value, unit, provenance in table:
             lines.append(
@@ -70,11 +53,13 @@ def render_text(report: Report, digits: int = 6) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: Report) -> str:
+def render_json(title: str, header: dict, rows) -> str:
+    import json
+
     doc = {
-        "title": report.title,
-        "header": report.header,
-        "rows": [dict(zip(_COLUMNS, row)) for row in report.rows],
+        "title": title,
+        "header": header,
+        "rows": [dict(zip(_COLUMNS, row)) for row in rows],
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -84,6 +69,8 @@ def write_csv(stream, columns, rows) -> None:
     line per row, taking ``rows`` one at a time, so an iterator is never held
     whole.  Floats in ``rows`` are written with ``repr``, so they round-trip.
     """
+    import csv
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
@@ -96,5 +83,5 @@ def csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-def render_csv(report: Report, digits: int = 6) -> str:
-    return csv_text(_COLUMNS, _formatted(report, digits))
+def render_csv(rows, digits: int = 6) -> str:
+    return csv_text(_COLUMNS, _formatted(rows, digits))

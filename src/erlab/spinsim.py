@@ -47,7 +47,6 @@ that one path.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import operator
@@ -395,6 +394,8 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
     paths are dumped separately as CSV, not embedded here.  A config number
     JSON has no type for (a Fraction, say) is written as its float.
     """
+    import json
+
     doc = {
         "variance": result.variance_at_horizon,
         "std_error": result.standard_error,

@@ -20,7 +20,6 @@ scales are exact powers of ten; the only non-metric unit, the gauss of
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -223,6 +222,8 @@ def read_json(path) -> object:
     ``"\\ud83d\\ude00"`` is one character) raises
     ValueError("<path>: not valid JSON: <reason>"), the path shortened by
     ``brief`` and the reason whole, which is short whatever the file holds."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read(_JSON_CHARS + 1)

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from erlab import cli, sensors, spinsim, units
-from erlab.report import Report, format_value, render_json, render_text
+from erlab.report import format_value, render_json, render_text
 from erlab.species import default_catalog, load_catalog
 from erlab.units import FIELD_NOISE_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, VOLUME, parse_quantity
 
@@ -255,33 +255,45 @@ _NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.
 _NO_FRACTIONS = {"fractions", "decimal"}
 _LAYERING = (
     (("-c", "import erlab.cli"), {"numpy"}, 0),
-    (("-m", "erlab", "table1"), {"numpy"}, 0),
+    (("-m", "erlab", "table1"), {"numpy", "csv"}, 0),
     (("-m", "erlab", "--version"), _NO_COMMAND, 0),
     (("-m", "erlab", "--help"), _NO_COMMAND, 0),
     # a usage error's line, however long, is cut without the unit layer
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 5000), _NO_COMMAND, 1),
-    (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds"}, 0),
+    (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds", "csv"}, 0),
+    # text output reads no JSON and writes no CSV
     (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"),
-     {"numpy", "erlab.species", *_NO_FRACTIONS}, 0),
-    (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"), {"numpy", "erlab.species", *_NO_FRACTIONS}, 0),
+     {"numpy", "erlab.species", "json", "csv", *_NO_FRACTIONS}, 0),
+    (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"),
+     {"numpy", "erlab.species", "json", "csv", *_NO_FRACTIONS}, 0),
     # JSON output and no dumps: nothing of report or csv runs
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "100", "--seed", "1"),
      {"erlab.sensors", "erlab.species", "erlab.bounds", "erlab.report", "csv", *_NO_FRACTIONS}, 0),
 )
 
 
+def _imports(*args):
+    """A fresh ``python -X importtime ARGS`` process and the names of the
+    modules it imported."""
+    proc = _process("-X", "importtime", *args)
+    return proc, {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 def test_only_simulate_imports_numpy():
     for args, absent, code in _LAYERING:
-        proc = _process("-X", "importtime", *args)
-        modules = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        }
+        proc, modules = _imports(*args)
         assert proc.returncode == code, args
         assert "erlab.cli" in modules and not modules & absent, (args, modules & absent)
     assert "numpy" in modules
     assert json.loads(proc.stdout)["config_echo"]["trajectory_count"] == 100
+    # --version loads erlab and erlab.cli beyond the standard library modules its parser needs
+    version = _imports("-m", "erlab", "--version")[1]
+    stdlib = _imports("-c", "import argparse, gettext, locale, runpy, textwrap, __future__")[1]
+    assert version - stdlib == {"erlab", "erlab.cli"}
 
 
 # ---------------------------------------------------------------------------
@@ -915,15 +927,10 @@ def _argv_and_files(draw):
 
 def test_json_is_strict_and_a_missing_value_is_null():
     with pytest.raises(ValueError):
-        render_json(Report("t", {}, (("x", math.inf, "", "derived"),)))
-    missing = Report("t", {}, (("x", None, "", "derived"),))
-    assert json.loads(render_json(missing))["rows"][0]["value"] is None
-    assert render_text(missing).splitlines()[-1].split() == ["x", "nan", "derived"]
-
-
-def test_report_refuses_an_unknown_provenance_and_names_the_row():
-    with pytest.raises(ValueError, match=r"row 'y': provenance must be one of .*, got 'guessed'"):
-        Report("t", {}, (("x", 1.0, "", "derived"), ("y", 2.0, "", "guessed")))
+        render_json("t", {}, [("x", math.inf, "", "derived")])
+    missing = [("x", None, "", "derived")]
+    assert json.loads(render_json("t", {}, missing))["rows"][0]["value"] is None
+    assert render_text("t", {}, missing).splitlines()[-1].split() == ["x", "nan", "derived"]
 
 
 def _reject_constant(name):
