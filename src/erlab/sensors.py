@@ -144,9 +144,13 @@ def atomic_psd(delta_B: float, tau: float) -> float:
 def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     """Full spin-destruction-floor report for a vapor cell.
 
-    Uses the calibrated cross section of ``cell.species``; two independent
-    algebraic routes to the field floor are evaluated and cross-checked.
-    Raises ValueError where finite inputs take a result out of the float range.
+    Uses the calibrated cross section of ``cell.species`` and evaluates each
+    field once, by the formula of the module docstring.  The formulas scale
+    by three products, hbar sigma_v, mu_0 mu^2 and mu V, which must be
+    normal floats: a subnormal one carries fewer than 53 bits into the
+    results that scale by it, and one that underflows to 0 divides by zero.
+    Raises ValueError for such a product, and where finite inputs take a
+    result out of the float range.
     """
     sp = cell.species
     sigma = sp.calibrated_cross_section  # rejects an uncalibrated species
@@ -157,8 +161,11 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     N = cell.atom_count
     V = cell.volume
     mu = sp.magnetic_moment
+    hbar_sigma_v = require(c.hbar * sigma_v, "hbar sigma_v", "a normal float")
+    mu_0_mu2 = require(c.mu_0 * mu * mu, "mu_0 mu^2", "a normal float")
+    mu_V = require(mu * V, "mu V", "a normal float")
 
-    kappa_bare = c.hbar * sigma_v / (c.mu_0 * mu * mu)
+    kappa_bare = hbar_sigma_v / mu_0_mu2
     kappa = 3.0 * math.pi / (4.0 * _LN2) * kappa_bare
     erl_hbar = math.pi**2 / (8.0 * _LN2**2) * kappa_bare
     if erl_hbar < THEORETICAL_FLOOR_HBAR:
@@ -170,45 +177,29 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     try:
         tau = 1.0 / (n * sigma_v)
         sqrt_N = math.sqrt(N)
-
-        delta_B = math.pi / (2.0 * _LN2) * c.hbar * sigma_v * sqrt_N / (mu * V)
-        via_tau_denominator = 2.0 * _LN2 * mu * sqrt_N * tau
-        # the two routes agree in real arithmetic; in floats, only while these are normal
-        for value in (mu * V, via_tau_denominator, delta_B):
-            require(value, "an intermediate of the field floor", "a normal float")
-        delta_B_via_tau = math.pi * c.hbar / via_tau_denominator
-        if abs(delta_B - delta_B_via_tau) > 1e-9 * delta_B:
-            raise RuntimeError(
-                f"internal inconsistency in field-floor routes: {delta_B} vs {delta_B_via_tau}"
-            )
-
-        correlation_atoms = (
-            (c.hbar * v_bar / (c.mu_0 * mu * mu)) ** 2 * sigma * n ** (-2.0 / 3.0)
-        )
-        correlation_volume = correlation_atoms / n
+        delta_B = math.pi / (2.0 * _LN2) * c.hbar * sigma_v * sqrt_N / mu_V
+        correlation_atoms = (c.hbar * v_bar / mu_0_mu2) ** 2 * sigma * n ** (-2.0 / 3.0)
         collision_time = n ** (-1.0 / 3.0) / v_bar
-        sd_phase = math.sqrt(collision_time / tau)
-
-        report = AtomicErlReport(
-            atom_count=N,
+        derived = dict(
             relaxation_time=tau,
             delta_B_floor=delta_B,
             erl_hbar=erl_hbar,
             kappa=kappa,
             kappa_bare=kappa_bare,
-            spin_temperature=spin_temperature(N, delta_B, mu),
             correlation_atoms=correlation_atoms,
-            correlation_volume=correlation_volume,
+            correlation_volume=correlation_atoms / n,
             collision_time=collision_time,
-            sd_phase=sd_phase,
+            sd_phase=math.sqrt(collision_time / tau),
             delta_B_uncertainty_check=c.hbar / (mu * tau * sqrt_N),
-            psd=atomic_psd(delta_B, tau),
         )
     except (OverflowError, ZeroDivisionError):  # finite inputs, out-of-range arithmetic
         raise ValueError("the vapor-floor arithmetic leaves the float range") from None
-    for name, value in vars(report).items():
+    for name, value in derived.items():
         require(value, name, "a normal float")
-    return report
+    # N is checked by the cell, and spin_temperature and atomic_psd check their own results
+    return AtomicErlReport(
+        atom_count=N, spin_temperature=spin_temperature(N, delta_B, mu), psd=atomic_psd(delta_B, tau), **derived
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -153,16 +153,28 @@ class SimResult:
     variance_standard_error: float  # of the variance: var * sqrt(2/(M-1))
 
 
+# the Taylor coefficients (-1)^n (2^n - 2) / (n+1)! of N Var, n = 19 down to 2
+_VARIANCE_SERIES = tuple((-1) ** n * (2**n - 2) / math.factorial(n + 1) for n in range(19, 1, -1))
+
+
 def analytic_variance(atom_count: float, horizon_in_tau: float) -> float:
     """Exact ensemble variance of X at t = horizon * tau.
 
-    Closed form (1/N)[h + 2 e^(-h) - e^(-2h)/2 - 3/2], evaluated in the
-    cancellation-free arrangement h - a - a^2/2 with a = 1 - e^(-h).
+    Closed form (1/N)[h + 2 e^(-h) - e^(-2h)/2 - 3/2].  From h = 1/2 it is
+    evaluated as h - a - a^2/2 with a = 1 - e^(-h).  Below, where h - a and
+    a^2/2 cancel to h^3/3 and the relative error of that form grows like
+    eps/h^2, it is the Taylor series sum_{n>=2} (-1)^n (2^n - 2) h^(n+1) / (n+1)!
+    = h^3/3 - h^4/4 + 7h^5/60 - ..., summed to n = 19 by Horner's rule.
     """
     require(atom_count, "atom count", ">= 1")
-    require(horizon_in_tau, "horizon", "non-negative")
-    a = -math.expm1(-horizon_in_tau)
-    return (horizon_in_tau - a - a * a / 2.0) / atom_count
+    h = require(horizon_in_tau, "horizon", "non-negative")
+    if h < 0.5:
+        total = 0.0
+        for coefficient in _VARIANCE_SERIES:
+            total = total * h + coefficient
+        return total * h**3 / atom_count
+    a = -math.expm1(-h)
+    return (h - a - a * a / 2.0) / atom_count
 
 
 def uncertainty_estimate(atom_count: float) -> float:

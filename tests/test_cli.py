@@ -539,8 +539,11 @@ def input_files(tmp_path, monkeypatch):
     uncalibrated species of 300 characters, one of two species of the same
     300-character name, one of 40 species and one of a spin of 4,003
     characters; a records file and a catalog, each holding a name with a lone
-    surrogate; a records file nested 2,000 deep; and a catalog of one species
-    of a subnormal mass, 3e-297 amu, whose reduced mass rounds to 0."""
+    surrogate; a records file nested 2,000 deep; a catalog of one species
+    of a subnormal mass, 3e-297 amu, whose reduced mass rounds to 0; and
+    catalogs of one species of a spin of 8e137, whose mu_0 mu^2 underflows
+    to 0, and of a cross section of 1e-281 cm^2, whose hbar sigma_v is
+    subnormal."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / _DEEP).mkdir(parents=True)
     row = json.loads((PKG_DATA / "species.json").read_text())["species"][0]
@@ -560,6 +563,10 @@ def input_files(tmp_path, monkeypatch):
         ("surrogate_species.json", [dict(row, name="A\ud800")]),
         ("nested.json", "[" * 2000 + "]" * 2000),
         ("subnormal.json", [dict(row, name="Sb", mass_amu=3e-297)]),
+        ("huge_spin.json", [dict(row, name="X", nuclear_spin="8e137", mass_amu=87, sd_cross_section_cm2=1e-14,
+                                 reference_temperature_K=300)]),
+        ("faint.json", [dict(row, name="X", nuclear_spin="1e66", mass_amu=86.72, sd_cross_section_cm2=1e-281,
+                             reference_temperature_K=300)]),
     ):
         text = content if isinstance(content, str) else json.dumps({"species": content})
         (tmp_path / name).write_text(text)
@@ -687,6 +694,11 @@ def test_usage_errors_exit_1(run_main, args):
         ("species-list", "--species-file", "subnormal.json"),
         ("table1", "--species-file", "subnormal.json"),
         ("atomic", "--species-file", "subnormal.json", "--species", "Sb", "--density", "1e14/cm3", "--volume", "1cm3"),
+        # a product the vapor floor scales by that underflows to 0, or is subnormal
+        ("atomic", "--species-file", "huge_spin.json", "--species", "X", "--density", "1e14/cm3", "--volume", "10cm3"),
+        ("table1", "--species-file", "huge_spin.json"),
+        ("atomic", "--species-file", "faint.json", "--species", "X", "--density", "1e10/m3", "--volume", "1e-10m3"),
+        ("table1", "--species-file", "faint.json"),
     ],
 )
 def test_validation_errors_exit_2(run_main, args, input_files):

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from erlab import bounds, sensors, species, spinsim
+from erlab.units import constants
 
 # values at and past the edges of every domain, and values that are not real numbers
 _EDGES = (0, -0.0, 1, -1, 1.5, 5e-324, 1e-320, 1e-300, 1e-30, 1e30, 1e300, 1e308, -1e308,
@@ -37,11 +38,27 @@ def _valid(build, *fields):
     return draw_valid()
 
 
+_AMU = constants().atomic_mass
+# two species of a --species-file, as load_catalog builds them: a spin of 8e137,
+# whose mu_0 mu^2 underflows to 0, and a cross section of 1e-281 cm^2, whose
+# hbar sigma_v is subnormal
+_HUGE_SPIN = species.Species("X", Fraction(8 * 10**137), 87.0 * _AMU, 1e-14 * 1e-4, 300.0)
+_FAINT = species.Species("X", Fraction(10**66), 86.72 * _AMU, 1e-281 * 1e-4, 300.0)
 _SPECIES = st.one_of(
     st.sampled_from(list(species.default_catalog())),
     # a mass whose half rounds to 0, and a species not calibrated yet
     st.just(species.Species("Sb", Fraction(3, 2), 5e-324, 1e-19, 400.0)),
     st.just(species.Species("U", Fraction(3, 2), 2e-25, None, 400.0)),
+    # what load_catalog accepts out at its edges: half-integer spins up to 9.5e140,
+    # cross sections down to 1e-300 cm^2
+    st.builds(
+        species.Species,
+        st.just("X"),
+        st.tuples(st.integers(1, 9), st.integers(0, 140)).map(lambda me: Fraction(2 * me[0] * 10 ** me[1] + 1, 2)),
+        st.floats(1, 300).map(lambda amu: amu * _AMU),
+        st.floats(-300, -10).map(lambda e: 10.0**e * 1e-4),
+        st.floats(1, 1e4),
+    ),
 )
 _SPEC = _valid(sensors.SquidSpec, st.one_of(st.floats(0, 1), _NUMBERS), _NUMBERS, _NUMBERS, _NUMBERS)
 
@@ -129,6 +146,8 @@ def _assert_finite(value, where):
 @example(call=(species.mean_relative_velocity, (5e-324, 0.5)))
 @example(call=(sensors.invert_sigma_v, (1e300, 1e300, 1e300, 1.0)))
 @example(call=(sensors.atomic_psd, (1e308, 2**63)))
+@example(call=(sensors.atomic_floor, (sensors.VaporCell(_HUGE_SPIN, 1e14 * 1e6, 10 * 1e-6),)))
+@example(call=(sensors.atomic_floor, (sensors.VaporCell(_FAINT, 1e10, 1e-10),)))
 @example(call=(spinsim.result_to_json,
                (spinsim.SimResult(0.0, 0.0, 0.0, 0.0), spinsim.SimConfig(1, Fraction(3, 2), 1))))
 def test_every_public_callable_keeps_the_contract(call):
