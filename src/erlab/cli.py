@@ -8,8 +8,8 @@ the bundled reproduction tables.
 
 Every dimensioned value on the command line must carry a unit suffix
 (``1e14/cm3``, ``10cm3``, ``0.5e-5s``, ``300pT/rtHz``); bare numbers are
-accepted only for dimensionless parameters.  Exit codes: 0 success,
-1 usage error, 2 validation error, 3 I/O error.
+accepted only for dimensionless parameters.  Exit codes: 0 success, 1 usage,
+2 validation (ValueError), 3 I/O (OSError, UnicodeEncodeError).
 
 Each command imports only what it runs: every ``_cmd_*`` handler, and
 ``_catalog`` and ``_render``, imports its own ``sensors``, ``species``,
@@ -422,8 +422,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_USAGE, "usage", exc)
     except (UnicodeEncodeError, OSError) as exc:  # before ValueError: an output the stream cannot encode
         return _fail(EXIT_IO, "io", exc)
-    except KeyError as exc:
-        return _fail(EXIT_VALIDATION, "validation", exc.args[0] if exc.args else exc)
-    except ValueError as exc:  # includes DimensionError
+    except ValueError as exc:
         return _fail(EXIT_VALIDATION, "validation", exc)
     return EXIT_OK

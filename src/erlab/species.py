@@ -147,7 +147,7 @@ class SpeciesCatalog:
         return iter(self._by_name.values())
 
     def get(self, name: str) -> Species:
-        """The species named ``name``, or by the alias ``name``; KeyError for
+        """The species named ``name``, or by the alias ``name``; ValueError for
         any other name, one that is not a str too."""
         if isinstance(name, str):
             key = name.strip()
@@ -155,7 +155,7 @@ class SpeciesCatalog:
             if species is not None:
                 return species
         known = brief(", ".join(self._by_name))
-        raise KeyError(f"unknown species {brief(name, repr)} (catalog has: {known})")
+        raise ValueError(f"unknown species {brief(name, repr)} (catalog has: {known})")
 
 
 def _parse_spin(text, where: str) -> Fraction:

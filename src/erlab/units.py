@@ -13,9 +13,10 @@ owns four things:
 * ``read_json``, the bounded read of the JSON input files.
 
 A dimension is the string a message prints for it, one for each of the
-five dimensioned inputs the CLI reads and one for a bare number.  Unit
-scales are exact powers of ten; the only non-metric unit, the gauss of
-``G/rtHz``, is an exact power of ten in tesla as well (1 G = 1e-4 T).
+five dimensioned inputs the CLI reads; every refused input raises
+ValueError.  Unit scales are exact powers of ten; the only non-metric
+unit, the gauss of ``G/rtHz``, is an exact power of ten in tesla as well
+(1 G = 1e-4 T).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import sys
 from dataclasses import dataclass
 
 __all__ = [
-    "DimensionError",
     "Quantity",
     "PhysicalConstants",
     "constants",
@@ -34,7 +34,6 @@ __all__ = [
     "require",
     "brief",
     "read_json",
-    "DIMENSIONLESS",
     "TIME",
     "TEMPERATURE",
     "VOLUME",
@@ -43,12 +42,7 @@ __all__ = [
 ]
 
 
-class DimensionError(ValueError):
-    """Raised when an input has an unknown unit or the wrong dimension."""
-
-
 # each dimension in SI base units (kg, m, s, A, K), as a message prints it
-DIMENSIONLESS = "dimensionless"
 TIME = "s"
 TEMPERATURE = "K"
 VOLUME = "m^3"
@@ -77,7 +71,6 @@ _PLAIN: dict[str, tuple[str, float]] = {
     "m^-3": (NUMBER_DENSITY, 1.0),
     "cm^-3": (NUMBER_DENSITY, 1e6),
     "mm^-3": (NUMBER_DENSITY, 1e9),
-    "": (DIMENSIONLESS, 1.0),
 }
 # each scale is base_scale * factor, never a folded literal: 1e-4 * 1e-12
 # is not the float 1e-16, and parsed values must keep their bits
@@ -114,55 +107,54 @@ _QUANTITY_RE = re.compile(
 
 @dataclass(frozen=True)
 class Quantity:
-    """A parsed input: its magnitude in SI base units and its dimension."""
+    """A parsed input: its magnitude in SI base units."""
 
     si: float
-    dimension: str
 
 
-def parse_quantity(text: str, expect: str | None = None) -> Quantity:
-    """Parse ``<number><unit>`` (e.g. ``2e13/cm3``, ``0.5e-5s``, ``300pT/rtHz``).
+def parse_quantity(text: str, expect: str) -> Quantity:
+    """Parse ``<number><unit>`` (e.g. ``2e13/cm3``, ``0.5e-5s``, ``300pT/rtHz``)
+    as a value of dimension ``expect``.
 
-    A bare number parses as dimensionless.  If ``expect`` is given, the
-    parsed dimension must match it (so a bare number is rejected for any
-    dimensioned target).  A value whose SI magnitude overflows to infinity
-    (``1e400K``) is rejected.
+    A bare number, an unknown unit, a unit of another dimension and a value
+    whose SI magnitude overflows to infinity (``1e400K``) each raise
+    ValueError.
     """
     m = _QUANTITY_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse quantity from '{brief(text)}'")
     value = float(m.group("num"))
     unit = m.group("unit")
+    if not unit:
+        raise ValueError(
+            f"'{brief(text)}' has no unit; expected a value of dimension [{expect}] "
+            f"(e.g. unit suffixes like 'cm3', 'us', 'pT/rtHz')"
+        )
     try:
         dimension, scale = _UNITS[_ALIASES.get(unit, unit)]
     except KeyError:
         known = _known_units(expect)
-        raise DimensionError(f"unknown unit '{brief(unit)}' (known units: {known})") from None
-    if expect is not None and dimension != expect:
-        if unit == "":
-            raise DimensionError(
-                f"'{brief(text)}' has no unit; expected a value of dimension [{expect}] "
-                f"(e.g. unit suffixes like 'cm3', 'us', 'pT/rtHz')"
-            )
-        raise DimensionError(
+        raise ValueError(f"unknown unit '{brief(unit)}' (known units: {known})") from None
+    if dimension != expect:
+        raise ValueError(
             f"'{brief(text)}' has dimension [{dimension}] but a value of dimension "
             f"[{expect}] is required"
         )
     si = value * scale
     if not math.isfinite(si):
         raise ValueError(f"'{brief(text)}' is out of range: its SI value is not finite")
-    return Quantity(si, dimension)
+    return Quantity(si)
 
 
-def _known_units(expect: str | None) -> str:
-    """The units of dimension ``expect`` (any, if None), a prefixed unit by its base."""
+def _known_units(expect: str) -> str:
+    """The units of dimension ``expect``, a prefixed unit by its base."""
     prefixable, plain = (
-        ", ".join(u for u, (dimension, _) in table.items() if u and expect in (None, dimension))
+        ", ".join(u for u, (dimension, _) in table.items() if dimension == expect)
         for table in (_PREFIXABLE, _PLAIN)
     )
     if prefixable:
         prefixable += f", also prefixed by {', '.join(_PREFIXES)}"
-    return "; ".join(part for part in (prefixable, plain) if part) or "none"
+    return "; ".join(part for part in (prefixable, plain) if part)
 
 
 # domain -> test of a finite value; the key is also the error's wording.  "a normal

@@ -5,11 +5,14 @@ evaluation, at 60 digits, of its formula as the docstrings of
 ``erlab.sensors``, ``erlab.species`` and ``bounds.spin_temperature`` state
 it, over drawn species and cells from the catalog's range out to
 extreme spins, masses, cross sections, densities and volumes; a draw that
-``atomic_floor`` refuses must raise ValueError.  ``spinsim.analytic_variance``
-is held to its closed form at horizons from 1e-8 to 3.  Each budget, in
+``atomic_floor`` refuses must raise ValueError.  The six closed forms of
+``erlab.bounds``, ``squid_erl``, ``diamond_erl`` and ``measured_erl_from_psd``
+are held the same way over draws from each argument's physical range, and
+``spinsim.analytic_variance`` at horizons from 1e-8 to 3.  Each budget, in
 units in the last place of the true value, is the largest error measured
-over 200,000 seeded draws from the same two ranges, rounded up, and then
-fixed here; 30,000 examples of the property test found no larger one."""
+over 200,000 seeded draws from the same ranges (400,000 for the closed
+forms, in two seeds), rounded up, and then fixed here; for the report
+fields, 30,000 examples of the property test found no larger one."""
 
 import dataclasses
 import math
@@ -18,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erlab import sensors, spinsim
+from erlab import bounds, sensors, spinsim
 from erlab.species import Species
 from erlab.units import constants
 
@@ -50,11 +53,16 @@ def _ulps(value: float, exact) -> float:
     return float(abs(mpf(value) - exact) / math.ulp(float(exact)))
 
 
+def _mp_constants() -> dict:
+    """Each constant's float, exactly, as an mpf of the working precision."""
+    return {name: mpf(value) for name, value in dataclasses.asdict(constants()).items()}
+
+
 def _exact_report(sp: Species, n: float, V: float) -> dict:
     """The true value of each report field, from the species' and cell's
     floats and the constants, by the formulas of ``erlab.sensors``."""
     with mpmath.workdps(60):
-        c = {name: mpf(value) for name, value in dataclasses.asdict(constants()).items()}
+        c = _mp_constants()
         k = int(2 * sp.nuclear_spin)
         mu = c["mu_B"] / (mpf(3 + k * (k + 2)) / 3)  # mu_B / q
         v_bar = mpmath.sqrt(8 * c["k_B"] * mpf(sp.reference_temperature_K) / (mpmath.pi * mpf(sp.mass_kg) / 2))
@@ -115,6 +123,80 @@ def test_every_report_field_is_within_its_budget_of_the_formula(case):
     exact = _exact_report(sp, n, V)
     errors = {name: _ulps(value, exact[name]) for name, value in vars(report).items()}
     assert {name: e for name, e in errors.items() if e > _REPORT_BUDGETS[name]} == {}, errors
+
+
+# each closed form of ``bounds`` and the SQUID and diamond evaluators: the
+# strategy of each argument, from its physical range, its true value as the
+# function's docstring states it, and its budget in ulps
+_CLOSED_FORMS = {
+    bounds.measurement_work_bound: (
+        (_log_uniform(1e-3, 1e4), _log_uniform(1e-12, 1e2)),
+        lambda c, T, I: c["k_B"] * T * I, 1.5),
+    bounds.ml_min_time: (
+        (_log_uniform(1e-300, 1e300),),
+        lambda c, E: mpmath.pi * c["hbar"] / (2 * E), 1.5),
+    bounds.erl_quantum: (
+        (_log_uniform(1e-18, 1e-3), _log_uniform(1e-20, 1e5), _log_uniform(1e-12, 1e3)),
+        lambda c, dB, V, tau: dB**2 * V * tau / (2 * c["mu_0"] * c["hbar"]), 3.5),
+    bounds.field_fluctuation_from_work: (
+        (_log_uniform(1e-40, 1e-10), _log_uniform(1e-20, 1e5)),
+        lambda c, W, V: mpmath.sqrt(2 * c["mu_0"] * W / V), 1.5),
+    bounds.spin_temperature: (
+        (_log_uniform(1, 1e30), _log_uniform(1e-18, 1e-3), _log_uniform(1e-30, 1e-20)),
+        lambda c, N, B, mu: mu * mpmath.sqrt(N) * B / c["k_B"], 3),
+    bounds.spin_temp_polarization: (
+        (_log_uniform(1e-9, 1e4), _log_uniform(1e-18, 1e2), _log_uniform(1e-30, 1e-20)),
+        lambda c, T_s, B, mu: mpmath.tanh(mu * B / (2 * c["k_B"] * T_s)), 3.5),
+    sensors.squid_erl: (
+        (st.builds(sensors.SquidSpec, _log_uniform(1e-12, 0.9), _log_uniform(1e-3, 1e3),
+                   _log_uniform(1e-12, 1e3)),),
+        lambda c, spec: -mpf(spec.flux_noise_fraction) * mpmath.ln(spec.flux_noise_fraction)
+        * c["k_B"] * spec.bath_temperature * spec.measurement_time / c["hbar"], 4.5),
+    sensors.diamond_erl: (
+        (_log_uniform(1e-3, 1e4), _log_uniform(1e-12, 1e3)),
+        lambda c, T, tau: c["k_B"] * T * mpmath.ln(2) * tau / c["hbar"], 3.5),
+    sensors.measured_erl_from_psd: (
+        (_log_uniform(1e-18, 1e-6), _log_uniform(1e-20, 1e5)),
+        lambda c, psd, V: psd**2 * V / (2 * c["mu_0"] * c["hbar"]), 3),
+}
+
+
+def _within_budget(fn, args) -> bool:
+    """Whether ``fn(*args)`` is refused with ValueError or lands within its
+    budget of the true value of its formula, at 60 digits."""
+    try:
+        value = fn(*args)
+    except ValueError:
+        return True
+    _, formula, budget = _CLOSED_FORMS[fn]
+    with mpmath.workdps(60):
+        exact = formula(_mp_constants(), *(a if isinstance(a, sensors.SquidSpec) else mpf(a) for a in args))
+    return _ulps(value, exact) <= budget
+
+
+@pytest.mark.parametrize("fn", _CLOSED_FORMS, ids=lambda fn: fn.__name__)
+def test_every_closed_form_is_within_its_budget_of_the_formula(fn):
+    @settings(max_examples=50, deadline=None)
+    @given(args=st.tuples(*_CLOSED_FORMS[fn][0]))
+    def check(args):
+        assert _within_budget(fn, args), args
+
+    check()
+
+
+# Far outside the physical ranges a product can underflow to a subnormal,
+# keeping few of its bits, and a later factor can scale it back to a normal
+# result, which is then accepted with an error of up to all its bits.
+@pytest.mark.xfail(strict=True, reason="no intermediate of these closed forms is checked to be a normal float")
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(fn, args, id=fn.__name__) for fn, args in (
+        (bounds.measurement_work_bound, (1.7126066504888335e-300, 7.733205038807439e+238)),
+        (bounds.field_fluctuation_from_work, (1.0000000000001308e-300, 64080.380600826335)),
+        (sensors.diamond_erl, (1.0028027744046987e-179, 2.912524795397796e-122)),
+    )
+])
+def test_a_result_through_a_subnormal_product_is_refused(fn, args):
+    assert _within_budget(fn, args)
 
 
 @pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-4, 1e-3, 0.1, 0.5, 1.0, 3.0])

@@ -94,7 +94,7 @@ def _library_values(command, opts):
     """``(label prefix, values)`` for each species or record the analytic
     ``command`` reports with the options ``opts``: the values the library
     computes, in ``_SCHEMA`` order, without the rows the command leaves out;
-    ValueError or KeyError where the library refuses the options."""
+    ValueError where the library refuses the options."""
 
     def si(flag, dimension):
         return parse_quantity(opts[flag], dimension).si
@@ -161,7 +161,7 @@ def _check_against_library(run_main, *argv):
         if not 0 <= digits <= 1000:
             raise ValueError(f"--digits {digits}")
         groups = _library_values(command, opts)
-    except (ValueError, KeyError):
+    except ValueError:
         assert code == 2, argv
         return result
     assert (code, err) == (0, ""), argv
@@ -705,6 +705,19 @@ def test_validation_errors_exit_2(run_main, args, input_files):
     _assert_fails(run_main(*args), 2, "validation")
 
 
+def test_only_a_value_error_exits_2(run_main, monkeypatch):
+    # a KeyError is a bug, not a refused input: it must reach its traceback
+    def lookup_bug(args):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "_cmd_table1", lookup_bug)
+    with pytest.raises(KeyError, match="missing"):
+        run_main("table1")
+    # an unknown species is a refused input, with the line its golden pins
+    assert run_main("atomic", "--species", "Xe", "--density", "1e14/cm3", "--volume", "1cm3") == (
+        2, "", "erlab: error: validation: unknown species 'Xe' (catalog has: 41K, 87Rb, 133Cs)\n")
+
+
 def test_a_long_usage_line_keeps_its_head_and_its_tail(run_main):
     assert run_main("table1", "--format", "x" * 500) == (1, "", (
         "erlab: error: usage: argument --format: invalid choice: '%s ... %s'"
@@ -823,7 +836,7 @@ def _in_range(low, high):
 def _spellings(dimension):
     """Every unit spelling the parser accepts for ``dimension``, aliases too."""
     spellings = {*units._UNITS, *units._ALIASES}
-    return sorted(u for u in spellings if u and parse_quantity(f"1{u}").dimension == dimension)
+    return sorted(u for u in spellings if units._UNITS[units._ALIASES.get(u, u)][0] == dimension)
 
 
 def _records(anything):
@@ -877,7 +890,7 @@ def _argv_and_files(draw):
 
     def quantity(dimension, low, high):  # low and high in SI
         unit = draw(st.sampled_from(_spellings(dimension)))
-        scale = parse_quantity(f"1{unit}").si
+        scale = parse_quantity(f"1{unit}", dimension).si
         return bare(low / scale, high / scale) + unit
 
     command = draw(st.sampled_from(
