@@ -239,8 +239,16 @@ def squid_erl(spec: SquidSpec) -> float:
     measurement time gives the bound.
     """
     c = constants()
-    erl = spec.info_nats * c.k_B * spec.bath_temperature * spec.measurement_time / c.hbar
-    return require(erl, "predicted energy resolution", "a normal float")
+    info = spec.info_nats
+    info_k = info * c.k_B
+    info_kT = info_k * spec.bath_temperature
+    info_kT_tau = info_kT * spec.measurement_time
+    erl = require(info_kT_tau / c.hbar, "predicted energy resolution", "a normal float")
+    # a nonzero result must not come through a subnormal product (see erlab.bounds)
+    for value, name in ((info, "-p ln p"), (info_k, "-p ln p k_B"), (info_kT, "-p ln p k_B T"),
+                        (info_kT_tau, "-p ln p k_B T tau")):
+        require(value, name, "a normal float")
+    return erl
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +264,14 @@ def diamond_erl(temperature_K: float, tau_s: float) -> float:
     require(temperature_K, "temperature")
     require(tau_s, "relaxation time", "non-negative")
     c = constants()
-    erl = c.k_B * temperature_K * _LN2 * tau_s / c.hbar
-    return require(erl, "optimal energy resolution", "a normal float" if tau_s else "finite")
+    thermal_energy = c.k_B * temperature_K
+    bit_cost = thermal_energy * _LN2
+    action = bit_cost * tau_s
+    erl = require(action / c.hbar, "optimal energy resolution", "a normal float" if tau_s else "finite")
+    if erl:  # a nonzero result must not come through a subnormal product (see erlab.bounds)
+        for value, name in ((thermal_energy, "k_B T"), (bit_cost, "k_B T ln2"), (action, "k_B T ln2 tau")):
+            require(value, name, "a normal float")
+    return erl
 
 
 def measured_erl_from_psd(psd: float, volume: float) -> float:

@@ -76,8 +76,14 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     require(mass_kg, "mass")
     require(temperature_K, "temperature", "non-negative")
     reduced_mass = require(mass_kg / 2.0, "reduced mass m/2")
-    v_bar = math.sqrt(8.0 * constants().k_B * temperature_K / (math.pi * reduced_mass))
-    return require(v_bar, "mean relative velocity", "a normal float" if temperature_K else "finite")
+    numerator = 8.0 * constants().k_B * temperature_K
+    denominator = math.pi * reduced_mass
+    square = numerator / denominator
+    v_bar = require(math.sqrt(square), "mean relative velocity", "a normal float" if temperature_K else "finite")
+    if v_bar:  # a nonzero result must not come through a subnormal product (see erlab.bounds)
+        for value, name in ((numerator, "8 k_B T"), (denominator, "pi m/2"), (square, "8 k_B T / (pi m/2)")):
+            require(value, name, "a normal float")
+    return v_bar
 
 
 @dataclass(frozen=True)

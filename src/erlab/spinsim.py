@@ -27,8 +27,8 @@ those are, the mean and variance at the horizon, and every path that
 ``trajectory_path`` draws, equal bit for bit those of a fresh
 Philox(key=seed, counter=i << 128) per trajectory.
 
-Each worker builds one Philox generator keyed by the seed and reaches
-trajectory i's substream by resetting its state.  The state is a dict of
+The run builds one Philox generator keyed by the seed before it forks, and
+a worker resets its copy's state per trajectory.  The state is a dict of
 plain ints, because numpy's setter reads those about twice as fast as the
 ndarrays that ``bitgen.state`` returns: a reset took 0.75 us instead of
 1.5-1.8 us (Intel Xeon, Python 3.11, numpy 2.4).  Draws fill the rows of a
@@ -52,6 +52,7 @@ import mmap
 import operator
 import os
 import signal
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -270,12 +271,11 @@ def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
     ``workers`` runs the work units, the trajectories of one row-buffer
     fill, on that many processes, this one and ``workers`` - 1 forked from
     it, without changing any output bit; it is capped at the usable CPU count
-    and the number of units, and units run serially where ``os.fork`` is
-    missing.  A worker that fails raises ChildProcessError, and no worker
-    outlives the call.  The default of 1 forks nothing, as a fork copies only
-    the calling thread; ask for more where no other thread of this process
-    holds a lock.  The run keeps no trajectory's path; ``trajectory_path``
-    draws one.
+    and the number of units.  Units run serially where ``os.fork`` is
+    missing or this process runs another thread, as a fork copies only the
+    calling thread.  A worker that fails raises ChildProcessError, and no
+    worker outlives the call.  The run keeps no trajectory's path;
+    ``trajectory_path`` draws one.
     """
     M = config.trajectory_count
     workers = _worker_count(workers)
@@ -292,28 +292,28 @@ def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
         units = range(0, M, fill)
         # each reset holds the GIL, so workers are processes, and beyond the
         # usable cores they only contend
-        workers = min(workers, usable_cpus(), len(units)) if hasattr(os, "fork") else 1
+        can_fork = hasattr(os, "fork") and threading.active_count() == 1  # see the docstring
+        workers = min(workers, usable_cpus(), len(units)) if can_fork else 1
+        # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
+        # under the master seed as key: resetting one generator's state to that
+        # counter with an empty output buffer gives exactly the stream of a fresh
+        # Philox(key=seed, counter=i << 128).  The state is bitgen.state with
+        # plain ints for arrays, which the setter reads faster (see the module
+        # docstring); the key is [seed, 0] as seed < 2^64.
+        bitgen = np.random.Philox(key=config.seed)
+        gen = np.random.Generator(bitgen)
+        counter = [0, 0, 0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": [config.seed, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # output buffer empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        buf = np.empty((min(fill, M), steps))
 
         def work(w: int) -> None:
-            # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
-            # under the master seed as key.  Resetting one generator's state to
-            # that counter with an empty output buffer yields exactly the stream
-            # of a fresh Philox(key=seed, counter=i << 128).  The state is
-            # bitgen.state with each array as a list of plain ints, which the
-            # setter reads faster (see the module docstring); the key is
-            # [seed, 0] as seed < 2^64.
-            bitgen = np.random.Philox(key=config.seed)
-            gen = np.random.Generator(bitgen)
-            counter = [0, 0, 0, 0]
-            state = {
-                "bit_generator": "Philox",
-                "state": {"counter": counter, "key": [config.seed, 0]},
-                "buffer": [0, 0, 0, 0],
-                "buffer_pos": 4,  # output buffer empty
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            buf = np.empty((min(fill, M), steps))
             for lo in units[w::workers]:
                 hi = min(lo + fill, M)
                 rows = buf[: hi - lo]

@@ -6,8 +6,9 @@ evaluation, at 60 digits, of its formula as the docstrings of
 it, over drawn species and cells from the catalog's range out to
 extreme spins, masses, cross sections, densities and volumes; a draw that
 ``atomic_floor`` refuses must raise ValueError.  The six closed forms of
-``erlab.bounds``, ``squid_erl``, ``diamond_erl`` and ``measured_erl_from_psd``
-are held the same way over draws from each argument's physical range, and
+``erlab.bounds``, ``squid_erl``, ``diamond_erl``, ``measured_erl_from_psd``,
+the three ``erlab.species`` helpers and ``spinsim.scheme_variance`` are
+held the same way over draws from each argument's physical range, and
 ``spinsim.analytic_variance`` at horizons from 1e-8 to 3.  Each budget, in
 units in the last place of the true value, is the largest error measured
 over 200,000 seeded draws from the same ranges (400,000 for the closed
@@ -21,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erlab import bounds, sensors, spinsim
+from erlab import bounds, sensors, species, spinsim
 from erlab.species import Species
 from erlab.units import constants
 
@@ -125,9 +126,28 @@ def test_every_report_field_is_within_its_budget_of_the_formula(case):
     assert {name: e for name, e in errors.items() if e > _REPORT_BUDGETS[name]} == {}, errors
 
 
-# each closed form of ``bounds`` and the SQUID and diamond evaluators: the
-# strategy of each argument, from its physical range, its true value as the
-# function's docstring states it, and its budget in ulps
+def _scheme_variance(config: spinsim.SimConfig):
+    """sum_k c_k^2 du / N over the K steps of ``config``, c_k = 1 - e^(-u_k) at
+    the midpoints u_k = (k + 1/2) du, summed as the geometric series of e^(-u_k)
+    and e^(-2 u_k) it is."""
+    K = config.step_count
+    if K == 0:
+        return mpf(0)
+    du = mpf(config.horizon) / K
+    q = mpmath.exp(-du)
+    total = K - 2 * mpmath.exp(-du / 2) * (1 - q**K) / (1 - q) + q * (1 - q ** (2 * K)) / (1 - q**2)
+    return total * du / config.atom_count
+
+
+def _slowing_factor(I):
+    """q = [S(S+1) + I(I+1)] / [S(S+1)] with S = 1/2."""
+    return (mpf(3) / 4 + I * (I + 1)) / (mpf(3) / 4)
+
+
+# each closed form of ``bounds``, the SQUID and diamond evaluators, the
+# species helpers and the scheme variance: the strategy of each argument,
+# from its physical range, its true value as the function's docstring states
+# it, and its budget in ulps
 _CLOSED_FORMS = {
     bounds.measurement_work_bound: (
         (_log_uniform(1e-3, 1e4), _log_uniform(1e-12, 1e2)),
@@ -158,6 +178,19 @@ _CLOSED_FORMS = {
     sensors.measured_erl_from_psd: (
         (_log_uniform(1e-18, 1e-6), _log_uniform(1e-20, 1e5)),
         lambda c, psd, V: psd**2 * V / (2 * c["mu_0"] * c["hbar"]), 3),
+    species.slowing_factor: (
+        (st.one_of(st.integers(0, 9), _log_uniform(0.5, 1e155).map(round)).map(lambda k: Fraction(k, 2)),),
+        lambda c, spin: _slowing_factor(mpf(spin.numerator) / spin.denominator), 0.5),
+    species.magnetic_moment: (
+        (_log_uniform(1, 1e300),),
+        lambda c, q: c["mu_B"] / q, 0.5),
+    species.mean_relative_velocity: (
+        (_log_uniform(1e-30, 1e-20), st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4))),
+        lambda c, m, T: mpmath.sqrt(8 * c["k_B"] * T / (mpmath.pi * m / 2)), 2),
+    spinsim.scheme_variance: (
+        (st.builds(spinsim.SimConfig, _log_uniform(1, 1e30), st.just(1.0), st.just(1),
+                   st.integers(10, 10_000), st.one_of(st.just(0.0), _log_uniform(1e-3, 10))),),
+        lambda c, config: _scheme_variance(config), 8),
 }
 
 
@@ -170,7 +203,7 @@ def _within_budget(fn, args) -> bool:
         return True
     _, formula, budget = _CLOSED_FORMS[fn]
     with mpmath.workdps(60):
-        exact = formula(_mp_constants(), *(a if isinstance(a, sensors.SquidSpec) else mpf(a) for a in args))
+        exact = formula(_mp_constants(), *(mpf(a) if isinstance(a, float) else a for a in args))
     return _ulps(value, exact) <= budget
 
 
@@ -186,13 +219,14 @@ def test_every_closed_form_is_within_its_budget_of_the_formula(fn):
 
 # Far outside the physical ranges a product can underflow to a subnormal,
 # keeping few of its bits, and a later factor can scale it back to a normal
-# result, which is then accepted with an error of up to all its bits.
-@pytest.mark.xfail(strict=True, reason="no intermediate of these closed forms is checked to be a normal float")
+# result, which would be accepted with an error of up to all its bits; each
+# such intermediate is required to be a normal float, so these are refused.
 @pytest.mark.parametrize("fn,args", [
     pytest.param(fn, args, id=fn.__name__) for fn, args in (
         (bounds.measurement_work_bound, (1.7126066504888335e-300, 7.733205038807439e+238)),
         (bounds.field_fluctuation_from_work, (1.0000000000001308e-300, 64080.380600826335)),
         (sensors.diamond_erl, (1.0028027744046987e-179, 2.912524795397796e-122)),
+        (species.mean_relative_velocity, (1e-30, 1e-300)),
     )
 ])
 def test_a_result_through_a_subnormal_product_is_refused(fn, args):

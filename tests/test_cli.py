@@ -1,7 +1,8 @@
 """CLI tests.  They call ``erlab.cli.main`` in-process through ``run_main``
-(``tests/conftest.py``), except the seven that test what only a process
+(``tests/conftest.py``), except the eight that test what only a process
 shows: the ``python -m erlab`` entry point and its exit status, ``--output``,
-the modules a command imports, an output its stream cannot encode, the
+the modules a command imports, the one ``numpy.random`` import of a forked
+``simulate``, an output its stream cannot encode, the
 error line of an argv that is not UTF-8 and of a stderr that is not UTF-8,
 and runs under ``python -X dev -W error``, which start one through
 ``_process``.
@@ -274,26 +275,37 @@ _LAYERING = (
 
 def _imports(*args):
     """A fresh ``python -X importtime ARGS`` process and the names of the
-    modules it imported."""
+    modules it imported, in the order of their imports, each time it was
+    imported (a forked worker imports in its own process)."""
     proc = _process("-X", "importtime", *args)
-    return proc, {
+    return proc, [
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
-    }
+    ]
 
 
 def test_only_simulate_imports_numpy():
     for args, absent, code in _LAYERING:
         proc, modules = _imports(*args)
+        modules = set(modules)
         assert proc.returncode == code, args
         assert "erlab.cli" in modules and not modules & absent, (args, modules & absent)
     assert "numpy" in modules
     assert json.loads(proc.stdout)["config_echo"]["trajectory_count"] == 100
     # --version loads erlab and erlab.cli beyond the standard library modules its parser needs
-    version = _imports("-m", "erlab", "--version")[1]
-    stdlib = _imports("-c", "import argparse, gettext, locale, runpy, textwrap, __future__")[1]
+    version = set(_imports("-m", "erlab", "--version")[1])
+    stdlib = set(_imports("-c", "import argparse, gettext, locale, runpy, textwrap, __future__")[1])
     assert version - stdlib == {"erlab", "erlab.cli"}
+
+
+@pytest.mark.skipif(spinsim.usable_cpus() < 2, reason="forks a worker only with 2 usable CPUs")
+def test_a_forked_simulate_imports_numpy_random_once():
+    # the generator is built before the fork, so no worker imports numpy.random again
+    proc, modules = _imports("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "1000",
+                             "--seed", "1", "--workers", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert modules.count("numpy.random") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import signal
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -311,6 +312,29 @@ def test_a_large_affinity_set_starts_at_most_one_process_per_block(monkeypatch, 
     serial = result_to_json(simulate_transient(cfg), cfg)
     assert result_to_json(simulate_transient(cfg, workers=1024), cfg) == serial
     assert len(forks) == 1  # two processes in all
+
+
+def test_a_process_that_runs_another_thread_forks_nothing(monkeypatch, fake_cpus):
+    # a fork copies only the calling thread, and a lock another thread holds
+    # would stay locked in the child, so the units run serially, with the same bits
+    fake_cpus(4)
+    monkeypatch.setattr(spinsim, "_ROW_BUFFER", 1000)  # units of 100 trajectories at 10 steps
+    cfg = SimConfig(1e4, 1.0, 300, steps_per_tau=10, seed=4)  # three units
+    serial = result_to_json(simulate_transient(cfg), cfg)
+
+    def no_fork():
+        raise AssertionError("forked from a process that runs another thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
 
 
 _REAL_EXIT = os._exit
