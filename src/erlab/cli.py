@@ -313,6 +313,11 @@ def _cmd_table2(args):
 
 
 def _cmd_simulate(args):
+    import os
+
+    # erlab calls no BLAS routine, and an OpenBLAS pool started by the numpy
+    # import would only spin beside the forked workers; a user's setting wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .spinsim import (
         SimConfig,
         _sample_index,

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .bounds import THEORETICAL_FLOOR_HBAR, erl_quantum, spin_temperature
-from .units import brief, constants, read_json, require
+from .units import _scaled, brief, constants, read_json, require
 
 if TYPE_CHECKING:  # an annotation only; the CLI's squid and diamond need no species
     from .species import Species
@@ -239,16 +239,11 @@ def squid_erl(spec: SquidSpec) -> float:
     measurement time gives the bound.
     """
     c = constants()
-    info = spec.info_nats
-    info_k = info * c.k_B
-    info_kT = info_k * spec.bath_temperature
-    info_kT_tau = info_kT * spec.measurement_time
-    erl = require(info_kT_tau / c.hbar, "predicted energy resolution", "a normal float")
-    # a nonzero result must not come through a subnormal product (see erlab.bounds)
-    for value, name in ((info, "-p ln p"), (info_k, "-p ln p k_B"), (info_kT, "-p ln p k_B T"),
-                        (info_kT_tau, "-p ln p k_B T tau")):
-        require(value, name, "a normal float")
-    return erl
+    # the info_gained row prints -p ln p itself, so it must be a normal float too
+    info = require(spec.info_nats, "-p ln p", "a normal float")
+    # no product underflows on the way (see erlab.bounds)
+    erl = _scaled((info, c.k_B, spec.bath_temperature, spec.measurement_time), (c.hbar,))
+    return require(erl, "predicted energy resolution", "a normal float")
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +259,8 @@ def diamond_erl(temperature_K: float, tau_s: float) -> float:
     require(temperature_K, "temperature")
     require(tau_s, "relaxation time", "non-negative")
     c = constants()
-    thermal_energy = c.k_B * temperature_K
-    bit_cost = thermal_energy * _LN2
-    action = bit_cost * tau_s
-    erl = require(action / c.hbar, "optimal energy resolution", "a normal float" if tau_s else "finite")
-    if erl:  # a nonzero result must not come through a subnormal product (see erlab.bounds)
-        for value, name in ((thermal_energy, "k_B T"), (bit_cost, "k_B T ln2"), (action, "k_B T ln2 tau")):
-            require(value, name, "a normal float")
-    return erl
+    erl = _scaled((c.k_B, temperature_K, _LN2, tau_s), (c.hbar,))  # no product underflows (see erlab.bounds)
+    return require(erl, "optimal energy resolution", "a normal float" if tau_s else "finite")
 
 
 def measured_erl_from_psd(psd: float, volume: float) -> float:

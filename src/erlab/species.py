@@ -11,8 +11,8 @@ the unstated calibration temperature.  They are effective parameters of
 the model, not literature collision data.
 
 Electron spin is S = 1/2 throughout (alkali ground state).  As in
-``erlab.bounds``, a result that finite inputs overflow or underflow raises
-ValueError.
+``erlab.bounds``, no product underflows on the way, and a result that
+finite inputs overflow or underflow raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
-from .units import brief, constants, read_json, require
+from .units import _scaled, brief, constants, read_json, require
 
 __all__ = [
     "slowing_factor",
@@ -75,15 +75,10 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     """
     require(mass_kg, "mass")
     require(temperature_K, "temperature", "non-negative")
-    reduced_mass = require(mass_kg / 2.0, "reduced mass m/2")
-    numerator = 8.0 * constants().k_B * temperature_K
-    denominator = math.pi * reduced_mass
-    square = numerator / denominator
-    v_bar = require(math.sqrt(square), "mean relative velocity", "a normal float" if temperature_K else "finite")
-    if v_bar:  # a nonzero result must not come through a subnormal product (see erlab.bounds)
-        for value, name in ((numerator, "8 k_B T"), (denominator, "pi m/2"), (square, "8 k_B T / (pi m/2)")):
-            require(value, name, "a normal float")
-    return v_bar
+    require(mass_kg / 2.0, "reduced mass m/2")  # a subnormal mass can halve to 0
+    # m/2 as m times the exact 0.5; no product underflows (see erlab.bounds)
+    v_bar = _scaled((8.0, constants().k_B, temperature_K), (math.pi, mass_kg, 0.5), root=True)
+    return require(v_bar, "mean relative velocity", "a normal float" if temperature_K else "finite")
 
 
 @dataclass(frozen=True)

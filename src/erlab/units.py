@@ -1,7 +1,7 @@
 """SI constants, the unit-suffix parser for inputs and the domain check.
 
 All model code in this package computes with plain SI floats.  This module
-owns four things:
+owns five things:
 
 * the frozen table of physical constants (CODATA 2018),
 * the boundary parser that turns unit-tagged inputs (``1e14/cm3``,
@@ -9,7 +9,9 @@ owns four things:
   their dimension,
 * ``require``, the one check of every number, and ``brief``, which keeps
   the value quoted in a library error message short (the CLI bounds its
-  whole error line in ``cli._fail``), and
+  whole error line in ``cli._fail``),
+* ``_scaled``, the product and quotient of the closed forms, whose
+  intermediates cannot leave the float range, and
 * ``read_json``, the bounded read of the JSON input files.
 
 A dimension is the string a message prints for it, one for each of the
@@ -252,6 +254,32 @@ def require(value: float, name: str, domain: str = "positive") -> float:
     if not _DOMAINS[domain](value):
         raise ValueError(f"{name} must be {domain}, got {brief(value)}")
     return value
+
+
+def _scaled(factors, divisors=(), root=False) -> float:
+    """The product of ``factors`` over that of ``divisors``, or its square
+    root if ``root``, with no intermediate underflow or overflow: the
+    ``math.frexp`` mantissas are multiplied in order, the binary exponent is
+    kept apart, and ``math.ldexp`` applies it once.  Where the plain
+    left-to-right products, the quotient and its root are normal floats, the
+    bits are theirs.  A result past the float range is +-inf, or 0 or a
+    subnormal below it, for the caller's ``require`` to refuse."""
+    numerator, denominator, exponent = 1.0, 1.0, 0
+    for x in factors:
+        mantissa, e = math.frexp(x)
+        numerator, exponent = numerator * mantissa, exponent + e
+    for x in divisors:
+        mantissa, e = math.frexp(x)
+        denominator, exponent = denominator * mantissa, exponent - e
+    quotient = numerator / denominator
+    if root:
+        if exponent % 2:
+            quotient, exponent = 2.0 * quotient, exponent - 1
+        quotient, exponent = math.sqrt(quotient), exponent // 2
+    try:
+        return math.ldexp(quotient, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """CLI tests.  They call ``erlab.cli.main`` in-process through ``run_main``
-(``tests/conftest.py``), except the eight that test what only a process
+(``tests/conftest.py``), except the nine that test what only a process
 shows: the ``python -m erlab`` entry point and its exit status, ``--output``,
 the modules a command imports, the one ``numpy.random`` import of a forked
-``simulate``, an output its stream cannot encode, the
-error line of an argv that is not UTF-8 and of a stderr that is not UTF-8,
-and runs under ``python -X dev -W error``, which start one through
-``_process``.
+``simulate`` and the one thread it forks from, an output its stream cannot
+encode, the error line of an argv that is not UTF-8 and of a stderr that is
+not UTF-8, and runs under ``python -X dev -W error``, which start one
+through ``_process``.
 ``tests/test_golden.py`` pins the bytes of every command's output at fixed
 argv; here ``_check_against_library`` holds the values of the analytic
 commands to the library, over drawn inputs in the property test at the end
@@ -247,6 +247,32 @@ def test_a_forked_run_with_dumps_and_a_records_file_warn_nothing_in_dev_mode(tmp
         proc = _process("-X", "dev", "-W", "error", "-m", "erlab", *args)
         assert (proc.returncode, proc.stderr) == (0, ""), args
     assert sorted(path.name for path in tmp_path.iterdir()) == ["trajectory_0.csv", "trajectory_5.csv"]
+
+
+_COUNT_THREADS_AT_FORK = """
+import os, sys
+from erlab import cli
+fork, threads = os.fork, []
+def counted():
+    with open("/proc/self/status") as status:
+        threads.append(next(line.split()[1] for line in status if line.startswith("Threads:")))
+    return fork()
+os.fork = counted
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, whatever the host has
+code = cli.main(["simulate", "--atoms", "1e6", "--trajectories", "1000", "--seed", "1", "--workers", "2"])
+print(code, *threads, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc to count threads in")
+def test_simulate_forks_from_one_thread():
+    # import numpy starts an OpenBLAS pool of a thread per core unless
+    # OPENBLAS_NUM_THREADS is set, and simulate sets it to 1 before that import
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    code, *threads = _process("-c", _COUNT_THREADS_AT_FORK, env=env).stderr.split()
+    if not threads:
+        pytest.skip("a CPU quota of one CPU: simulate forked no worker")
+    assert (code, threads) == ("0", ["1"])
 
 
 # argv -> modules its process must not load, and its exit code: each command
@@ -728,6 +754,18 @@ def test_only_a_value_error_exits_2(run_main, monkeypatch):
     # an unknown species is a refused input, with the line its golden pins
     assert run_main("atomic", "--species", "Xe", "--density", "1e14/cm3", "--volume", "1cm3") == (
         2, "", "erlab: error: validation: unknown species 'Xe' (catalog has: 41K, 87Rb, 133Cs)\n")
+
+
+def test_a_product_the_vapor_floor_scales_by_is_named(run_main, input_files):
+    # a cross section of 1e-281 cm^2 makes hbar sigma_v subnormal; a cell of
+    # 1e-290 m^3 makes mu V subnormal, though N = 10 atoms is a valid cell
+    for argv, product in (
+        (("atomic", "--species-file", "faint.json", "--species", "X", "--density", "1e10/m3", "--volume", "1e-10m3"),
+         "hbar sigma_v must be a normal float, got 4.0362614e-317"),
+        (("atomic", "--species", "87Rb", "--density", "1e291/m3", "--volume", "1e-290m3"),
+         "mu V must be a normal float, got 1.5456683465e-314"),
+    ):
+        assert run_main(*argv) == (2, "", f"erlab: error: validation: {product}\n")
 
 
 def test_a_long_usage_line_keeps_its_head_and_its_tail(run_main):

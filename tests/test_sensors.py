@@ -452,6 +452,9 @@ def test_diamond_validation():
         measured_erl_from_psd(3e-10, 0.0)
     with pytest.raises(ValueError):
         measured_erl_from_psd(-1e-10, 1e-12)
+    # named as the CLI's --psd, not as erl_quantum's field uncertainty
+    with pytest.raises(ValueError, match=r"^noise density must be non-negative, got -1\.0$"):
+        measured_erl_from_psd(-1.0, 1.0)
     for bad in (math.nan, math.inf, -math.inf):
         for call in (
             lambda: diamond_erl(bad, 1e-6),
@@ -486,6 +489,9 @@ def test_diamond_validation():
     ):
         with pytest.raises(ValueError, match="must be (finite|a normal float)"):
             call()
+    # a subnormal -p ln p, which the info_gained row prints, though the result is in range
+    with pytest.raises(ValueError, match=r"^-p ln p must be a normal float, got 7\.36819e-318$"):
+        squid_erl(SquidSpec(1e-320, 1e300, 1e300))
     assert diamond_erl(300.0, 0.0) == 0.0
     assert measured_erl_from_psd(0.0, 1e-12) == 0.0
     assert erl_ratio(0.0, 2.0) == 0.0

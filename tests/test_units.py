@@ -2,10 +2,12 @@
 and unit table, parsing, and the exactness of parsed SI values."""
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from erlab import units
 from erlab.units import (
@@ -181,6 +183,42 @@ def test_require_quotes_an_integer_too_long_to_print_by_its_size():
         text = str(info.value)
         assert text == message
         assert len(text.encode()) < 200 and "\n" not in text
+
+
+# a float of either sign anywhere from the subnormals to near the top of the range
+_ANY_FLOAT = st.builds(lambda m, e, sign: math.ldexp(sign * m, e), st.floats(0.5, 1, exclude_max=True),
+                       st.integers(-1070, 1024), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(factors=[1e-300, 1e-300], divisors=[1e-300], root=False, zero_at=1)  # plain, 0.0 on the way
+@example(factors=[1e300, -1e300], divisors=[], root=False, zero_at=0)  # -inf
+@example(factors=[1e300, 1e300, 1e300], divisors=[1e-300], root=True, zero_at=3)  # past the range in the root too
+@given(factors=st.lists(_ANY_FLOAT, min_size=1, max_size=4), divisors=st.lists(_ANY_FLOAT, max_size=3),
+       root=st.booleans(), zero_at=st.integers(0, 4))
+def test_scaled_is_plain_arithmetic_without_its_intermediate_range(factors, divisors, root, zero_at):
+    if root:
+        factors, divisors = [abs(x) for x in factors], [abs(x) for x in divisors]
+    scaled = units._scaled(factors, divisors, root)
+    # plain left-to-right arithmetic, and its true value
+    products = [math.prod(xs[:i]) for xs in (factors, divisors) for i in range(2, len(xs) + 1)]
+    denominator = math.prod(divisors)
+    quotient = math.prod(factors) / denominator if denominator else math.inf
+    if all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in (*products, quotient)):
+        assert scaled.hex() == (math.sqrt(quotient) if root else quotient).hex()
+    # far past the range, +-inf; far below it, +-0; in it, each of the
+    # len(factors) + len(divisors) roundings at most half an ulp, 2**-53 relative
+    exact = math.prod(map(Fraction, factors)) / math.prod(map(Fraction, divisors))
+    sign, power = (1 if exact > 0 else -1), (2 if root else 1)
+    if abs(exact) >= Fraction(2) ** (1025 * power):
+        assert scaled == sign * math.inf
+    elif abs(exact) <= Fraction(2) ** (-1077 * power):
+        assert scaled == 0 and math.copysign(1, scaled) == sign
+    elif Fraction(2) ** (-1022 * power) <= abs(exact) <= Fraction(2) ** (1023 * power):
+        error = abs(Fraction(scaled) ** power - exact) / abs(exact)
+        assert error <= power * (len(factors) + len(divisors)) * Fraction(1, 2**53)
+    # an exact 0 in the factors gives 0
+    assert units._scaled([*factors[:zero_at], 0.0, *factors[zero_at:]], divisors, root) == 0
 
 
 def test_brief_counts_the_digits_at_powers_of_ten():
