@@ -317,6 +317,7 @@ def _cmd_simulate(args):
 
     # erlab calls no BLAS routine, and an OpenBLAS pool started by the numpy
     # import would only spin beside the forked workers; a user's setting wins
+    pin = "OPENBLAS_NUM_THREADS" not in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .spinsim import (
         SimConfig,
@@ -327,6 +328,8 @@ def _cmd_simulate(args):
         usable_cpus,
         write_trajectory_csv,
     )
+    if pin:  # OpenBLAS read it as numpy loaded; the caller gets its environment back
+        del os.environ["OPENBLAS_NUM_THREADS"]
     from .units import TIME, parse_quantity
 
     tau = parse_quantity(args.tau, TIME).si

@@ -126,7 +126,7 @@ def invert_sigma_v(delta_B: float, mu: float, volume: float, atom_count: float) 
     require(mu, "mu")
     require(volume, "volume")
     require(atom_count, "atom_count")
-    sigma_v = delta_B * mu * volume * 2.0 * _LN2 / (math.pi * constants().hbar * math.sqrt(atom_count))
+    sigma_v = _scaled((delta_B, mu, volume, 2.0, _LN2), (math.pi, constants().hbar, math.sqrt(atom_count)))
     return require(sigma_v, "rate coefficient sigma_v", "a normal float")
 
 
@@ -145,28 +145,21 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     """Full spin-destruction-floor report for a vapor cell.
 
     Uses the calibrated cross section of ``cell.species`` and evaluates each
-    field once, by the formula of the module docstring.  The formulas scale
-    by three products, hbar sigma_v, mu_0 mu^2 and mu V, which must be
-    normal floats: a subnormal one carries fewer than 53 bits into the
-    results that scale by it, and one that underflows to 0 divides by zero.
-    Raises ValueError for such a product, and where finite inputs take a
-    result out of the float range.
+    field once, by the formula of the module docstring, with ``_scaled``, so
+    no intermediate leaves the float range.  Raises ValueError for a floor
+    below pi/2 hbar, and for the first field that is not a normal float.
     """
     sp = cell.species
     sigma = sp.calibrated_cross_section  # rejects an uncalibrated species
     v_bar = sp.mean_relative_velocity(cell.temperature)
-    sigma_v = sigma * v_bar  # the product Species.sigma_v forms, so the same bits
     c = constants()
     n = cell.number_density
     N = cell.atom_count
-    V = cell.volume
     mu = sp.magnetic_moment
-    hbar_sigma_v = require(c.hbar * sigma_v, "hbar sigma_v", "a normal float")
-    mu_0_mu2 = require(c.mu_0 * mu * mu, "mu_0 mu^2", "a normal float")
-    mu_V = require(mu * V, "mu V", "a normal float")
+    sqrt_N = math.sqrt(N)
 
-    kappa_bare = hbar_sigma_v / mu_0_mu2
-    kappa = 3.0 * math.pi / (4.0 * _LN2) * kappa_bare
+    # sigma v_bar first, as Species.sigma_v forms it, so the same bits
+    kappa_bare = _scaled((sigma, v_bar, c.hbar), (c.mu_0, mu, mu))
     erl_hbar = math.pi**2 / (8.0 * _LN2**2) * kappa_bare
     if erl_hbar < THEORETICAL_FLOOR_HBAR:
         raise ValueError(
@@ -174,26 +167,23 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
             "inputs are outside the regime where spin-destruction noise dominates"
         )
 
-    try:
-        tau = 1.0 / (n * sigma_v)
-        sqrt_N = math.sqrt(N)
-        delta_B = math.pi / (2.0 * _LN2) * c.hbar * sigma_v * sqrt_N / mu_V
-        correlation_atoms = (c.hbar * v_bar / mu_0_mu2) ** 2 * sigma * n ** (-2.0 / 3.0)
-        collision_time = n ** (-1.0 / 3.0) / v_bar
-        derived = dict(
-            relaxation_time=tau,
-            delta_B_floor=delta_B,
-            erl_hbar=erl_hbar,
-            kappa=kappa,
-            kappa_bare=kappa_bare,
-            correlation_atoms=correlation_atoms,
-            correlation_volume=correlation_atoms / n,
-            collision_time=collision_time,
-            sd_phase=math.sqrt(collision_time / tau),
-            delta_B_uncertainty_check=c.hbar / (mu * tau * sqrt_N),
-        )
-    except (OverflowError, ZeroDivisionError):  # finite inputs, out-of-range arithmetic
-        raise ValueError("the vapor-floor arithmetic leaves the float range") from None
+    tau = _scaled((1.0,), (sigma, v_bar, n))  # may underflow to 0, a divisor that then gives inf
+    delta_B = _scaled((sigma, v_bar, math.pi / (2.0 * _LN2) * c.hbar, sqrt_N), (mu, cell.volume))
+    r = _scaled((c.hbar, v_bar), (c.mu_0, mu, mu))  # normal or inf: v_bar is normal, mu_0 mu^2 < 1.1e-52
+    correlation_atoms = _scaled((r, r, sigma, n ** (-2.0 / 3.0)))
+    collision_time = n ** (-1.0 / 3.0) / v_bar
+    derived = dict(
+        relaxation_time=tau,
+        delta_B_floor=delta_B,
+        erl_hbar=erl_hbar,
+        kappa=3.0 * math.pi / (4.0 * _LN2) * kappa_bare,
+        kappa_bare=kappa_bare,
+        correlation_atoms=correlation_atoms,
+        correlation_volume=correlation_atoms / n,
+        collision_time=collision_time,
+        sd_phase=_scaled((collision_time,), (tau,), root=True),
+        delta_B_uncertainty_check=_scaled((c.hbar,), (mu, tau, sqrt_N)),
+    )
     for name, value in derived.items():
         require(value, name, "a normal float")
     # N is checked by the cell, and spin_temperature and atomic_psd check their own results

@@ -263,7 +263,7 @@ def _scaled(factors, divisors=(), root=False) -> float:
     kept apart, and ``math.ldexp`` applies it once.  Where the plain
     left-to-right products, the quotient and its root are normal floats, the
     bits are theirs.  A result past the float range is +-inf, or 0 or a
-    subnormal below it, for the caller's ``require`` to refuse."""
+    subnormal below it, and x / 0 is +-inf; ``require`` refuses them."""
     numerator, denominator, exponent = 1.0, 1.0, 0
     for x in factors:
         mantissa, e = math.frexp(x)
@@ -271,7 +271,7 @@ def _scaled(factors, divisors=(), root=False) -> float:
     for x in divisors:
         mantissa, e = math.frexp(x)
         denominator, exponent = denominator * mantissa, exponent - e
-    quotient = numerator / denominator
+    quotient = numerator / denominator if denominator else math.copysign(math.inf, numerator)
     if root:
         if exponent % 2:
             quotient, exponent = 2.0 * quotient, exponent - 1

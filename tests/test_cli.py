@@ -464,6 +464,17 @@ def test_simulate_text_and_csv_formats(run_main):
     assert var == pytest.approx(json.loads(run_main(*SIM_ARGS)[1])["variance"], rel=1e-15)
 
 
+def test_simulate_leaves_the_environment_as_it_found_it(run_main, monkeypatch):
+    # the OpenBLAS pin holds only while numpy loads; a user's own setting stays
+    for value in (None, "4"):
+        if value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert run_main(*SIM_ARGS)[0] == 0
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == value
+
+
 def test_simulate_trajectory_dumps(run_main, tmp_path):
     code, _, _ = run_main(
         "simulate", "--atoms", "100", "--trajectories", "10", "--seed", "7",
@@ -578,10 +589,11 @@ def input_files(tmp_path, monkeypatch):
     300-character name, one of 40 species and one of a spin of 4,003
     characters; a records file and a catalog, each holding a name with a lone
     surrogate; a records file nested 2,000 deep; a catalog of one species
-    of a subnormal mass, 3e-297 amu, whose reduced mass rounds to 0; and
-    catalogs of one species of a spin of 8e137, whose mu_0 mu^2 underflows
-    to 0, and of a cross section of 1e-281 cm^2, whose hbar sigma_v is
-    subnormal."""
+    of a subnormal mass, 3e-297 amu, whose reduced mass rounds to 0; a
+    catalog of one species of a spin of 8e137, whose collision floor
+    overflows; and one of a cross section of 1e-281 cm^2, whose floor is in
+    range though hbar sigma_v is subnormal (``test_a_faint_species_gets_its_floor``)
+    but whose relaxation time in a thin vapor overflows."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / _DEEP).mkdir(parents=True)
     row = json.loads((PKG_DATA / "species.json").read_text())["species"][0]
@@ -732,11 +744,13 @@ def test_usage_errors_exit_1(run_main, args):
         ("species-list", "--species-file", "subnormal.json"),
         ("table1", "--species-file", "subnormal.json"),
         ("atomic", "--species-file", "subnormal.json", "--species", "Sb", "--density", "1e14/cm3", "--volume", "1cm3"),
-        # a product the vapor floor scales by that underflows to 0, or is subnormal
+        # a collision floor past the float range
         ("atomic", "--species-file", "huge_spin.json", "--species", "X", "--density", "1e14/cm3", "--volume", "10cm3"),
         ("table1", "--species-file", "huge_spin.json"),
-        ("atomic", "--species-file", "faint.json", "--species", "X", "--density", "1e10/m3", "--volume", "1e-10m3"),
-        ("table1", "--species-file", "faint.json"),
+        # a report field past the float range: N_c / n of a cell of N = 10
+        # atoms underflows; a faint species' relaxation time in a thin vapor overflows
+        ("atomic", "--species", "87Rb", "--density", "1e291/m3", "--volume", "1e-290m3"),
+        ("atomic", "--species-file", "faint.json", "--species", "X", "--density", "1e-280/m3", "--volume", "1e280m3"),
     ],
 )
 def test_validation_errors_exit_2(run_main, args, input_files):
@@ -756,16 +770,25 @@ def test_only_a_value_error_exits_2(run_main, monkeypatch):
         2, "", "erlab: error: validation: unknown species 'Xe' (catalog has: 41K, 87Rb, 133Cs)\n")
 
 
-def test_a_product_the_vapor_floor_scales_by_is_named(run_main, input_files):
-    # a cross section of 1e-281 cm^2 makes hbar sigma_v subnormal; a cell of
-    # 1e-290 m^3 makes mu V subnormal, though N = 10 atoms is a valid cell
-    for argv, product in (
-        (("atomic", "--species-file", "faint.json", "--species", "X", "--density", "1e10/m3", "--volume", "1e-10m3"),
-         "hbar sigma_v must be a normal float, got 4.0362614e-317"),
+def test_a_vapor_floor_field_past_the_range_is_named(run_main, input_files):
+    # a spin of 8e137 takes the floor past the float range; a cell of
+    # 1e-290 m^3 holds N = 10 atoms, a valid cell, but its N_c / n underflows
+    for argv, field in (
+        (("atomic", "--species-file", "huge_spin.json", "--species", "X", "--density", "1e14/cm3", "--volume", "10cm3"),
+         "erl_hbar must be finite, got inf"),
         (("atomic", "--species", "87Rb", "--density", "1e291/m3", "--volume", "1e-290m3"),
-         "mu V must be a normal float, got 1.5456683465e-314"),
+         "correlation_volume must be a normal float, got 0.0"),
     ):
-        assert run_main(*argv) == (2, "", f"erlab: error: validation: {product}\n")
+        assert run_main(*argv) == (2, "", f"erlab: error: validation: {field}\n")
+
+
+def test_a_faint_species_gets_its_floor(run_main, input_files):
+    # a cross section of 1e-281 cm^2 makes the plain product hbar sigma_v
+    # subnormal, but every field of the report is a normal float
+    for argv in (("atomic", "--species-file", "faint.json", "--species", "X", "--density", "1e10/m3",
+                  "--volume", "1e-10m3"), ("table1", "--species-file", "faint.json")):
+        for fmt in ("text", "json"):
+            assert _check_against_library(run_main, *argv, "--format", fmt)[0] == 0
 
 
 def test_a_long_usage_line_keeps_its_head_and_its_tail(run_main):

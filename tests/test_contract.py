@@ -40,8 +40,8 @@ def _valid(build, *fields):
 
 _AMU = constants().atomic_mass
 # two species of a --species-file, as load_catalog builds them: a spin of 8e137,
-# whose mu_0 mu^2 underflows to 0, and a cross section of 1e-281 cm^2, whose
-# hbar sigma_v is subnormal
+# whose collision floor overflows, and a cross section of 1e-281 cm^2, whose
+# floor is in range though the plain product hbar sigma_v is subnormal
 _HUGE_SPIN = species.Species("X", Fraction(8 * 10**137), 87.0 * _AMU, 1e-14 * 1e-4, 300.0)
 _FAINT = species.Species("X", Fraction(10**66), 86.72 * _AMU, 1e-281 * 1e-4, 300.0)
 _SPECIES = st.one_of(

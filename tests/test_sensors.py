@@ -210,6 +210,10 @@ def test_invert_sigma_v_rejects_nonpositive():
     with pytest.raises(ValueError, match=r"^rate coefficient sigma_v must be finite, got inf$"):
         invert_sigma_v(1e300, 1e300, 1e300, 1.0)  # finite inputs
     valid = (1e-15, 1e-24, 1e-5, 1e15)
+    for i, name in enumerate(("delta_B", "mu", "volume", "atom_count")):
+        for bad in (0.0, -valid[i]):
+            with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
+                invert_sigma_v(*valid[:i], bad, *valid[i + 1:])
     for i in range(4):
         for bad in (math.nan, math.inf, -math.inf):
             args = list(valid)
@@ -269,6 +273,14 @@ def test_vapor_cell_default_temperature():
     sp = default_catalog().get("K")
     assert VaporCell(sp, N_REF, V_REF).temperature == sp.reference_temperature_K
     assert VaporCell(sp, N_REF, V_REF, 500.0).temperature == 500.0
+
+
+def test_a_relaxation_time_that_underflows_is_named():
+    # n sigma v_bar is past the float range, so tau underflows to 0, which
+    # then divides the phase and the uncertainty-route floor
+    sp = Species("X", Fraction(739359196633814016), 4.14e-101, 7.77e132, 5.19e126)
+    with pytest.raises(ValueError, match=r"^relaxation_time must be a normal float, got 0\.0$"):
+        atomic_floor(VaporCell(sp, 7.32e261, 1.84e-47))
 
 
 def test_out_of_regime_cell_is_rejected():

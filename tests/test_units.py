@@ -217,8 +217,10 @@ def test_scaled_is_plain_arithmetic_without_its_intermediate_range(factors, divi
     elif Fraction(2) ** (-1022 * power) <= abs(exact) <= Fraction(2) ** (1023 * power):
         error = abs(Fraction(scaled) ** power - exact) / abs(exact)
         assert error <= power * (len(factors) + len(divisors)) * Fraction(1, 2**53)
-    # an exact 0 in the factors gives 0
+    # an exact 0 in the factors gives 0, and one in the divisors +-inf, with the factors' sign
     assert units._scaled([*factors[:zero_at], 0.0, *factors[zero_at:]], divisors, root) == 0
+    zero_divisor = units._scaled(factors, [*divisors[:zero_at], 0.0, *divisors[zero_at:]], root)
+    assert zero_divisor == math.copysign(math.inf, math.prod(factors))
 
 
 def test_brief_counts_the_digits_at_powers_of_ten():

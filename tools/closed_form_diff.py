@@ -5,22 +5,27 @@
 ``PARENT_SRC`` is the ``src`` directory of another checkout (for example
 one made with ``git archive``).  Each function below is called on the same
 ``--draws`` seeded inputs, every argument log-uniform over 1e-300 to
-1e300 within its domain, once in a child interpreter per tree.  Per
-function it prints how many inputs both trees accept with the same bits
-("kept") and with other bits ("changed"), how many only this tree accepts
-("accepted") and how many only the parent accepts ("refused"), and after
+1e300 within its domain, once in a child interpreter per tree;
+``atomic_floor`` is called on a cell of a drawn species, of spin 0.5 to
+1e150, with its density within 1 to 1e30, where the accuracy test's budgets
+of its report hold, and is compared field by field.  Per function or field
+it prints how many inputs both trees accept with the same bits ("kept") and
+with other bits ("changed"), how many only this tree accepts ("accepted")
+and how many only the parent accepts ("refused"), and after "kept",
 "changed" and "accepted" the largest error of those results of this tree,
-in ulps of the true value at 60 mpmath digits, beside the function's
-budget.  The formulas and budgets are those of ``tests/test_accuracy.py``.
+in ulps of the true value at 60 mpmath digits, beside the budget.  The formulas and
+budgets are those of ``tests/test_accuracy.py``.
 
 Exits 1 if this tree refuses an input the parent accepts, or if a changed
-or newly accepted result is over its budget.  Needs mpmath, pytest and
-hypothesis, as the accuracy test does.
+or newly accepted result is over its budget (a kept one is the parent's); a call that raises anything
+but ValueError stops the run.  Needs mpmath, pytest and hypothesis, as the
+accuracy test does.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import math
@@ -28,15 +33,18 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_accuracy  # noqa: E402  (this tree's erlab, and the formulas and budgets of its closed forms)
-from erlab.sensors import SquidSpec  # noqa: E402
+from erlab.sensors import AtomicErlReport, SquidSpec  # noqa: E402
+from erlab.species import Species  # noqa: E402
 
-# function -> the (low, high) range of each argument; squid_erl's are those of SquidSpec(p, T, tau)
+# function -> the (low, high) range of each argument; squid_erl's are those of SquidSpec(p, T, tau),
+# atomic_floor's those of Species(spin, mass, sigma, T) and of the cell's density and volume
 RANGES = {
     "bounds.measurement_work_bound": ((1e-300, 1e300),) * 2,
     "bounds.erl_quantum": ((1e-300, 1e300),) * 3,
@@ -47,21 +55,35 @@ RANGES = {
     "sensors.diamond_erl": ((1e-300, 1e300),) * 2,
     "sensors.measured_erl_from_psd": ((1e-300, 1e300),) * 2,
     "species.mean_relative_velocity": ((1e-300, 1e300),) * 2,
+    "sensors.invert_sigma_v": ((1e-300, 1e300),) * 4,
+    "sensors.atomic_floor": ((0.5, 1e150), *((1e-300, 1e300),) * 3, (1, 1e30), (1e-300, 1e300)),
 }
+REPORT_FIELDS = [field.name for field in dataclasses.fields(AtomicErlReport)]
 
-# run in each tree's child: reads {name: [args as float.hex]}, writes {name: [hex or null]}
+# run in each tree's child: reads {name: [args as float.hex]}, writes {name: [[hex of each value] or null]}
 _CHILD = """
 import importlib, json, sys
-from erlab.sensors import SquidSpec
+from fractions import Fraction
+from erlab.sensors import SquidSpec, VaporCell
+from erlab.species import Species
+
+def call(function, fn, args):
+    if function == "squid_erl":
+        return [fn(SquidSpec(*args))]
+    if function == "atomic_floor":
+        spin, mass, sigma, temperature, n, V = args
+        species = Species("X", Fraction(round(2 * spin), 2), mass, sigma, temperature)
+        return list(vars(fn(VaporCell(species, n, V))).values())
+    return [fn(*args)]
+
 out = {}
 for name, draws in json.load(sys.stdin).items():
     module, function = name.split(".")
     fn = getattr(importlib.import_module("erlab." + module), function)
     results = out[name] = []
     for args in draws:
-        args = [float.fromhex(a) for a in args]
         try:
-            results.append((fn(SquidSpec(*args)) if function == "squid_erl" else fn(*args)).hex())
+            results.append([value.hex() for value in call(function, fn, [float.fromhex(a) for a in args])])
         except ValueError:
             results.append(None)
 json.dump(out, sys.stdout)
@@ -77,21 +99,39 @@ def draws(count: int, seed: int) -> dict[str, list[list[float]]]:
     return out
 
 
-def run(src: Path, inputs: dict) -> dict[str, list[float | None]]:
+def run(src: Path, inputs: dict) -> dict[str, list[list[str] | None]]:
     payload = json.dumps({name: [[a.hex() for a in args] for args in rows] for name, rows in inputs.items()})
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _CHILD], input=payload, capture_output=True, text=True,
                           env=env, check=True)
-    return {name: [None if r is None else float.fromhex(r) for r in rows]
-            for name, rows in json.loads(done.stdout).items()}
+    return json.loads(done.stdout)
 
 
-def error(fn, xs: list[float], value: float) -> float:
-    """ulps of ``value`` from the true value of ``fn`` at ``xs``, by the accuracy test's formula."""
-    _, formula, _ = test_accuracy._CLOSED_FORMS[fn]
-    args = (SquidSpec(*xs),) if fn.__name__ == "squid_erl" else map(test_accuracy.mpf, xs)
+def function(name: str):
+    module, attribute = name.split(".")
+    return getattr(importlib.import_module("erlab." + module), attribute)
+
+
+def fields(name: str) -> list[tuple[str, float]]:
+    """The label and budget of each value a call of ``name`` returns."""
+    if name == "sensors.atomic_floor":
+        return [(f"atomic_floor.{field}", test_accuracy._REPORT_BUDGETS[field]) for field in REPORT_FIELDS]
+    return [(name.split(".")[1], test_accuracy._CLOSED_FORMS[function(name)][2])]
+
+
+def errors(name: str, xs: list[float], values: list[str]) -> list[float]:
+    """ulps of each of ``values`` from its true value at ``xs``, by the accuracy test's formulas."""
     with test_accuracy.mpmath.workdps(60):
-        return test_accuracy._ulps(value, formula(test_accuracy._mp_constants(), *args))
+        if name == "sensors.atomic_floor":
+            spin, mass, sigma, temperature, n, V = xs
+            sp = Species("X", Fraction(round(2 * spin), 2), mass, sigma, temperature)
+            report = test_accuracy._exact_report(sp, n, V)
+            exact = [report[field] for field in REPORT_FIELDS]
+        else:
+            fn = function(name)
+            args = (SquidSpec(*xs),) if name == "sensors.squid_erl" else map(test_accuracy.mpf, xs)
+            exact = [test_accuracy._CLOSED_FORMS[fn][1](test_accuracy._mp_constants(), *args)]
+        return [test_accuracy._ulps(float.fromhex(v), e) for v, e in zip(values, exact)]
 
 
 def main(argv=None) -> int:
@@ -102,27 +142,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     inputs = draws(args.draws, args.seed)
     parent, change = run(args.parent_src, inputs), run(ROOT / "src", inputs)
-    print(f"{'function':30} {'kept':>6} {'changed':>7} {'(ulp)':>5} {'accepted':>8} {'(ulp)':>5} {'budget':>6} "
-          f"{'refused':>7}")
+    print(f"{'function':40} {'kept':>6} {'(ulp)':>5} {'changed':>7} {'(ulp)':>5} {'accepted':>8} {'(ulp)':>5} "
+          f"{'budget':>6} {'refused':>7}")
     failed = False
     for name in RANGES:
-        module, function = name.split(".")
-        fn = getattr(importlib.import_module("erlab." + module), function)
-        budget = test_accuracy._CLOSED_FORMS[fn][2]
-        kept = changed = new = refused = 0
-        worst_changed = worst_new = 0.0
+        labels = fields(name)
+        kept, changed = [0] * len(labels), [0] * len(labels)
+        worst_kept, worst_changed, worst_new = ([0.0] * len(labels) for _ in range(3))
+        new = refused = 0
         for xs, old, now in zip(inputs[name], parent[name], change[name]):
             if now is None:
                 refused += old is not None
-            elif old is not None and old.hex() == now.hex():
-                kept += 1
-            elif old is None:
-                new, worst_new = new + 1, max(worst_new, error(fn, xs, now))
-            else:
-                changed, worst_changed = changed + 1, max(worst_changed, error(fn, xs, now))
-        failed |= bool(refused) or max(worst_changed, worst_new) > budget
-        print(f"{function:30} {kept:6} {changed:7} {worst_changed:5.2f} {new:8} {worst_new:5.2f} {budget:6} "
-              f"{refused:7}")
+                continue
+            new += old is None
+            for i, (value, ulps) in enumerate(zip(now, errors(name, xs, now))):
+                if old is None:
+                    worst_new[i] = max(worst_new[i], ulps)
+                elif old[i] == value:
+                    kept[i], worst_kept[i] = kept[i] + 1, max(worst_kept[i], ulps)
+                else:
+                    changed[i], worst_changed[i] = changed[i] + 1, max(worst_changed[i], ulps)
+        failed |= bool(refused)
+        for i, (label, budget) in enumerate(labels):
+            failed |= max(worst_changed[i], worst_new[i]) > budget
+            print(f"{label:40} {kept[i]:6} {worst_kept[i]:5.2f} {changed[i]:7} {worst_changed[i]:5.2f} {new:8} "
+                  f"{worst_new[i]:5.2f} {budget:6} {refused:7}")
     return 1 if failed else 0
 
 
