@@ -15,9 +15,9 @@ package itself exports only ``__version__``.  Submodules:
 ``bounds``
     Sensor-independent bounds: work cost of information, minimum
     evolution time, the ``pi/2`` floor, and spin-temperature relations.
-``sensors``
-    Per-technology evaluations (vapor cell, SQUID, diamond) and the
-    published-record comparison.
+``sensors`` / ``atomic_report``
+    Per-technology evaluations (vapor cell, SQUID, diamond), the
+    published-record comparison, and the vapor floor's report.
 ``spinsim``
     Monte Carlo simulator for the transient spin-noise variance, with a
     closed-form reference solution; the only submodule that needs numpy.

@@ -51,7 +51,7 @@ _MAX_DIGITS = 1000
 _TABLE1_DENSITY = 1e20  # m^-3
 _TABLE1_VOLUME = 1e-5   # m^3
 
-# result-dataclass field -> (row label, unit, provenance), in report order
+# AtomicErlReport field -> (row label, unit, provenance), in report order
 _ATOMIC_FIELDS = {
     "atom_count": ("atom_count", "", "derived"),
     "relaxation_time": ("relaxation_time", "s", "derived"),
@@ -67,7 +67,7 @@ _ATOMIC_FIELDS = {
     "delta_B_uncertainty_check": ("delta_B_uncertainty_check", "T", "derived"),
     "psd": ("psd", "T/rtHz", "predicted"),
 }
-# the keys are also the columns of the wide table2/compare CSV
+# ComparisonRow field -> the same; the keys are also the columns of the wide table2/compare CSV
 _COMPARISON_FIELDS = {
     "p": ("p", "", "measured"),
     "T_K": ("bath_temperature", "K", "measured"),

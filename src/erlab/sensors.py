@@ -21,24 +21,26 @@ the collision time T_coll = n^(-1/3) / v_bar and the per-collision phase
 phi = sqrt(T_coll / tau).  The bare amplification factor
 kappa_bare = hbar sigma_sd v_bar / (mu_0 mu^2) satisfies
 kappa_bare = sqrt(N_c) phi identically.
+
+The inputs and the comparison rows are NamedTuples, whose constructor, ``_make``
+and ``_replace`` check the fields; the vapor report is ``erlab.atomic_report``'s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import THEORETICAL_FLOOR_HBAR, erl_quantum, spin_temperature
 from .units import _scaled, brief, constants, read_json, require
 
-if TYPE_CHECKING:  # an annotation only; the CLI's squid and diamond need no species
+if TYPE_CHECKING:  # annotations only: squid and diamond load neither species nor dataclasses
+    from .atomic_report import AtomicErlReport
     from .species import Species
 
 __all__ = [
     "VaporCell",
-    "AtomicErlReport",
     "atomic_floor",
     "invert_sigma_v",
     "atomic_psd",
@@ -60,29 +62,33 @@ _LN2 = math.log(2.0)
 # atomic vapor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VaporCell:
+class _VaporCellFields(NamedTuple):
+    species: Species
+    number_density: float
+    volume: float
+    cell_temperature: float | None
+
+
+class VaporCell(_VaporCellFields):
     """A vapor cell: species plus density [m^-3], volume [m^3], temperature [K].
 
     ``cell_temperature = None`` means "at the species' calibration
     temperature", which reproduces the calibrated rate coefficient exactly.
     """
 
-    species: Species
-    number_density: float
-    volume: float
-    cell_temperature: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, species, number_density, volume, cell_temperature=None):
+        self = super().__new__(cls, species, number_density, volume, cell_temperature)
         require(self.number_density, "number density")
         require(self.volume, "volume")
         require(self.atom_count, "atom count N = density * volume", "finite")
         if self.atom_count < 1:
-            raise ValueError(
-                f"cell must contain at least one atom, got N = {self.atom_count}"
-            )
+            raise ValueError(f"cell must contain at least one atom, got N = {self.atom_count}")
         if self.cell_temperature is not None:
             require(self.cell_temperature, "cell temperature")
+        return self
 
     @property
     def atom_count(self) -> float:
@@ -93,25 +99,6 @@ class VaporCell:
         if self.cell_temperature is not None:
             return self.cell_temperature
         return self.species.reference_temperature_K
-
-
-@dataclass(frozen=True)
-class AtomicErlReport:
-    """Everything the vapor floor model derives for one cell (SI units)."""
-
-    atom_count: float
-    relaxation_time: float              # s
-    delta_B_floor: float                # T
-    erl_hbar: float                     # units of hbar
-    kappa: float                        # with the 3 pi / (4 ln 2) prefactor
-    kappa_bare: float                   # hbar sigma_sd v_bar / (mu_0 mu^2)
-    spin_temperature: float             # K, evaluated at B = delta_B_floor
-    correlation_atoms: float            # N_c
-    correlation_volume: float           # m^3
-    collision_time: float               # s
-    sd_phase: float                     # phi
-    delta_B_uncertainty_check: float    # T, collective-spin uncertainty route
-    psd: float                          # T/sqrt(Hz)
 
 
 def invert_sigma_v(delta_B: float, mu: float, volume: float, atom_count: float) -> float:
@@ -149,6 +136,8 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
     no intermediate leaves the float range.  Raises ValueError for a floor
     below pi/2 hbar, and for the first field that is not a normal float.
     """
+    from .atomic_report import AtomicErlReport
+
     sp = cell.species
     sigma = sp.calibrated_cross_section  # rejects an uncalibrated species
     v_bar = sp.mean_relative_velocity(cell.temperature)
@@ -196,17 +185,22 @@ def atomic_floor(cell: VaporCell) -> AtomicErlReport:
 # SQUID
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SquidSpec:
-    """SQUID readout: flux noise as a fraction p of the flux quantum in a
-    1 Hz bandwidth, bath temperature [K], measurement time [s]."""
-
+class _SquidSpecFields(NamedTuple):
     flux_noise_fraction: float
     bath_temperature: float
     measurement_time: float
-    measured_erl_hbar: float | None = None
+    measured_erl_hbar: float | None
 
-    def __post_init__(self):
+
+class SquidSpec(_SquidSpecFields):
+    """SQUID readout: flux noise as a fraction p of the flux quantum in a
+    1 Hz bandwidth, bath temperature [K], measurement time [s]."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, flux_noise_fraction, bath_temperature, measurement_time, measured_erl_hbar=None):
+        self = super().__new__(cls, flux_noise_fraction, bath_temperature, measurement_time, measured_erl_hbar)
         p = self.flux_noise_fraction
         if not 0.0 < require(p, "flux noise fraction", "finite") < 1.0:
             raise ValueError(f"flux noise fraction must lie in (0, 1), got {brief(p)}")
@@ -214,6 +208,7 @@ class SquidSpec:
         require(self.measurement_time, "measurement time")
         if self.measured_erl_hbar is not None:
             require(self.measured_erl_hbar, "measured energy resolution")
+        return self
 
     @property
     def info_nats(self) -> float:
@@ -276,8 +271,7 @@ def erl_ratio(measured: float, predicted: float) -> float:
 # published-record comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     label: str
     p: float
     T_K: float

@@ -18,10 +18,10 @@ finite inputs overflow or underflow raises ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .units import _scaled, brief, constants, read_json, require
 
@@ -81,8 +81,7 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     return require(v_bar, "mean relative velocity", "a normal float" if temperature_K else "finite")
 
 
-@dataclass(frozen=True)
-class Species:
+class Species(NamedTuple):
     """One catalog entry, SI except where the name says otherwise.
 
     ``sd_cross_section_m2`` may be ``None`` for a species that has not been

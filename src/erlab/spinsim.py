@@ -53,8 +53,8 @@ import operator
 import os
 import signal
 import threading
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,9 +93,17 @@ def _within_budget(what: str, count) -> None:
         raise ValueError(f"{what} must be at most {MAX_ARRAY_LENGTH} (memory budget), got {brief(count)}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation parameters.
+class _SimConfigFields(NamedTuple):
+    atom_count: float
+    relaxation_time: float
+    trajectory_count: int
+    steps_per_tau: int
+    horizon: float
+    seed: int
+
+
+class SimConfig(_SimConfigFields):
+    """Simulation parameters, a tuple whose constructor, ``_make`` and ``_replace`` check them.
 
     ``horizon`` is the integration endpoint in units of tau; ``steps_per_tau``
     sets the finest time step dt = tau / steps_per_tau (the actual step is
@@ -104,30 +112,26 @@ class SimConfig:
     The integer fields take a numpy integer too, and store it as an int.
     """
 
-    atom_count: float
-    relaxation_time: float
-    trajectory_count: int
-    steps_per_tau: int = 100
-    horizon: float = 1.0
-    seed: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self):
-        require(self.atom_count, "atom count", ">= 1")
-        require(self.relaxation_time, "relaxation time")
-        self._set_int("trajectory_count", lambda n: n >= 1, "trajectory count must be an integer >= 1")
-        self._set_int("steps_per_tau", lambda n: n >= 10, "steps_per_tau must be an integer >= 10")
-        require(self.horizon, "horizon", "non-negative")
-        self._set_int("seed", lambda n: 0 <= n < _MAX_SEED, "seed must be a 64-bit unsigned integer")
+    def __new__(cls, atom_count, relaxation_time, trajectory_count, steps_per_tau=100, horizon=1.0, seed=0):
+        require(atom_count, "atom count", ">= 1")
+        require(relaxation_time, "relaxation time")
+        trajectory_count = _as_int(trajectory_count, lambda n: n >= 1,
+                                   f"trajectory count must be an integer >= 1, got {brief(trajectory_count)}")
+        steps_per_tau = _as_int(steps_per_tau, lambda n: n >= 10,
+                                f"steps_per_tau must be an integer >= 10, got {brief(steps_per_tau)}")
+        require(horizon, "horizon", "non-negative")
+        seed = _as_int(seed, lambda n: 0 <= n < _MAX_SEED,
+                       f"seed must be a 64-bit unsigned integer, got {brief(seed)}")
+        self = super().__new__(cls, atom_count, relaxation_time, trajectory_count, steps_per_tau, horizon, seed)
         _within_budget("trajectory count", self.trajectory_count)
         try:
             _within_budget("step count", self.step_count)
         except OverflowError:  # horizon * steps_per_tau is past the float range
             _within_budget("step count", math.inf)
-
-    def _set_int(self, field: str, valid, message: str) -> None:
-        """Store ``field`` as ``_as_int`` gives it, a plain int for config_echo's JSON."""
-        value = getattr(self, field)
-        object.__setattr__(self, field, _as_int(value, valid, f"{message}, got {brief(value)}"))
+        return self
 
     @property
     def step_count(self) -> int:
@@ -146,8 +150,7 @@ class SimConfig:
         }
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     variance_at_horizon: float
     mean_over_trajectories: float
     standard_error: float           # of the mean: sample std / sqrt(M)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Quantity",
@@ -107,8 +107,7 @@ _QUANTITY_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """A parsed input: its magnitude in SI base units."""
 
     si: float
@@ -286,8 +285,7 @@ def _scaled(factors, divisors=(), root=False) -> float:
 # physical constants (CODATA 2018)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """CODATA 2018 values, SI.  Frozen in source so results are reproducible
     independent of any constants library installed alongside."""
 

@@ -17,7 +17,6 @@ forms, in two seeds), rounded up, and then fixed here; for the report
 fields, 30,000 examples of the property test found no larger one."""
 
 import contextlib
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -58,7 +57,7 @@ def _ulps(value: float, exact) -> float:
 
 def _mp_constants() -> dict:
     """Each constant's float, exactly, as an mpf of the working precision."""
-    return {name: mpf(value) for name, value in dataclasses.asdict(constants()).items()}
+    return {name: mpf(value) for name, value in constants()._asdict().items()}
 
 
 def _exact_report(sp: Species, n: float, V: float) -> dict:
@@ -194,7 +193,7 @@ _CLOSED_FORMS = {
         lambda c, dB, mu, V, N: dB * mu * V * 2 * mpmath.ln(2) / (mpmath.pi * c["hbar"] * mpmath.sqrt(N)), 4.5),
     sensors.squid_erl: (
         (st.builds(sensors.SquidSpec, _log_uniform(1e-12, 0.9), _log_uniform(1e-3, 1e3),
-                   _log_uniform(1e-12, 1e3)),),
+                   _log_uniform(1e-12, 1e3), st.none()),),
         lambda c, spec: -mpf(spec.flux_noise_fraction) * mpmath.ln(spec.flux_noise_fraction)
         * c["k_B"] * spec.bath_temperature * spec.measurement_time / c["hbar"], 4.5),
     sensors.diamond_erl: (
@@ -214,7 +213,7 @@ _CLOSED_FORMS = {
         lambda c, m, T: mpmath.sqrt(8 * c["k_B"] * T / (mpmath.pi * m / 2)), 2),
     spinsim.scheme_variance: (
         (st.builds(spinsim.SimConfig, _log_uniform(1, 1e30), st.just(1.0), st.just(1),
-                   st.integers(10, 10_000), st.one_of(st.just(0.0), _log_uniform(1e-3, 10))),),
+                   st.integers(10, 10_000), st.one_of(st.just(0.0), _log_uniform(1e-3, 10)), st.just(0)),),
         lambda c, config: _scheme_variance(config), 8),
 }
 

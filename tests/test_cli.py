@@ -143,7 +143,7 @@ def _library_values(command, opts):
         sensors.load_published_records(path) if path else sensors.default_published_records()
     ):
         warning = ("measured below prediction",) if row.flagged else ()
-        groups.append((f"{row.label}.", astuple(row)[1:-1] + warning))  # the fields from p to ratio
+        groups.append((f"{row.label}.", tuple(row)[1:-1] + warning))  # the fields from p to ratio
     return groups
 
 
@@ -276,26 +276,31 @@ def test_simulate_forks_from_one_thread():
 
 
 # argv -> modules its process must not load, and its exit code: each command
-# imports only what it runs, the standard library's modules too, and only
-# simulate loads numpy
-_NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.report"}
+# imports only what it runs, the standard library's modules too, only
+# simulate loads numpy, and only atomic and table1, which build atomic_floor's
+# report, load dataclasses and its inspect (numpy imports inspect itself)
+_NO_DATACLASSES = {"dataclasses", "inspect"}
+_NO_COMMAND = {"numpy", "erlab.units", "erlab.sensors", "erlab.species", "erlab.report", *_NO_DATACLASSES}
 _NO_FRACTIONS = {"fractions", "decimal"}
 _LAYERING = (
-    (("-c", "import erlab.cli"), {"numpy"}, 0),
+    (("-c", "import erlab.cli"), {"numpy", *_NO_DATACLASSES}, 0),
     (("-m", "erlab", "table1"), {"numpy", "csv"}, 0),
     (("-m", "erlab", "--version"), _NO_COMMAND, 0),
     (("-m", "erlab", "--help"), _NO_COMMAND, 0),
     # a usage error's line, however long, is cut without the unit layer
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "5", "--seed", "1" * 5000), _NO_COMMAND, 1),
-    (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds", "csv"}, 0),
+    (("-m", "erlab", "species-list"), {"numpy", "erlab.sensors", "erlab.bounds", "csv", *_NO_DATACLASSES}, 0),
     # text output reads no JSON and writes no CSV
     (("-m", "erlab", "squid", "--p", "0.01", "--temp", "4.2K", "--tau", "1us"),
-     {"numpy", "erlab.species", "json", "csv", *_NO_FRACTIONS}, 0),
+     {"numpy", "erlab.species", "json", "csv", *_NO_FRACTIONS, *_NO_DATACLASSES}, 0),
     (("-m", "erlab", "diamond", "--temp", "300K", "--tau", "1us"),
-     {"numpy", "erlab.species", "json", "csv", *_NO_FRACTIONS}, 0),
+     {"numpy", "erlab.species", "json", "csv", *_NO_FRACTIONS, *_NO_DATACLASSES}, 0),
+    (("-m", "erlab", "table2"), {"numpy", "erlab.species", *_NO_FRACTIONS, *_NO_DATACLASSES}, 0),
+    (("-m", "erlab", "compare", "--records", str(PKG_DATA / "squid_records.json")),
+     {"numpy", "erlab.species", *_NO_FRACTIONS, *_NO_DATACLASSES}, 0),
     # JSON output and no dumps: nothing of report or csv runs
     (("-m", "erlab", "simulate", "--atoms", "1e6", "--trajectories", "100", "--seed", "1"),
-     {"erlab.sensors", "erlab.species", "erlab.bounds", "erlab.report", "csv", *_NO_FRACTIONS}, 0),
+     {"erlab.sensors", "erlab.species", "erlab.bounds", "erlab.report", "csv", "dataclasses", *_NO_FRACTIONS}, 0),
 )
 
 
@@ -311,6 +316,16 @@ def _imports(*args):
     ]
 
 
+def _importer(stderr: str, name: str) -> str:
+    """The module whose import imported ``name``, read from the tree that
+    ``-X importtime`` writes to ``stderr``: a module's line follows those of
+    the modules it imported, which are indented two spaces more."""
+    entries = [line.rsplit("|", 1)[1] for line in stderr.splitlines() if line.startswith("import time:")]
+    depth = [len(entry) - len(entry.lstrip()) for entry in entries]
+    i = [entry.strip() for entry in entries].index(name)
+    return next(entry.strip() for entry, d in zip(entries[i + 1:], depth[i + 1:]) if d < depth[i])
+
+
 def test_only_simulate_imports_numpy():
     for args, absent, code in _LAYERING:
         proc, modules = _imports(*args)
@@ -323,6 +338,10 @@ def test_only_simulate_imports_numpy():
     version = set(_imports("-m", "erlab", "--version")[1])
     stdlib = set(_imports("-c", "import argparse, gettext, locale, runpy, textwrap, __future__")[1])
     assert version - stdlib == {"erlab", "erlab.cli"}
+    # table1 loads dataclasses for atomic_floor's report alone
+    proc, modules = _imports("-m", "erlab", "table1")
+    assert proc.returncode == 0 and modules.count("dataclasses") == 1
+    assert _importer(proc.stderr, "dataclasses") == "erlab.atomic_report"
 
 
 @pytest.mark.skipif(spinsim.usable_cpus() < 2, reason="forks a worker only with 2 usable CPUs")

@@ -1,20 +1,23 @@
-"""The library's contract, over every public callable of ``bounds``,
-``species``, ``sensors`` and ``spinsim``: whatever the arguments, a call
-returns a finite result (for a record, every float field) or raises a
+"""The library's contract, over every public callable of ``atomic_report``,
+``bounds``, ``species``, ``sensors`` and ``spinsim``: whatever the arguments,
+a call returns a finite result (for a record, every float field) or raises a
 ValueError of one line under 200 bytes, and does nothing else.  Arguments
 come from a strategy table keyed by parameter name; a public callable that
-it cannot call, and that is not an explicit skip, fails the test."""
+it cannot call, and that is not an explicit skip, fails the test.  A record
+that checks its fields checks them on ``_replace`` and ``_make`` too."""
 
 import dataclasses
 import inspect
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from erlab import bounds, sensors, species, spinsim
+from erlab import atomic_report, bounds, sensors, species, spinsim
 from erlab.units import constants
 
 # values at and past the edges of every domain, and values that are not real numbers
@@ -98,7 +101,7 @@ _SKIPS = {
     "erlab.species.SpeciesCatalog": "test_species.py::test_load_catalog_rejects_duplicate_names",
     "erlab.species.load_catalog": "reads a file: test_species.py::test_load_catalog_rejects_bad_rows",
     "erlab.species.default_catalog": "reads the bundled file: test_species.py::test_default_catalog_contents",
-    "erlab.sensors.AtomicErlReport": "atomic_floor's result, checked here through atomic_floor",
+    "erlab.atomic_report.AtomicErlReport": "atomic_floor's result, checked here through atomic_floor",
     "erlab.sensors.ComparisonRow": "compare_published's result, checked here through compare_published",
     "erlab.sensors.load_published_records":
         "reads a file: test_sensors.py::test_load_published_records_rejects_bad_docs",
@@ -111,7 +114,7 @@ _SKIPS = {
 
 _PUBLIC = {
     f"{module.__name__}.{name}": getattr(module, name)
-    for module in (bounds, species, sensors, spinsim)
+    for module in (atomic_report, bounds, species, sensors, spinsim)
     for name in module.__all__
     if callable(getattr(module, name))
 }
@@ -162,3 +165,20 @@ def test_every_public_callable_keeps_the_contract(call):
         assert len(message.encode(errors="surrogatepass")) < 200, message
         return
     _assert_finite(result, fn.__qualname__)
+
+
+@pytest.mark.parametrize("record, field, value, message", [
+    (sensors.VaporCell(species.default_catalog().get("133Cs"), 1e20, 1e-5), "volume", 0.0,
+     "volume must be positive, got 0.0"),
+    (sensors.SquidSpec(0.01, 4.2, 1e-6), "flux_noise_fraction", 1.5,
+     "flux noise fraction must lie in (0, 1), got 1.5"),
+    # refused before a run could allocate its horizon values
+    (spinsim.SimConfig(1e4, 1.0, 10), "trajectory_count", 2**30,
+     "trajectory count must be at most 16777216 (memory budget), got 1073741824"),
+])
+def test_a_replaced_field_is_checked_as_the_constructor_checks_it(record, field, value, message):
+    fields = {**record._asdict(), field: value}
+    for build in (lambda: type(record)(**fields), lambda: record._replace(**{field: value}),
+                  lambda: type(record)._make(fields.values())):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

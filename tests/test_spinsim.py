@@ -8,7 +8,6 @@ import signal
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,7 +224,7 @@ def _check_contract(monkeypatch, fake_cpus, m, growth=0, *, steps_per_tau=10, ho
         if not fork:
             patch.delattr(os, "fork")
         for count in (m, m + growth):
-            config = replace(big, trajectory_count=count)
+            config = big._replace(trajectory_count=count)
             res = simulate_transient(config, workers=workers)
             endpoints = np.array([end for _, end in reference[:count]])
             assert res.mean_over_trajectories == float(np.mean(endpoints))
@@ -290,7 +289,7 @@ def test_forks_capped_at_usable_cpus_and_blocks(monkeypatch, tmp_path, fake_cpus
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
     assert forks == []
     fake_cpus(8)
-    one_unit = replace(cfg, trajectory_count=100)
+    one_unit = cfg._replace(trajectory_count=100)
     assert simulate_transient(one_unit, workers=4) == simulate_transient(one_unit)
     assert forks == []  # one worker, capped by the unit count
     assert result_to_json(simulate_transient(cfg, workers=4), cfg) == serial
@@ -418,6 +417,7 @@ def test_result_json_is_canonical():
     # numpy integers are stored as ints, so they echo as the same JSON
     numpy_cfg = SimConfig(1e4, 1.0, np.int64(100), steps_per_tau=np.int32(100), seed=np.uint64(21))
     assert result_to_json(simulate_transient(numpy_cfg), numpy_cfg) == text
+    assert cfg._replace(seed=np.uint64(21)) == cfg and type(cfg._replace(seed=np.uint64(21)).seed) is int
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_accuracy  # noqa: E402  (this tree's erlab, and the formulas and budgets of its closed forms)
-from erlab.sensors import AtomicErlReport, SquidSpec  # noqa: E402
+from erlab.atomic_report import AtomicErlReport  # noqa: E402
+from erlab.sensors import SquidSpec  # noqa: E402
 from erlab.species import Species  # noqa: E402
 
 # function -> the (low, high) range of each argument; squid_erl's are those of SquidSpec(p, T, tau),
