@@ -10,16 +10,14 @@ Everything here is plain SI floats; see ``erlab.units`` for the boundary
 layer that checks dimensions on the way in and the domain of every value.
 Each product is formed by ``units._scaled``, which carries the binary
 exponent apart from the mantissas, so no intermediate product underflows
-or overflows and only the result is checked: a result that finite inputs
-take past the float range, or below the normal floats, raises ValueError;
-an exact 0 from a zero input is valid.
+or overflows, and only the result is checked, by ``units._checked``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .units import _scaled, constants, require
+from .units import _checked, _scaled, constants, require
 
 __all__ = [
     "THEORETICAL_FLOOR_HBAR",
@@ -43,8 +41,7 @@ def measurement_work_bound(temperature_K: float, info_nats: float) -> float:
     """
     require(temperature_K, "temperature")
     require(info_nats, "information", "non-negative")
-    work = _scaled((constants().k_B, temperature_K, info_nats))
-    return require(work, "work bound", "a normal float" if info_nats else "finite")
+    return _checked("work bound", (constants().k_B, temperature_K, info_nats))
 
 
 def ml_min_time(energy_J: float) -> float:
@@ -63,16 +60,14 @@ def erl_quantum(delta_B_T: float, volume_m3: float, tau_s: float) -> float:
     require(volume_m3, "volume")
     require(tau_s, "measurement time")
     c = constants()
-    erl = _scaled((delta_B_T, delta_B_T, volume_m3, tau_s), (2.0, c.mu_0, c.hbar))
-    return require(erl, "energy resolution", "a normal float" if delta_B_T else "finite")
+    return _checked("energy resolution", (delta_B_T, delta_B_T, volume_m3, tau_s), (2.0, c.mu_0, c.hbar))
 
 
 def field_fluctuation_from_work(work_J: float, volume_m3: float) -> float:
     """Field scale whose energy in ``volume_m3`` equals ``work_J``:  sqrt(2 mu_0 W / V)  [T]."""
     require(work_J, "work", "non-negative")
     require(volume_m3, "volume")
-    field = _scaled((2.0, constants().mu_0, work_J), (volume_m3,), root=True)
-    return require(field, "field fluctuation", "a normal float" if work_J else "finite")
+    return _checked("field fluctuation", (2.0, constants().mu_0, work_J), (volume_m3,), root=True)
 
 
 def spin_temperature(atom_count: float, field_T: float, moment_J_per_T: float) -> float:
@@ -84,8 +79,7 @@ def spin_temperature(atom_count: float, field_T: float, moment_J_per_T: float) -
     require(atom_count, "atom count", ">= 1")
     require(field_T, "field")
     require(moment_J_per_T, "moment")
-    T_s = _scaled((moment_J_per_T, math.sqrt(atom_count), field_T), (constants().k_B,))
-    return require(T_s, "spin temperature", "a normal float")
+    return _checked("spin temperature", (moment_J_per_T, math.sqrt(atom_count), field_T), (constants().k_B,))
 
 
 def spin_temp_polarization(T_s_K: float, field_T: float, moment_J_per_T: float) -> float:

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import THEORETICAL_FLOOR_HBAR, erl_quantum, spin_temperature
-from .units import _scaled, brief, constants, read_json, require
+from .units import _checked, _scaled, brief, constants, read_json, require
 
 if TYPE_CHECKING:  # annotations only: squid and diamond load neither species nor dataclasses
     from .atomic_report import AtomicErlReport
@@ -113,8 +113,8 @@ def invert_sigma_v(delta_B: float, mu: float, volume: float, atom_count: float) 
     require(mu, "mu")
     require(volume, "volume")
     require(atom_count, "atom_count")
-    sigma_v = _scaled((delta_B, mu, volume, 2.0, _LN2), (math.pi, constants().hbar, math.sqrt(atom_count)))
-    return require(sigma_v, "rate coefficient sigma_v", "a normal float")
+    divisors = (math.pi, constants().hbar, math.sqrt(atom_count))
+    return _checked("rate coefficient sigma_v", (delta_B, mu, volume, 2.0, _LN2), divisors)
 
 
 def atomic_psd(delta_B: float, tau: float) -> float:
@@ -125,7 +125,7 @@ def atomic_psd(delta_B: float, tau: float) -> float:
     """
     require(tau, "relaxation time")
     require(delta_B, "field floor", "non-negative")
-    return require(delta_B * math.sqrt(tau), "psd", "a normal float" if delta_B else "finite")
+    return _checked("psd", (delta_B, math.sqrt(tau)))
 
 
 def atomic_floor(cell: VaporCell) -> AtomicErlReport:
@@ -226,9 +226,8 @@ def squid_erl(spec: SquidSpec) -> float:
     c = constants()
     # the info_gained row prints -p ln p itself, so it must be a normal float too
     info = require(spec.info_nats, "-p ln p", "a normal float")
-    # no product underflows on the way (see erlab.bounds)
-    erl = _scaled((info, c.k_B, spec.bath_temperature, spec.measurement_time), (c.hbar,))
-    return require(erl, "predicted energy resolution", "a normal float")
+    factors = (info, c.k_B, spec.bath_temperature, spec.measurement_time)
+    return _checked("predicted energy resolution", factors, (c.hbar,))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +243,7 @@ def diamond_erl(temperature_K: float, tau_s: float) -> float:
     require(temperature_K, "temperature")
     require(tau_s, "relaxation time", "non-negative")
     c = constants()
-    erl = _scaled((c.k_B, temperature_K, _LN2, tau_s), (c.hbar,))  # no product underflows (see erlab.bounds)
-    return require(erl, "optimal energy resolution", "a normal float" if tau_s else "finite")
+    return _checked("optimal energy resolution", (c.k_B, temperature_K, _LN2, tau_s), (c.hbar,))
 
 
 def measured_erl_from_psd(psd: float, volume: float) -> float:
@@ -263,8 +261,7 @@ def erl_ratio(measured: float, predicted: float) -> float:
     require(measured, "measured energy resolution", "finite")
     if predicted not in (math.inf, -math.inf):  # allowed, as 0 / inf is a valid ratio of 0
         require(predicted, "predicted energy resolution", "finite")
-    ratio = measured / predicted if predicted else math.inf
-    return require(ratio, "measured-to-predicted ratio", "a normal float" if measured else "finite")
+    return _checked("measured-to-predicted ratio", (measured,), (predicted,))  # x / 0 is +-inf
 
 
 # ---------------------------------------------------------------------------

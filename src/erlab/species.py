@@ -11,8 +11,7 @@ the unstated calibration temperature.  They are effective parameters of
 the model, not literature collision data.
 
 Electron spin is S = 1/2 throughout (alkali ground state).  As in
-``erlab.bounds``, no product underflows on the way, and a result that
-finite inputs overflow or underflow raises ValueError.
+``erlab.bounds``, v_bar is formed and checked by ``units._checked``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .units import _scaled, brief, constants, read_json, require
+from .units import _checked, brief, constants, read_json, require
 
 __all__ = [
     "slowing_factor",
@@ -75,10 +74,9 @@ def mean_relative_velocity(mass_kg: float, temperature_K: float) -> float:
     """
     require(mass_kg, "mass")
     require(temperature_K, "temperature", "non-negative")
-    require(mass_kg / 2.0, "reduced mass m/2")  # a subnormal mass can halve to 0
-    # m/2 as m times the exact 0.5; no product underflows (see erlab.bounds)
-    v_bar = _scaled((8.0, constants().k_B, temperature_K), (math.pi, mass_kg, 0.5), root=True)
-    return require(v_bar, "mean relative velocity", "a normal float" if temperature_K else "finite")
+    # m/2 as m times the exact 0.5, so a subnormal mass does not halve to 0
+    factors = (8.0, constants().k_B, temperature_K)
+    return _checked("mean relative velocity", factors, (math.pi, mass_kg, 0.5), root=True)
 
 
 class Species(NamedTuple):

@@ -11,7 +11,8 @@ owns five things:
   the value quoted in a library error message short (the CLI bounds its
   whole error line in ``cli._fail``),
 * ``_scaled``, the product and quotient of the closed forms, whose
-  intermediates cannot leave the float range, and
+  intermediates cannot leave the float range, with ``_checked``, their
+  one result rule, and
 * ``read_json``, the bounded read of the JSON input files.
 
 A dimension is the string a message prints for it, one for each of the
@@ -279,6 +280,14 @@ def _scaled(factors, divisors=(), root=False) -> float:
         return math.ldexp(quotient, exponent)
     except OverflowError:
         return math.copysign(math.inf, quotient)
+
+
+def _checked(name: str, factors, divisors=(), root=False) -> float:
+    """``_scaled(factors, divisors, root)`` if it is a normal float, or exactly
+    0 where a zero factor made it 0; else ValueError, "<name> must be finite,
+    got inf" past the float range and "<name> must be a normal float, got
+    0.0" below it.  The closed forms' result rule, stated once."""
+    return require(_scaled(factors, divisors, root), name, "a normal float" if all(factors) else "finite")
 
 
 # ---------------------------------------------------------------------------

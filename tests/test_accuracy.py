@@ -6,8 +6,9 @@ evaluation, at 60 digits, of its formula as the docstrings of
 it, over drawn species and cells from the catalog's range out to
 extreme spins, masses, cross sections, densities and volumes; a draw that
 ``atomic_floor`` refuses must raise ValueError.  The six closed forms of
-``erlab.bounds``, ``invert_sigma_v``, ``squid_erl``, ``diamond_erl``,
-``measured_erl_from_psd``, the three ``erlab.species`` helpers and
+``erlab.bounds``, ``invert_sigma_v``, ``atomic_psd``, ``squid_erl``,
+``diamond_erl``, ``measured_erl_from_psd``, ``erl_ratio``, the three
+``erlab.species`` helpers and
 ``spinsim.scheme_variance`` are held the same way over draws from each
 argument's physical range, and ``spinsim.analytic_variance`` at horizons
 from 1e-8 to 3.  Each budget, in
@@ -165,10 +166,10 @@ def _slowing_factor(I):
     return (mpf(3) / 4 + I * (I + 1)) / (mpf(3) / 4)
 
 
-# each closed form of ``bounds``, ``invert_sigma_v``, the SQUID and diamond
-# evaluators, the species helpers and the scheme variance: the strategy of
-# each argument, from its physical range, its true value as the function's
-# docstring states it, and its budget in ulps
+# each closed form of ``bounds``, ``invert_sigma_v``, ``atomic_psd``, the SQUID
+# and diamond evaluators, ``erl_ratio``, the species helpers and the scheme
+# variance: the strategy of each argument, from its physical range, its true
+# value as the function's docstring states it, and its budget in ulps
 _CLOSED_FORMS = {
     bounds.measurement_work_bound: (
         (_log_uniform(1e-3, 1e4), _log_uniform(1e-12, 1e2)),
@@ -191,6 +192,9 @@ _CLOSED_FORMS = {
     sensors.invert_sigma_v: (
         (_log_uniform(1e-18, 1e-3), _log_uniform(1e-30, 1e-20), _log_uniform(1e-20, 1e5), _log_uniform(1, 1e30)),
         lambda c, dB, mu, V, N: dB * mu * V * 2 * mpmath.ln(2) / (mpmath.pi * c["hbar"] * mpmath.sqrt(N)), 4.5),
+    sensors.atomic_psd: (
+        (_log_uniform(1e-18, 1e-3), _log_uniform(1e-12, 1e3)),
+        lambda c, dB, tau: dB * mpmath.sqrt(tau), 1.5),
     sensors.squid_erl: (
         (st.builds(sensors.SquidSpec, _log_uniform(1e-12, 0.9), _log_uniform(1e-3, 1e3),
                    _log_uniform(1e-12, 1e3), st.none()),),
@@ -202,6 +206,9 @@ _CLOSED_FORMS = {
     sensors.measured_erl_from_psd: (
         (_log_uniform(1e-18, 1e-6), _log_uniform(1e-20, 1e5)),
         lambda c, psd, V: psd**2 * V / (2 * c["mu_0"] * c["hbar"]), 3),
+    sensors.erl_ratio: (
+        (_log_uniform(1e-3, 1e12), _log_uniform(1e-3, 1e12)),
+        lambda c, measured, predicted: measured / predicted, 0.5),
     species.slowing_factor: (
         (st.one_of(st.integers(0, 9), _log_uniform(0.5, 1e155).map(round)).map(lambda k: Fraction(k, 2)),),
         lambda c, spin: _slowing_factor(mpf(spin.numerator) / spin.denominator), 0.5),
@@ -254,6 +261,7 @@ def test_every_closed_form_is_within_its_budget_of_the_formula(fn):
         (sensors.diamond_erl, (1.0028027744046987e-179, 2.912524795397796e-122)),
         (species.mean_relative_velocity, (1e-30, 1e-300)),
         (species.mean_relative_velocity, (1e-320, 1e300)),
+        (species.mean_relative_velocity, (5e-324, 0.5)),  # a mass whose half is 0 as a float
     )
 ])
 def test_out_of_range_intermediates_stay_in_budget(fn, args):

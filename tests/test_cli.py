@@ -608,7 +608,8 @@ def input_files(tmp_path, monkeypatch):
     300-character name, one of 40 species and one of a spin of 4,003
     characters; a records file and a catalog, each holding a name with a lone
     surrogate; a records file nested 2,000 deep; a catalog of one species
-    of a subnormal mass, 3e-297 amu, whose reduced mass rounds to 0; a
+    of a subnormal mass, 3e-297 amu, whose half is 0 as a float, but which
+    gets its floor (``test_a_subnormal_mass_gets_its_floor``); a
     catalog of one species of a spin of 8e137, whose collision floor
     overflows; and one of a cross section of 1e-281 cm^2, whose floor is in
     range though hbar sigma_v is subnormal (``test_a_faint_species_gets_its_floor``)
@@ -759,10 +760,6 @@ def test_usage_errors_exit_1(run_main, args):
         ("table1", "--species-file", f"{_DEEP}/spin.json"),
         # a path holding a line break
         ("compare", "--records", "records\r.json"),
-        # a subnormal mass, in every command that reads it
-        ("species-list", "--species-file", "subnormal.json"),
-        ("table1", "--species-file", "subnormal.json"),
-        ("atomic", "--species-file", "subnormal.json", "--species", "Sb", "--density", "1e14/cm3", "--volume", "1cm3"),
         # a collision floor past the float range
         ("atomic", "--species-file", "huge_spin.json", "--species", "X", "--density", "1e14/cm3", "--volume", "10cm3"),
         ("table1", "--species-file", "huge_spin.json"),
@@ -806,6 +803,16 @@ def test_a_faint_species_gets_its_floor(run_main, input_files):
     # subnormal, but every field of the report is a normal float
     for argv in (("atomic", "--species-file", "faint.json", "--species", "X", "--density", "1e10/m3",
                   "--volume", "1e-10m3"), ("table1", "--species-file", "faint.json")):
+        for fmt in ("text", "json"):
+            assert _check_against_library(run_main, *argv, "--format", fmt)[0] == 0
+
+
+def test_a_subnormal_mass_gets_its_floor(run_main, input_files):
+    # 3e-297 amu is 4.9e-324 kg, whose half is 0 as a float; v_bar divides by
+    # m and by 1/2 separately, so every command that reads the mass runs
+    for argv in (("species-list", "--species-file", "subnormal.json"), ("table1", "--species-file", "subnormal.json"),
+                 ("atomic", "--species-file", "subnormal.json", "--species", "Sb", "--density", "1e14/cm3",
+                  "--volume", "1cm3")):
         for fmt in ("text", "json"):
             assert _check_against_library(run_main, *argv, "--format", fmt)[0] == 0
 
@@ -1056,7 +1063,9 @@ def _reject_constant(name):
 
 def _subnormal_mass(*argv):
     """``argv`` with a catalog of 133Cs at 3e-297 amu, whose mass in kg is
-    subnormal and its half 0, the input of a ZeroDivisionError traceback once."""
+    subnormal and its half 0 as a float: once the input of a ZeroDivisionError
+    traceback, then refused by a check of m/2, and now held to the library's
+    result like any other catalog."""
     row = dict(_SPECIES_ROWS[2], mass_amu=3e-297)
     return [*argv, "--species-file", "species.json", "--format", "text", "--digits", "6"], {
         "species.json": json.dumps({"species": [row]})}

@@ -49,7 +49,7 @@ _HUGE_SPIN = species.Species("X", Fraction(8 * 10**137), 87.0 * _AMU, 1e-14 * 1e
 _FAINT = species.Species("X", Fraction(10**66), 86.72 * _AMU, 1e-281 * 1e-4, 300.0)
 _SPECIES = st.one_of(
     st.sampled_from(list(species.default_catalog())),
-    # a mass whose half rounds to 0, and a species not calibrated yet
+    # a subnormal mass, whose half is 0 as a float, and a species not calibrated yet
     st.just(species.Species("Sb", Fraction(3, 2), 5e-324, 1e-19, 400.0)),
     st.just(species.Species("U", Fraction(3, 2), 2e-25, None, 400.0)),
     # what load_catalog accepts out at its edges: half-integer spins up to 9.5e140,
@@ -182,3 +182,10 @@ def test_a_replaced_field_is_checked_as_the_constructor_checks_it(record, field,
                   lambda: type(record)._make(fields.values())):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+def test_a_checked_record_holds_no_instance_dict():
+    # a subclass of a NamedTuple gets a __dict__ unless it declares empty __slots__
+    for record in (sensors.VaporCell(species.default_catalog().get("133Cs"), 1e20, 1e-5),
+                   sensors.SquidSpec(0.01, 4.2, 1e-6), spinsim.SimConfig(1e4, 1.0, 10)):
+        assert not hasattr(record, "__dict__"), type(record).__name__

@@ -27,7 +27,7 @@ from erlab.sensors import (
     squid_erl,
 )
 from erlab.species import Species, default_catalog
-from erlab.units import constants
+from erlab.units import brief, constants
 
 C = constants()
 LN2 = math.log(2)
@@ -169,6 +169,12 @@ def test_atomic_psd_definition():
             atomic_psd(2e-17, bad)
     with pytest.raises(ValueError, match=r"^psd must be finite, got inf$"):  # finite inputs
         atomic_psd(1e308, 2**63)
+    with pytest.raises(ValueError, match=r"^psd must be a normal float, got 0\.0$"):
+        atomic_psd(1e-300, 1e-300)
+    # a zero floor gives an exact 0, a negative one is refused
+    assert atomic_psd(0.0, 1.0) == 0.0
+    with pytest.raises(ValueError, match=r"^field floor must be non-negative, got -1e-15$"):
+        atomic_psd(-1e-15, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +432,22 @@ def test_load_published_records_rejects_bad_docs(tmp_path, doc):
         load_published_records(path)
 
 
+def test_load_published_records_names_what_is_wrong(tmp_path):
+    path = tmp_path / "records.json"
+    values = {"p": 1e-6, "T_K": 4.2, "tau_s": 5e-6, "measured_erl_hbar": 1.0}
+    for doc, message in (
+        ({"not": "a list"}, "expected a JSON array of records"),
+        (5, "expected a JSON array of records"),
+        (None, "expected a JSON array of records"),
+        ([dict(values, label=5)], "record 0: missing or empty 'label'"),
+        ([dict(values, label="")], "record 0: missing or empty 'label'"),
+    ):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_published_records(path)
+        assert str(info.value) == f"{brief(path)}: {message}"
+
+
 def test_load_published_records_empty_is_fine(tmp_path):
     path = tmp_path / "records.json"
     path.write_text("[]", encoding="utf-8")
@@ -508,6 +530,9 @@ def test_diamond_validation():
     assert measured_erl_from_psd(0.0, 1e-12) == 0.0
     assert erl_ratio(0.0, 2.0) == 0.0
     assert erl_ratio(0.0, math.inf) == 0.0
+    # x / 0 is +-inf, of the sign of x
+    with pytest.raises(ValueError, match=r"^measured-to-predicted ratio must be finite, got -inf$"):
+        erl_ratio(-1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

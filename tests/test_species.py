@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from erlab import units
 from erlab.species import (
     Species,
+    SpeciesCatalog,
     default_catalog,
     load_catalog,
     magnetic_moment,
@@ -40,6 +41,14 @@ def test_slowing_factor_rejects_non_half_integer():
         slowing_factor(Fraction(1, 3))
     with pytest.raises(ValueError):
         slowing_factor(-0.5)
+
+
+def test_slowing_factor_refuses_a_negative_spin():
+    # without the check, -1 and -3/2 would give the valid factors q = 1 and q = 2
+    for spin, quoted in ((-1, "-1"), (Fraction(-3, 2), "Fraction(-3, 2)")):
+        with pytest.raises(ValueError) as info:
+            slowing_factor(spin)
+        assert str(info.value) == f"nuclear spin must be non-negative, got {quoted}"
 
 
 def test_slowing_factor_quotes_an_integer_too_long_to_print_by_its_size():
@@ -126,9 +135,6 @@ def test_helpers_reject_non_finite_and_out_of_range():
     ):
         with pytest.raises(ValueError, match="must be (finite|a normal float)"):
             call()
-    # a subnormal mass whose half rounds to 0
-    with pytest.raises(ValueError, match=r"^reduced mass m/2 must be positive, got 0\.0$"):
-        mean_relative_velocity(5e-324, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +156,20 @@ def test_catalog_aliases_strip_mass_number():
     assert cat.get("Rb") is cat.get("87Rb")
     assert cat.get("Cs") is cat.get("133Cs")
     assert cat.get(" Cs ") is cat.get("133Cs")
+
+
+def test_an_alias_is_made_only_where_it_names_one_species():
+    def catalog(*names):
+        return SpeciesCatalog([default_catalog().get("41K")._replace(name=name) for name in names])
+
+    # two isotopes of one element: 'K' would be ambiguous
+    with pytest.raises(ValueError, match=r"^unknown species 'K' "):
+        catalog("39K", "41K").get("K")
+    # a species named as the bare element is found by its name, whichever comes first
+    assert catalog("41K", "K").get("K").name == "K"
+    # a name of digits only has no element to alias
+    with pytest.raises(ValueError, match=r"^unknown species '' "):
+        catalog("40").get("")
 
 
 def test_catalog_unknown_species_lists_known():
@@ -267,6 +287,24 @@ def test_load_catalog_rejects_bad_rows(tmp_path, patch):
     assert "\n" not in message and "set_int_max_str_digits" not in message
     # a long value is cut, and so is the path, so the bound holds whatever the path
     assert len(message.encode()) < 200
+
+
+def test_load_catalog_names_what_is_wrong(tmp_path):
+    for doc, message in (
+        ({}, "expected an object with a 'species' list"),
+        ({"species": {}}, "expected an object with a 'species' list"),
+        ({"species": [dict(_GOOD_ROW, name=5)]}, "species[0]: missing or empty 'name'"),
+        # refused before Fraction builds 10**10000000, which takes seconds
+        ({"species": [dict(_GOOD_ROW, nuclear_spin="1e10000000")]},
+         "species[0]: nuclear_spin '1e10000000': exponent 10000000 is outside -400..400"),
+        # a JSON true or null is not a spin, though Fraction(True) is 1
+        ({"species": [dict(_GOOD_ROW, nuclear_spin=True)]}, "species[0]: nuclear_spin 'True' is not a fraction"),
+        ({"species": [dict(_GOOD_ROW, nuclear_spin=None)]}, "species[0]: nuclear_spin 'None' is not a fraction"),
+    ):
+        path = _write(tmp_path, doc)
+        with pytest.raises(ValueError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{brief(path)}: {message}"
 
 
 def test_load_catalog_names_the_file_for_unparseable_json(tmp_path):

@@ -393,16 +393,45 @@ def _quota_files(monkeypatch, tmp_path, files: dict) -> None:
     ({"cpu.max": "max 100000\n"}, 8),
     ({"cpu.max": "garbage\n"}, 8),
     ({"cpu.max": "0 100000\n"}, 8),
+    ({"cpu.max": "100000 0\n"}, 8),
     ({"quota": "50000\n", "period": "100000\n"}, 1),
     ({"quota": "-1\n", "period": "100000\n"}, 8),
     ({"quota": "300000\n"}, 8),  # no period file
     ({}, 8),
-], ids=["v2", "v2-round-up", "v2-above-affinity", "v2-max", "v2-garbage", "v2-zero",
+], ids=["v2", "v2-round-up", "v2-above-affinity", "v2-max", "v2-garbage", "v2-zero", "v2-zero-period",
         "v1", "v1-unlimited", "v1-no-period", "no-files"])
 def test_usable_cpus_honours_a_cgroup_cpu_quota(monkeypatch, tmp_path, fake_cpus, files, cpus):
     fake_cpus(8)
     _quota_files(monkeypatch, tmp_path, files)
     assert spinsim.usable_cpus() == cpus
+
+
+def test_usable_cpus_is_one_where_the_platform_counts_none(monkeypatch, tmp_path):
+    # no affinity set (macOS, say), and os.cpu_count() cannot tell
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    _quota_files(monkeypatch, tmp_path, {})
+    assert spinsim.usable_cpus() == 1
+
+
+def test_a_worker_whose_units_raise_exits_1_and_never_returns(tmp_path):
+    # a worker that returned into the caller would run the rest of the caller's
+    # program, here pytest, whose own exit status could be 1 too; so a worker
+    # that gets back here leaves a mark for the parent and exits 0
+    parent, escaped = os.getpid(), tmp_path / "escaped"
+
+    def work(w):
+        if w:
+            raise RuntimeError("a unit failed")
+
+    try:
+        with pytest.raises(ChildProcessError, match=r"ended with exit status 1$"):
+            spinsim._run_workers(2, work)
+    finally:
+        if os.getpid() != parent:
+            escaped.touch()
+            _REAL_EXIT(0)
+    assert not escaped.exists()
 
 
 def test_result_json_is_canonical():
@@ -447,6 +476,14 @@ def test_trajectory_sample_time_axis(tmp_path):
     assert t[0] == 0.0
     assert t[-1] == pytest.approx(1.0)
     assert len(t) == cfg.step_count + 1 == len(trajectory_path(cfg, 1))
+
+
+@pytest.mark.parametrize("horizon", [0.0, 1e-20])  # 1e-20 tau is no step at 100 steps per tau
+def test_a_path_of_no_step_dumps_its_one_row(tmp_path, horizon):
+    cfg = SimConfig(1e4, 1.0, 1, horizon=horizon)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(cfg, 0, path)
+    assert path.read_bytes() == b"t_over_tau,value\n0.0,0.0\n"
 
 
 def test_trajectory_csv_format(tmp_path):

@@ -223,6 +223,21 @@ def test_scaled_is_plain_arithmetic_without_its_intermediate_range(factors, divi
     assert zero_divisor == math.copysign(math.inf, math.prod(factors))
 
 
+def test_checked_is_the_result_rule_of_the_closed_forms():
+    # an exact 0 from a zero factor is valid; a root is checked as it is returned
+    assert units._checked("x", (1e-300, 0.0), (1e-300,)) == 0.0
+    assert units._checked("x", (1e-300,), (1e300,), root=True) == 1e-300
+    for factors, divisors, message in (
+        ((1e-300, 1e-300), (), "x must be a normal float, got 0.0"),  # a nonzero product below the normal floats
+        ((1e-300, 1e-10), (), "x must be a normal float, got 1e-310"),
+        ((1e300, 1e300), (), "x must be finite, got inf"),  # past the range
+        ((-1.0,), (0.0,), "x must be finite, got -inf"),
+    ):
+        with pytest.raises(ValueError) as info:
+            units._checked("x", factors, divisors)
+        assert str(info.value) == message
+
+
 def test_brief_counts_the_digits_at_powers_of_ten():
     for exponent in (4301, 4302, 5000, 12345):  # past the 4300-digit limit
         assert brief(10**exponent) == f"<integer of {exponent + 1} digits>"

@@ -13,11 +13,14 @@ it prints how many inputs both trees accept with the same bits ("kept") and
 with other bits ("changed"), how many only this tree accepts ("accepted")
 and how many only the parent accepts ("refused"), and after "kept",
 "changed" and "accepted" the largest error of those results of this tree,
-in ulps of the true value at 60 mpmath digits, beside the budget.  The formulas and
-budgets are those of ``tests/test_accuracy.py``.
+in ulps of the true value at 60 mpmath digits, beside the budget; and how
+many inputs both trees refuse with other messages ("messages"), the first
+of which it prints after the table.  The formulas and budgets are those of
+``tests/test_accuracy.py``.
 
 Exits 1 if this tree refuses an input the parent accepts, or if a changed
-or newly accepted result is over its budget (a kept one is the parent's); a call that raises anything
+or newly accepted result is over its budget (a kept one is the parent's); a
+changed message alone does not fail the run.  A call that raises anything
 but ValueError stops the run.  Needs mpmath, pytest and hypothesis, as the
 accuracy test does.
 """
@@ -57,11 +60,13 @@ RANGES = {
     "sensors.measured_erl_from_psd": ((1e-300, 1e300),) * 2,
     "species.mean_relative_velocity": ((1e-300, 1e300),) * 2,
     "sensors.invert_sigma_v": ((1e-300, 1e300),) * 4,
+    "sensors.atomic_psd": ((1e-300, 1e300),) * 2,
+    "sensors.erl_ratio": ((1e-300, 1e300),) * 2,
     "sensors.atomic_floor": ((0.5, 1e150), *((1e-300, 1e300),) * 3, (1, 1e30), (1e-300, 1e300)),
 }
 REPORT_FIELDS = [field.name for field in dataclasses.fields(AtomicErlReport)]
 
-# run in each tree's child: reads {name: [args as float.hex]}, writes {name: [[hex of each value] or null]}
+# run in each tree's child: reads {name: [args as float.hex]}, writes {name: [[hex of each value] or message]}
 _CHILD = """
 import importlib, json, sys
 from fractions import Fraction
@@ -85,8 +90,8 @@ for name, draws in json.load(sys.stdin).items():
     for args in draws:
         try:
             results.append([value.hex() for value in call(function, fn, [float.fromhex(a) for a in args])])
-        except ValueError:
-            results.append(None)
+        except ValueError as exc:
+            results.append(str(exc))
 json.dump(out, sys.stdout)
 """
 
@@ -100,7 +105,7 @@ def draws(count: int, seed: int) -> dict[str, list[list[float]]]:
     return out
 
 
-def run(src: Path, inputs: dict) -> dict[str, list[list[str] | None]]:
+def run(src: Path, inputs: dict) -> dict[str, list[list[str] | str]]:
     payload = json.dumps({name: [[a.hex() for a in args] for args in rows] for name, rows in inputs.items()})
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _CHILD], input=payload, capture_output=True, text=True,
@@ -144,20 +149,25 @@ def main(argv=None) -> int:
     inputs = draws(args.draws, args.seed)
     parent, change = run(args.parent_src, inputs), run(ROOT / "src", inputs)
     print(f"{'function':40} {'kept':>6} {'(ulp)':>5} {'changed':>7} {'(ulp)':>5} {'accepted':>8} {'(ulp)':>5} "
-          f"{'budget':>6} {'refused':>7}")
+          f"{'budget':>6} {'refused':>7} {'messages':>8}")
     failed = False
+    first_messages = []
     for name in RANGES:
         labels = fields(name)
         kept, changed = [0] * len(labels), [0] * len(labels)
         worst_kept, worst_changed, worst_new = ([0.0] * len(labels) for _ in range(3))
-        new = refused = 0
+        new = refused = messages = 0
         for xs, old, now in zip(inputs[name], parent[name], change[name]):
-            if now is None:
-                refused += old is not None
+            if isinstance(now, str):  # refused, with this message
+                refused += not isinstance(old, str)
+                if isinstance(old, str) and old != now:
+                    messages += 1
+                    if messages == 1:
+                        first_messages.append(f"{name}{tuple(xs)}: {old!r} -> {now!r}")
                 continue
-            new += old is None
+            new += isinstance(old, str)
             for i, (value, ulps) in enumerate(zip(now, errors(name, xs, now))):
-                if old is None:
+                if isinstance(old, str):
                     worst_new[i] = max(worst_new[i], ulps)
                 elif old[i] == value:
                     kept[i], worst_kept[i] = kept[i] + 1, max(worst_kept[i], ulps)
@@ -167,7 +177,9 @@ def main(argv=None) -> int:
         for i, (label, budget) in enumerate(labels):
             failed |= max(worst_changed[i], worst_new[i]) > budget
             print(f"{label:40} {kept[i]:6} {worst_kept[i]:5.2f} {changed[i]:7} {worst_changed[i]:5.2f} {new:8} "
-                  f"{worst_new[i]:5.2f} {budget:6} {refused:7}")
+                  f"{worst_new[i]:5.2f} {budget:6} {refused:7} {messages:8}")
+    for line in first_messages:
+        print(line)
     return 1 if failed else 0
 
 
