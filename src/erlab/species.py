@@ -138,7 +138,7 @@ class SpeciesCatalog:
             stem = name.lstrip("0123456789")
             stems.setdefault(stem, []).append(name)
         for stem, names in stems.items():
-            if stem and stem not in self._by_name and len(names) == 1:
+            if stem and len(names) == 1:
                 self._aliases[stem] = names[0]
 
     def __iter__(self):

@@ -27,13 +27,13 @@ those are, the mean and variance at the horizon, and every path that
 ``trajectory_path`` draws, equal bit for bit those of a fresh
 Philox(key=seed, counter=i << 128) per trajectory.
 
-The run builds one Philox generator keyed by the seed before it forks, and
-a worker resets its copy's state per trajectory.  The state is a dict of
-plain ints, because numpy's setter reads those about twice as fast as the
-ndarrays that ``bitgen.state`` returns: a reset took 0.75 us instead of
-1.5-1.8 us (Intel Xeon, Python 3.11, numpy 2.4).  Draws fill the rows of a
-buffer of at most _ROW_BUFFER float64 values, which is weighted and reduced
-row by row in one call; the trajectories of one fill are the work unit.
+``_drawer`` builds one Philox generator keyed by the seed, a run's before it
+forks, and resets its state per trajectory.  The state is a dict of plain
+ints, because numpy's setter reads those about twice as fast as the ndarrays
+that ``bitgen.state`` returns: a reset took 0.75 us instead of 1.5-1.8 us
+(Intel Xeon, Python 3.11, numpy 2.4).  Draws fill the rows of a buffer of at
+most _ROW_BUFFER float64 values, which is weighted and reduced row by row in
+one call; the trajectories of one fill are the work unit.
 With ``workers`` > 1 the units are dealt round-robin to forked worker
 processes, which write their horizon values into one anonymous mapping
 shared with this process; processes, not threads, because each reset holds
@@ -135,8 +135,6 @@ class SimConfig(_SimConfigFields):
 
     @property
     def step_count(self) -> int:
-        if self.horizon == 0:
-            return 0
         return math.ceil(self.horizon * self.steps_per_tau - 1e-12)
 
     def config_echo(self) -> dict:
@@ -186,22 +184,20 @@ def uncertainty_estimate(atom_count: float) -> float:
     return math.sqrt(analytic_variance(atom_count, 1.0))
 
 
-def _envelope(config: SimConfig) -> tuple[np.ndarray, float]:
-    """Midpoint-sampled noise coefficients and per-step scale factor.
+def _envelope(config: SimConfig) -> tuple[np.ndarray, float, float]:
+    """Midpoint-sampled noise coefficients, per-step scale factor and step du.
 
-    The increment over step k is c_k * sqrt(dt/(N tau)) * g_k with the
-    coefficient c = 1 - e^(-t/tau) evaluated at the step midpoint
-    (midpoint quadrature of the variance integrand; tau cancels once time
-    is measured in units of tau).
+    The increment over step k is c_k * sqrt(du/N) * g_k with the coefficient
+    c = 1 - e^(-u) evaluated at the step midpoint u (midpoint quadrature of
+    the variance integrand), where u = t/tau and du = dt/tau, a float
+    whatever number the horizon is.
     """
     steps = config.step_count
-    if steps == 0:
-        return np.empty(0), 0.0
-    du = config.horizon / steps
+    du = float(config.horizon) / steps if steps else 0.0
     midpoints = (np.arange(steps) + 0.5) * du
     coeff = -np.expm1(-midpoints)
     scale = math.sqrt(du / config.atom_count)
-    return coeff, scale
+    return coeff, scale, du
 
 
 def scheme_variance(config: SimConfig) -> float:
@@ -212,7 +208,7 @@ def scheme_variance(config: SimConfig) -> float:
     sum_k c_k^2 dt/(N tau).  Useful for checking that step refinement does
     not drift.
     """
-    coeff, scale = _envelope(config)
+    coeff, scale, _ = _envelope(config)
     return float(np.sum(coeff * coeff)) * scale * scale
 
 
@@ -268,6 +264,32 @@ def _sample_index(config: SimConfig, index) -> int:
     return _as_int(index, lambda n: 0 <= n < M, message)
 
 
+def _drawer(config: SimConfig):
+    """``draw(lo, rows)``, which fills row j of ``rows`` with trajectory lo + j's
+    draws weighted by the envelope, and the per-step ``scale``."""
+    coeff, scale, _ = _envelope(config)
+    bitgen = np.random.Philox(key=config.seed)
+    gen = np.random.Generator(bitgen)
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [config.seed, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # output buffer empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def draw(lo: int, rows: np.ndarray) -> None:
+        for j, row in enumerate(rows):
+            counter[2] = lo + j  # < MAX_ARRAY_LENGTH = 2^24, so it fits word 2 and word 3 stays 0
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        np.multiply(rows, coeff, out=rows)
+
+    return draw, scale
+
+
 def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
     """Run the ensemble and return variance/mean statistics at the horizon.
 
@@ -284,7 +306,6 @@ def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
     workers = _worker_count(workers)
     steps = config.step_count
 
-    coeff, scale = _envelope(config)
     # one zero-filled anonymous mapping, shared with the workers forked below,
     # which write their units' values straight into it
     horizon_values = np.frombuffer(mmap.mmap(-1, 8 * M), dtype=np.float64)
@@ -293,39 +314,17 @@ def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
         # a work unit is the trajectories that fill the row buffer once
         fill = max(1, _ROW_BUFFER // steps)
         units = range(0, M, fill)
-        # each reset holds the GIL, so workers are processes, and beyond the
-        # usable cores they only contend
+        # beyond the usable cores, worker processes only contend
         can_fork = hasattr(os, "fork") and threading.active_count() == 1  # see the docstring
         workers = min(workers, usable_cpus(), len(units)) if can_fork else 1
-        # Trajectory i owns the Philox counter block [i * 2^128, (i+1) * 2^128)
-        # under the master seed as key: resetting one generator's state to that
-        # counter with an empty output buffer gives exactly the stream of a fresh
-        # Philox(key=seed, counter=i << 128).  The state is bitgen.state with
-        # plain ints for arrays, which the setter reads faster (see the module
-        # docstring); the key is [seed, 0] as seed < 2^64.
-        bitgen = np.random.Philox(key=config.seed)
-        gen = np.random.Generator(bitgen)
-        counter = [0, 0, 0, 0]
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": [config.seed, 0]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # output buffer empty
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        draw, scale = _drawer(config)
         buf = np.empty((min(fill, M), steps))
 
         def work(w: int) -> None:
             for lo in units[w::workers]:
                 hi = min(lo + fill, M)
                 rows = buf[: hi - lo]
-                for j, i in enumerate(range(lo, hi)):
-                    # i < MAX_ARRAY_LENGTH = 2^24, so i fits counter word 2 and word 3 stays 0
-                    counter[2] = i
-                    bitgen.state = state
-                    gen.standard_normal(out=rows[j])
-                np.multiply(rows, coeff, out=rows)
+                draw(lo, rows)
                 # a row-wise sum is the same pairwise summation as np.sum of each
                 # row alone, so the bits do not depend on how rows are grouped
                 horizon_values[lo:hi] = scale * np.sum(rows, axis=1)
@@ -357,14 +356,14 @@ def simulate_transient(config: SimConfig, workers: int = 1) -> SimResult:
 
 def trajectory_path(config: SimConfig, index: int) -> np.ndarray:
     """Trajectory ``index``'s values at t/tau = 0, du, ..., horizon: 0.0, then
-    the running sum of its weighted draws, which come from its own Philox
-    counter block in the order ``simulate_transient`` draws them.  ``index``
-    is an integer in [0, trajectory_count), a numpy integer too."""
-    i = _sample_index(config, index)  # a plain int, as the counter i << 128 needs one
-    coeff, scale = _envelope(config)
-    draws = np.random.Generator(np.random.Philox(key=config.seed, counter=i << 128))
-    path = scale * np.cumsum(draws.standard_normal(config.step_count) * coeff)
-    return np.concatenate([[0.0], path])
+    the running sum of its weighted draws, which ``_drawer`` draws as
+    ``simulate_transient`` does.  ``index`` is an integer in
+    [0, trajectory_count), a numpy integer too."""
+    i = _sample_index(config, index)
+    draw, scale = _drawer(config)
+    weighted = np.empty((1, config.step_count))
+    draw(i, weighted)
+    return np.concatenate([[0.0], scale * np.cumsum(weighted[0])])
 
 
 def _run_workers(workers: int, work) -> None:
@@ -427,9 +426,9 @@ def write_trajectory_csv(config: SimConfig, index: int, path: str | Path) -> Non
     ValueError before ``path`` is opened."""
     from .report import write_csv
 
+    du = _envelope(config)[2]  # first, so its coefficients are freed before the path is drawn
     values = trajectory_path(config, index)
-    steps = config.step_count
-    t = np.arange(steps + 1) * (config.horizon / steps) if steps else np.zeros(1)
+    t = np.arange(values.size) * du
     # Python floats, so csv writes their repr; lazily, as lists would raise peak
     # memory.  Text mode with the default newline handling, as for every output.
     rows = zip(map(float, t), map(float, values))

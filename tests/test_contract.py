@@ -153,6 +153,7 @@ def _assert_finite(value, where):
 @example(call=(sensors.atomic_floor, (sensors.VaporCell(_FAINT, 1e10, 1e-10),)))
 @example(call=(spinsim.result_to_json,
                (spinsim.SimResult(0.0, 0.0, 0.0, 0.0), spinsim.SimConfig(1, Fraction(3, 2), 1))))
+@example(call=(spinsim.trajectory_path, (spinsim.SimConfig(1.0, 1.0, 1, 10, Fraction(3, 2), 0), 0)))
 def test_every_public_callable_keeps_the_contract(call):
     assert not _UNCOVERED, f"public callables with no strategy for a parameter and no skip: {_UNCOVERED}"
     assert set(_SKIPS) <= set(_PUBLIC), f"skips of no public callable: {set(_SKIPS) - set(_PUBLIC)}"

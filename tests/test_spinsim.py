@@ -8,6 +8,7 @@ import signal
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -406,12 +407,13 @@ def test_usable_cpus_honours_a_cgroup_cpu_quota(monkeypatch, tmp_path, fake_cpus
     assert spinsim.usable_cpus() == cpus
 
 
-def test_usable_cpus_is_one_where_the_platform_counts_none(monkeypatch, tmp_path):
-    # no affinity set (macOS, say), and os.cpu_count() cannot tell
+@pytest.mark.parametrize("count, cpus", [(None, 1), (4, 4)])
+def test_usable_cpus_falls_back_to_the_cpu_count_or_one(monkeypatch, tmp_path, count, cpus):
+    # no affinity set (macOS, say): os.cpu_count() counts the CPUs, or cannot tell
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
     _quota_files(monkeypatch, tmp_path, {})
-    assert spinsim.usable_cpus() == 1
+    assert spinsim.usable_cpus() == cpus
 
 
 def test_a_worker_whose_units_raise_exits_1_and_never_returns(tmp_path):
@@ -460,6 +462,18 @@ def test_zero_horizon():
     assert res.mean_over_trajectories == 0.0
     assert list(trajectory_path(cfg, 4)) == [0.0]
     assert analytic_variance(1e4, 0.0) == 0.0
+
+
+def test_a_fraction_horizon_gives_the_bits_of_its_float(tmp_path):
+    # the grid is worked out in floats: Fraction(3, 2) / steps is a Fraction,
+    # which numpy would put in an object array that expm1 refuses
+    exact, rounded = (SimConfig(1.0, 1.0, 3, 10, horizon, 0) for horizon in (Fraction(3, 2), 1.5))
+    assert scheme_variance(exact) == scheme_variance(rounded)
+    assert simulate_transient(exact) == simulate_transient(rounded)
+    assert trajectory_path(exact, 2).tobytes() == trajectory_path(rounded, 2).tobytes()
+    write_trajectory_csv(exact, 2, tmp_path / "exact.csv")
+    write_trajectory_csv(rounded, 2, tmp_path / "rounded.csv")
+    assert (tmp_path / "exact.csv").read_bytes() == (tmp_path / "rounded.csv").read_bytes()
 
 
 def test_single_trajectory_has_no_spread_estimate():
