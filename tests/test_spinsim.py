@@ -38,6 +38,13 @@ def test_analytic_variance_frozen_values():
     assert analytic_variance(1.0, 3.0) == pytest.approx(1.5983347606473948, rel=1e-12)
 
 
+def test_the_closed_form_takes_over_at_h_1():
+    # from h = 1 the value is h - a - a^2/2 to the bit, so uncertainty_estimate
+    # keeps its bits; the series gives one ulp less at h = 1
+    a = -math.expm1(-1.0)
+    assert analytic_variance(1.0, 1.0) == 1.0 - a - a * a / 2.0
+
+
 def test_analytic_variance_matches_direct_formula():
     for h in (0.1, 0.7, 2.0, 10.0):
         direct = h + 2.0 * math.exp(-h) - math.exp(-2.0 * h) / 2.0 - 1.5
@@ -155,6 +162,61 @@ def test_relaxation_time_only_sets_the_clock():
     b = simulate_transient(SimConfig(1e4, 3.7e-3, 500, seed=5))
     assert a.variance_at_horizon == b.variance_at_horizon
     assert a.mean_over_trajectories == b.mean_over_trajectories
+
+
+# ---------------------------------------------------------------------------
+# the law of the simulated process, for each RNG scheme
+# ---------------------------------------------------------------------------
+
+# each scheme's drawer of path i of a config; a new scheme is one more entry
+_SCHEMES = {"philox-counter": trajectory_path}
+_LAW_CONFIG = SimConfig(atom_count=1e4, relaxation_time=1.0, trajectory_count=4_000, steps_per_tau=100, seed=7)
+# under independence a sample correlation of M pairs is about N(0, 1/M), so 4
+# of its standard errors is a 6e-5 false alarm; seed 7 read 0.007 at lag 1
+_CORRELATION_BOUND = 4.0 / math.sqrt(_LAW_CONFIG.trajectory_count)
+
+
+@pytest.fixture(scope="module", params=list(_SCHEMES))
+def law_sample(request):
+    """The grid values of every path of ``_LAW_CONFIG`` under one scheme, one
+    row per trajectory, and the variance of each step: the squared weights
+    c_k^2 du / N that the scheme sums."""
+    draw = _SCHEMES[request.param]
+    paths = np.stack([draw(_LAW_CONFIG, i) for i in range(_LAW_CONFIG.trajectory_count)])
+    coeff, scale, _ = spinsim._envelope(_LAW_CONFIG)
+    return paths, coeff * coeff * (scale * scale)
+
+
+def test_the_horizon_values_are_normal_with_the_scheme_variance(law_sample):
+    # at a fixed seed the p-value is one number (0.87 at seed 7); below 1e-3
+    # the law of X / sigma is off by a KS distance of about 1.95 / sqrt(M)
+    stats = pytest.importorskip("scipy.stats")
+    paths, _ = law_sample
+    sigma = math.sqrt(scheme_variance(_LAW_CONFIG))
+    assert stats.kstest(paths[:, -1] / sigma, "norm").pvalue > 1e-3
+
+
+def test_neighbouring_trajectories_are_uncorrelated_at_the_horizon(law_sample):
+    horizon = law_sample[0][:, -1]
+    assert abs(np.corrcoef(horizon[:-1], horizon[1:])[0, 1]) < _CORRELATION_BOUND
+
+
+def test_every_grid_variance_is_the_partial_sum_of_the_step_variances(law_sample):
+    # E X_k^2 = V_k, the k-th partial sum, and the mean of M squares of a
+    # Gaussian has standard error V_k sqrt(2/M).  A |z| of 4 is a 6e-5 false
+    # alarm per grid point, 0.6% over the 100 (a union bound); seed 7's
+    # largest |z| was 2.09.
+    paths, step_variances = law_sample
+    assert not paths[:, 0].any()  # every path starts at 0
+    partial_sums = np.cumsum(step_variances)
+    z = (np.mean(paths[:, 1:] ** 2, axis=0) - partial_sums) / (partial_sums * math.sqrt(2.0 / len(paths)))
+    assert len(z) == 100 and np.max(np.abs(z)) < 4.0
+
+
+def test_the_increments_over_the_two_halves_are_uncorrelated(law_sample):
+    paths = law_sample[0]
+    half = paths[:, paths.shape[1] // 2]
+    assert abs(np.corrcoef(half, paths[:, -1] - half)[0, 1]) < _CORRELATION_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +613,34 @@ def test_the_statistics_need_no_memory_that_grows_with_the_ensemble():
             tracemalloc.stop()
     assert peaks[1] < 2**18
     assert abs(peaks[1] - peaks[0]) < 2**16
+
+
+_LONG_ROW = 2**16  # steps, each an 8-byte float
+
+
+@pytest.mark.parametrize("call, arrays", [
+    pytest.param(lambda config, path: simulate_transient(config, workers=1), 2.1, id="simulate_transient"),
+    pytest.param(lambda config, path: trajectory_path(config, 1), 2.1, id="trajectory_path"),
+    pytest.param(lambda config, path: write_trajectory_csv(config, 1, path), 2.1, id="write_trajectory_csv"),
+    pytest.param(lambda config, path: scheme_variance(config), 1.1, id="scheme_variance"),
+])
+def test_a_long_row_holds_at_most_two_arrays_of_the_step_count(tmp_path, call, arrays):
+    # the step coefficients and one row: the row buffer of a run, which holds
+    # one whole row past 2^14 steps, or the one path; scheme_variance squares
+    # the coefficients in place.  Built through full-length temporaries, the
+    # peaks were 3.0, 4.0, 4.0 and 3.0 arrays, and an in-place cumsum that
+    # copied its input would take trajectory_path to 3.0.  Traced the second
+    # time, so numpy's one-time set-up is not counted.
+    config = SimConfig(1e4, 1.0, 2, steps_per_tau=_LONG_ROW)
+    path = tmp_path / "traj.csv"
+    call(config, path)
+    tracemalloc.start()
+    try:
+        call(config, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * _LONG_ROW
 
 
 @pytest.mark.parametrize(

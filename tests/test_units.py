@@ -227,9 +227,12 @@ def test_checked_is_the_result_rule_of_the_closed_forms():
     # an exact 0 from a zero factor is valid; a root is checked as it is returned
     assert units._checked("x", (1e-300, 0.0), (1e-300,)) == 0.0
     assert units._checked("x", (1e-300,), (1e300,), root=True) == 1e-300
+    # the smallest normal float is one; the largest subnormal, below, is not
+    assert units._checked("x", (sys.float_info.min,), ()) == sys.float_info.min
     for factors, divisors, message in (
         ((1e-300, 1e-300), (), "x must be a normal float, got 0.0"),  # a nonzero product below the normal floats
         ((1e-300, 1e-10), (), "x must be a normal float, got 1e-310"),
+        ((sys.float_info.min - 5e-324,), (), "x must be a normal float, got 2.225073858507201e-308"),
         ((1e300, 1e300), (), "x must be finite, got inf"),  # past the range
         ((-1.0,), (0.0,), "x must be finite, got -inf"),
     ):
@@ -242,8 +245,16 @@ def test_brief_counts_the_digits_at_powers_of_ten():
     for exponent in (4301, 4302, 5000, 12345):  # past the 4300-digit limit
         assert brief(10**exponent) == f"<integer of {exponent + 1} digits>"
         assert brief(10**exponent - 1) == f"<integer of {exponent} digits>"
+    assert brief(10**39) == str(10**39)  # 40 bytes, quoted whole
     assert brief(10**40) == f"{10**40 // 10}... (41 characters)"
     assert brief("abc", repr) == "'abc'"
+
+
+def test_read_json_reads_a_file_of_exactly_its_cap(tmp_path):
+    # one character more is refused (the catalog and records tests)
+    path = tmp_path / "doc.json"
+    path.write_text("[]".ljust(units._JSON_CHARS))
+    assert units.read_json(path) == []
 
 
 def test_read_json_refuses_a_lone_surrogate(tmp_path):
